@@ -8,6 +8,18 @@ and reports whether they all agree.  A bundle whose conditions disagree on
 any finite structure falsifies the theorem it encodes, so the enumeration
 sweeps treat a failed ``agree`` flag as a build-stopping finding.
 
+Nearly every definition reads "for all args there is x with
+lhs <= left*x*right", and each such condition is a terms function for the
+one witness search of ``elements`` (``witness_scan``): witnesses are
+tried in ascending order, so they are least, and argument tuples run in
+ascending lexicographic order, so a counterexample is the least failing
+tuple.  Membership t in (XSY] is the same search, for x with t <= X*x*Y.
+The remaining conditions (ideal comparisons, Green's relations) are
+first-failure scans in the same ascending order.  No condition is computed
+from another condition's result: conditions share terms, helpers and the
+regularity premise, never a verdict, so the sides of a bundle stay
+independent.
+
 Predicates with a regularity premise (left/right group like, Clifford,
 left Clifford, inverse) raise NotApplicable on non-regular structures
 rather than returning a vacuous boolean.  Bundles evaluated on structures
@@ -18,12 +30,12 @@ that equivalences remain meaningful on every input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Callable
 
 from . import limits
 from .core import (
     OrderedSemigroup,
-    above_masks,
     bits,
     down_mask,
     full_mask,
@@ -32,12 +44,17 @@ from .core import (
     sandwich_mask,
 )
 from .elements import (
+    COMPLETELY_REGULAR,
+    H_COMMUTATIVE,
+    REGULAR,
+    forall_exists,
     idempotent_mask,
     inverse_mask,
     is_regular_structure,
+    witness_scan,
 )
 from .errors import InvariantViolation, NotApplicable, SizeLimit, UnknownBundle, UnknownPredicate
-from .ideals import Side, green_relation
+from .ideals import Side, green_relation, principal_mask_in
 from .report import (
     BundleResult,
     ClassificationReport,
@@ -47,153 +64,58 @@ from .report import (
     make_bundle,
 )
 
+
 # ---------------------------------------------------------------------------
-# quantifier scans
+# conditions
 #
-# Every scan takes an optional carrier mask ``t`` restricting both the
-# quantifiers and the witnesses to a subset (used for classes of a
-# decomposition); None means the full carrier.  Scans return
-# (holds, counterexample, witnesses); witnesses are collected only when
-# requested and map argument tuples to least witness tuples.
+# A condition returns (holds, counterexample, witnesses).  Quantified
+# conditions are (arity, terms) specs for ``forall_exists``, which ranges
+# over T^arity for an optional carrier mask T (used for classes of a
+# decomposition; None means the full carrier).  The rest are first-failure
+# scans over explicitly listed argument tuples.
+
+LEFT_GROUP_LIKE = (2, lambda tb, a, b: ((a, None, b),))  # a <= x*b
+RIGHT_GROUP_LIKE = (2, lambda tb, a, b: ((a, b, None),))  # a <= b*y
+GROUP_LIKE = (2, lambda tb, a, b: ((a, None, b), (a, b, None)))
 
 
-def _tmask(s: OrderedSemigroup, t: int | None) -> int:
-    return full_mask(s) if t is None else t
+def _first_failure(args, ok):
+    """The first argument tuple (in the order given) for which ok fails."""
+    for argt in args:
+        if not ok(*argt):
+            return False, argt, {}
+    return True, None, {}
 
 
-def _scan_regular(s, t=None, witnesses=False):
-    table, leq = s.table, s.leq
-    t = _tmask(s, t)
-    wits = {} if witnesses else None
-    for a in bits(t):
-        la = leq[a]
-        row_a = table[a]
-        found = -1
-        for x in bits(t):
-            if la[table[row_a[x]][a]]:
-                found = x
-                break
-        if found < 0:
-            return False, (a,), None
-        if witnesses:
-            wits[(a,)] = (found,)
-    return True, None, wits
+def _then(first, rest, *args):
+    """``first``, and only once it holds, ``rest(*args)``."""
+    return rest(*args) if first[0] else first
 
 
-def _scan_completely_regular(s, t=None, witnesses=False):
-    table, leq = s.table, s.leq
-    t = _tmask(s, t)
-    wits = {} if witnesses else None
-    for a in bits(t):
-        la = leq[a]
-        aa = table[a][a]
-        row = table[aa]
-        found = -1
-        for x in bits(t):
-            if la[table[row[x]][aa]]:
-                found = x
-                break
-        if found < 0:
-            return False, (a,), None
-        if witnesses:
-            wits[(a,)] = (found,)
-    return True, None, wits
+def _regular_then(s, scan, *args):
+    """Total form of a regularity-gated condition: regular, and then the scan."""
+    if not is_regular_structure(s):
+        return False, ("not-regular",), {}
+    return scan(s, *args)
 
 
-def _scan_left_divisible(s, t=None, witnesses=False):
-    """For all a, b there is x with a <= x*b (x inside the same carrier)."""
-    table, leq = s.table, s.leq
-    t = _tmask(s, t)
-    wits = {} if witnesses else None
-    for a in bits(t):
-        la = leq[a]
-        for b in bits(t):
-            found = -1
-            for x in bits(t):
-                if la[table[x][b]]:
-                    found = x
-                    break
-            if found < 0:
-                return False, (a, b), None
-            if witnesses:
-                wits[(a, b)] = (found,)
-    return True, None, wits
-
-
-def _scan_right_divisible(s, t=None, witnesses=False):
-    table, leq = s.table, s.leq
-    t = _tmask(s, t)
-    wits = {} if witnesses else None
-    for a in bits(t):
-        la = leq[a]
-        for b in bits(t):
-            row_b = table[b]
-            found = -1
-            for y in bits(t):
-                if la[row_b[y]]:
-                    found = y
-                    break
-            if found < 0:
-                return False, (a, b), None
-            if witnesses:
-                wits[(a, b)] = (found,)
-    return True, None, wits
-
-
-def _scan_group_like(s, t=None, witnesses=False):
-    """For all a, b there are x, y with a <= x*b and a <= b*y."""
-    table, leq = s.table, s.leq
-    t = _tmask(s, t)
-    wits = {} if witnesses else None
-    for a in bits(t):
-        la = leq[a]
-        for b in bits(t):
-            row_b = table[b]
-            x_found = -1
-            for x in bits(t):
-                if la[table[x][b]]:
-                    x_found = x
-                    break
-            if x_found < 0:
-                return False, (a, b), None
-            y_found = -1
-            for y in bits(t):
-                if la[row_b[y]]:
-                    y_found = y
-                    break
-            if y_found < 0:
-                return False, (a, b), None
-            if witnesses:
-                wits[(a, b)] = (x_found, y_found)
-    return True, None, wits
-
-
-def _principal_mask_in(s, t, a, side: Side) -> int:
-    table = s.table
-    seed = 1 << a
-    if side in (Side.LEFT, Side.TWO_SIDED):
-        for x in bits(t):
-            seed |= 1 << table[x][a]
-    if side in (Side.RIGHT, Side.TWO_SIDED):
-        row = table[a]
-        for x in bits(t):
-            seed |= 1 << row[x]
-    if side is Side.TWO_SIDED:
-        for x in bits(t):
-            row = table[table[x][a]]
-            for y in bits(t):
-                seed |= 1 << row[y]
-    return down_mask(s, seed) & t
-
-
-def _scan_simple(s, t=None, side=Side.TWO_SIDED, witnesses=False):
+def _simple(s, side, t=None):
     """No proper ideal of the given side: every principal ideal is everything."""
-    t = _tmask(s, t)
+    t = full_mask(s) if t is None else t
     for a in bits(t):
-        m = _principal_mask_in(s, t, a, side)
+        m = principal_mask_in(s, t, a, side)
         if m != t:
-            return False, (a, next(bits(t & ~m))), None
-    return True, None, ({} if witnesses else None)
+            return False, (a, next(bits(t & ~m))), {}
+    return True, None, {}
+
+
+def _conjunction(*parts):
+    """Every (label, thunk) part holds; a failure's counterexample starts with its label."""
+    for label, part in parts:
+        holds, ce, _ = part()
+        if not holds:
+            return False, (label,) + ce, {}
+    return True, None, {}
 
 
 def _closed(s, mask: int) -> bool:
@@ -206,194 +128,88 @@ def _closed(s, mask: int) -> bool:
     return True
 
 
-def _scan_clifford_condition(s, witnesses=False):
+def _group_like_subsemigroup(s, mask: int) -> bool:
+    return _closed(s, mask) and forall_exists(s, *GROUP_LIKE, mask)[0]
+
+
+def _classes_all(rel, check):
+    """Every class of rel passes check; the counterexample is the first failing class."""
+    for cls_set in rel.classes:
+        if not check(cls_set.mask):
+            return False, tuple(cls_set), {}
+    return True, None, {}
+
+
+def _clifford(s, witnesses=False):
     """For every a and ordered idempotent e: ae <= e*u*a and ea <= a*v*e."""
-    table = s.table
-    above = above_masks(s)
-    idem = idempotent_mask(s)
-    wits = {} if witnesses else None
-    for a in range(s.size):
-        row_a = table[a]
-        for e in bits(idem):
-            ae = row_a[e]
-            ea = table[e][a]
-            if not above[ae] & sandwich_mask(s, e, a):
-                return False, (a, e), None
-            if not above[ea] & sandwich_mask(s, a, e):
-                return False, (a, e), None
-            if witnesses:
-                leq = s.leq
-                u = next(
-                    u for u in range(s.size)
-                    if leq[ae][table[table[e][u]][a]]
-                )
-                v = next(
-                    v for v in range(s.size)
-                    if leq[ea][table[row_a[v]][e]]
-                )
-                wits[(a, e)] = (u, v)
-    return True, None, wits
+    return witness_scan(
+        s,
+        product(range(s.size), bits(idempotent_mask(s))),
+        lambda tb, a, e: ((tb[a][e], e, a), (tb[e][a], a, e)),
+        None,
+        witnesses,
+    )
 
 
-def _left_clifford_condition(s, witnesses=False):
-    """(aS] is contained in (Sa] for every a."""
-    for a in range(s.size):
+def _compare_aS_Sa(s, elems, equal: bool):
+    """(aS] = (Sa] (equal) or (aS] inside (Sa] for each a; detail: a and the least outlier."""
+    for a in elems:
         aS = down_mask(s, right_multiples(s, a))
         Sa = down_mask(s, left_multiples(s, a))
-        if aS & ~Sa:
-            return False, (a, next(bits(aS & ~Sa))), None
-    return True, None, ({} if witnesses else None)
+        outliers = aS ^ Sa if equal else aS & ~Sa
+        if outliers:
+            return False, (a, next(bits(outliers))), {}
+    return True, None, {}
 
 
-def _inverse_condition(s, witnesses=False):
+def _left_clifford(s):
+    """(aS] is contained in (Sa] for every a."""
+    return _compare_aS_Sa(s, range(s.size), False)
+
+
+def _inverse(s):
     """Any two ordered inverses of the same element are H-related."""
-    h = green_relation(s, "H")
-    ids = h.class_ids
-    for a in range(s.size):
-        vs = list(bits(inverse_mask(s, a)))
-        for i, a1 in enumerate(vs):
-            for a2 in vs[i + 1:]:
-                if ids[a1] != ids[a2]:
-                    return False, (a, a1, a2), None
-    return True, None, ({} if witnesses else None)
+    ids = green_relation(s, "H").class_ids
+    return _first_failure(
+        (
+            (a, a1, a2)
+            for a in range(s.size)
+            for a1, a2 in combinations(bits(inverse_mask(s, a)), 2)
+        ),
+        lambda a, a1, a2: ids[a1] == ids[a2],
+    )
 
 
-def _scan_h_commutative(s, witnesses=False):
-    """Every pair a, b admits x with a*b <= b*x*a."""
-    table = s.table
-    above = above_masks(s)
-    wits = {} if witnesses else None
-    for a in range(s.size):
-        row_a = table[a]
-        for b in range(s.size):
-            ab = row_a[b]
-            if not above[ab] & sandwich_mask(s, b, a):
-                return False, (a, b), None
-            if witnesses:
-                leq = s.leq
-                x = next(
-                    x for x in range(s.size)
-                    if leq[ab][table[table[b][x]][a]]
-                )
-                wits[(a, b)] = (x,)
-    return True, None, wits
-
-
-# total forms used by bundles evaluated outside a premise
-
-
-def _regular_total(s) -> bool:
-    return _scan_regular(s)[0]
-
-
-def _clifford_total(s):
-    if not _regular_total(s):
-        return False, ("not-regular",)
-    holds, ce, _ = _scan_clifford_condition(s)
-    return holds, ce
-
-
-def _left_clifford_total(s):
-    if not _regular_total(s):
-        return False, ("not-regular",)
-    holds, ce, _ = _left_clifford_condition(s)
-    return holds, ce
-
-
-def _left_group_like_total(s):
-    if not _regular_total(s):
-        return False, ("not-regular",)
-    holds, ce, _ = _scan_left_divisible(s)
-    return holds, ce
+def _relation_pairs(s, ok):
+    """First pair (a, b) of carrier elements failing ok."""
+    return _first_failure(product(range(s.size), repeat=2), ok)
 
 
 # ---------------------------------------------------------------------------
 # predicate registry
 
 
-def _pred_regular(s, w):
-    return _scan_regular(s, None, w)
-
-
-def _pred_completely_regular(s, w):
-    return _scan_completely_regular(s, None, w)
-
-
-def _pred_group_like(s, w):
-    return _scan_group_like(s, None, w)
-
-
-def _pred_left_group_like(s, w):
-    return _scan_left_divisible(s, None, w)
-
-
-def _pred_right_group_like(s, w):
-    return _scan_right_divisible(s, None, w)
-
-
-def _pred_simple(s, w):
-    return _scan_simple(s, None, Side.TWO_SIDED, w)
-
-
-def _pred_left_simple(s, w):
-    return _scan_simple(s, None, Side.LEFT, w)
-
-
-def _pred_right_simple(s, w):
-    return _scan_simple(s, None, Side.RIGHT, w)
-
-
-def _pred_t_simple(s, w):
-    holds, ce, _ = _scan_simple(s, None, Side.LEFT)
-    if not holds:
-        return False, ("left",) + ce, None
-    holds, ce, _ = _scan_simple(s, None, Side.RIGHT)
-    if not holds:
-        return False, ("right",) + ce, None
-    return True, None, ({} if w else None)
-
-
-def _pred_clifford(s, w):
-    return _scan_clifford_condition(s, w)
-
-
-def _pred_left_clifford(s, w):
-    return _left_clifford_condition(s, w)
-
-
-def _pred_inverse(s, w):
-    return _inverse_condition(s, w)
-
-
-def _pred_h_commutative(s, w):
-    return _scan_h_commutative(s, w)
-
-
-def _pred_completely_simple(s, w):
-    holds, ce, _ = _scan_simple(s, None, Side.TWO_SIDED)
-    if not holds:
-        return False, ("simple",) + ce, None
-    holds, ce, _ = _scan_completely_regular(s)
-    if not holds:
-        return False, ("completely_regular",) + ce, None
-    return True, None, ({} if w else None)
-
-
 PREDICATES: dict[str, Callable] = {
-    "regular": _pred_regular,
-    "completely_regular": _pred_completely_regular,
-    "group_like": _pred_group_like,
-    "left_group_like": _pred_left_group_like,
-    "right_group_like": _pred_right_group_like,
-    "simple": _pred_simple,
-    "left_simple": _pred_left_simple,
-    "right_simple": _pred_right_simple,
-    "t_simple": _pred_t_simple,
-    "clifford": _pred_clifford,
-    "left_clifford": _pred_left_clifford,
-    "inverse": _pred_inverse,
-    "h_commutative": _pred_h_commutative,
-    "completely_simple": _pred_completely_simple,
+    "regular": lambda s: forall_exists(s, *REGULAR, witnesses=True),
+    "completely_regular": lambda s: forall_exists(s, *COMPLETELY_REGULAR, witnesses=True),
+    "group_like": lambda s: forall_exists(s, *GROUP_LIKE, witnesses=True),
+    "left_group_like": lambda s: forall_exists(s, *LEFT_GROUP_LIKE, witnesses=True),
+    "right_group_like": lambda s: forall_exists(s, *RIGHT_GROUP_LIKE, witnesses=True),
+    "simple": lambda s: _simple(s, Side.TWO_SIDED),
+    "left_simple": lambda s: _simple(s, Side.LEFT),
+    "right_simple": lambda s: _simple(s, Side.RIGHT),
+    "t_simple": lambda s: _conjunction(
+        ("left", lambda: _simple(s, Side.LEFT)),
+        ("right", lambda: _simple(s, Side.RIGHT)),
+    ),
+    "clifford": lambda s: _clifford(s, witnesses=True),
+    "left_clifford": _left_clifford,
+    "inverse": _inverse,
+    "h_commutative": lambda s: forall_exists(s, *H_COMMUTATIVE, witnesses=True),
+    "completely_simple": lambda s: _conjunction(
+        ("simple", lambda: _simple(s, Side.TWO_SIDED)),
+        ("completely_regular", lambda: forall_exists(s, *COMPLETELY_REGULAR)),
+    ),
 }
 
 PREDICATE_ORDER = tuple(PREDICATES)
@@ -410,7 +226,7 @@ def predicate(s: OrderedSemigroup, name: str) -> PredicateResult:
         raise UnknownPredicate(name)
     if name in REQUIRES_REGULAR and not is_regular_structure(s):
         raise NotApplicable(name, "structure is not regular")
-    holds, ce, wits = fn(s, True)
+    holds, ce, wits = fn(s)
     if holds:
         return PredicateResult(name, True, witnesses=wits)
     return PredicateResult(name, False, counterexample=ce)
@@ -426,85 +242,55 @@ class _Bundle:
     build: Callable
 
 
-def _cond(label, pair_or_holds, detail=None) -> ConditionResult:
-    if isinstance(pair_or_holds, tuple):
-        holds, detail = pair_or_holds
-        return ConditionResult(label, holds, detail)
-    return ConditionResult(label, pair_or_holds, detail)
-
-
-def _forall_membership(s, target_of, mask_of_elem):
-    """Check target_of(a) in (mask_of_elem(a)] for every a; least failing a."""
-    above = above_masks(s)
-    for a in range(s.size):
-        if not above[target_of(a)] & mask_of_elem(a):
-            return False, (a,)
-    return True, None
+def _cond(label, result) -> ConditionResult:
+    return ConditionResult(label, result[0], result[1])
 
 
 def _build_cr_eq5(s) -> BundleResult:
-    table = s.table
-    above = above_masks(s)
-
-    def member(a, mask):
-        return bool(above[a] & mask)
-
-    def check(parts):
-        for a in range(s.size):
-            aa = table[a][a]
-            for part in parts:
-                if not member(a, part(a, aa)):
-                    return False, (a,)
-        return True, None
-
-    a2Sa = lambda a, aa: sandwich_mask(s, aa, a)
-    aSa2 = lambda a, aa: sandwich_mask(s, a, aa)
-    Sa2 = lambda a, aa: left_multiples(s, aa)
-    a2S = lambda a, aa: right_multiples(s, aa)
-
-    c1 = _scan_completely_regular(s)[:2]
-    c2 = check((a2Sa, aSa2))
-    c3 = check((a2Sa, Sa2))
-    c4 = check((aSa2, a2S))
-    reg, reg_ce, _ = _scan_regular(s)
-    if reg:
-        c5 = check((a2S, Sa2))
-    else:
-        c5 = (False, reg_ce)
     return make_bundle(
         "CR-EQ5",
         (
-            _cond("a in (a^2 S a^2] for all a", c1),
-            _cond("a in (a^2 S a] and a in (a S a^2] for all a", c2),
-            _cond("a in (a^2 S a] and a in (S a^2] for all a", c3),
-            _cond("a in (a S a^2] and a in (a^2 S] for all a", c4),
-            _cond("regular, and a in (a^2 S] and a in (S a^2] for all a", c5),
+            _cond("a in (a^2 S a^2] for all a", forall_exists(s, *COMPLETELY_REGULAR)),
+            _cond(
+                "a in (a^2 S a] and a in (a S a^2] for all a",
+                forall_exists(s, 1, lambda tb, a: ((a, tb[a][a], a), (a, a, tb[a][a]))),
+            ),
+            _cond(
+                "a in (a^2 S a] and a in (S a^2] for all a",
+                forall_exists(s, 1, lambda tb, a: ((a, tb[a][a], a), (a, None, tb[a][a]))),
+            ),
+            _cond(
+                "a in (a S a^2] and a in (a^2 S] for all a",
+                forall_exists(s, 1, lambda tb, a: ((a, a, tb[a][a]), (a, tb[a][a], None))),
+            ),
+            _cond(
+                "regular, and a in (a^2 S] and a in (S a^2] for all a",
+                _then(forall_exists(s, *REGULAR), forall_exists, s, 1, lambda tb, a: ((a, tb[a][a], None), (a, None, tb[a][a]))),
+            ),
         ),
     )
 
 
 def _build_gl_char(s) -> BundleResult:
-    above = above_masks(s)
-
-    def forall_pairs(make_mask):
-        for a in range(s.size):
-            ua = above[a]
-            for b in range(s.size):
-                if not ua & make_mask(a, b):
-                    return False, (a, b)
-        return True, None
-
-    c0 = _scan_group_like(s)[:2]
-    c1 = forall_pairs(lambda a, b: sandwich_mask(s, b, b))
-    c2 = _left_group_like_total(s)
-    c3 = forall_pairs(lambda a, b: sandwich_mask(s, a, b))
     return make_bundle(
         "GL-CHAR",
         (
-            _cond("group like: a <= xb and a <= by solvable for all a, b", c0),
-            _cond("a in (b S b] for all a, b", c1),
-            _cond("left group like: regular and a <= xb solvable for all a, b", c2),
-            _cond("a in (a S b] for all a, b", c3),
+            _cond(
+                "group like: a <= xb and a <= by solvable for all a, b",
+                forall_exists(s, *GROUP_LIKE),
+            ),
+            _cond(
+                "a in (b S b] for all a, b",
+                forall_exists(s, 2, lambda tb, a, b: ((a, b, b),)),
+            ),
+            _cond(
+                "left group like: regular and a <= xb solvable for all a, b",
+                _regular_then(s, forall_exists, *LEFT_GROUP_LIKE),
+            ),
+            _cond(
+                "a in (a S b] for all a, b",
+                forall_exists(s, 2, lambda tb, a, b: ((a, a, b),)),
+            ),
         ),
         (
             ConditionGroup("equivalence", (0, 1)),
@@ -514,45 +300,35 @@ def _build_gl_char(s) -> BundleResult:
 
 
 def _build_gl_hrel(s) -> BundleResult:
-    c0 = _scan_group_like(s)[:2]
     ids = green_relation(s, "H").class_ids
-    idem = list(bits(idempotent_mask(s)))
-    c1 = (True, None)
-    for i, e in enumerate(idem):
-        for f in idem[i + 1:]:
-            if ids[e] != ids[f]:
-                c1 = (False, (e, f))
-                break
-        if not c1[0]:
-            break
     return make_bundle(
         "GL-HREL",
         (
-            _cond("group like", c0),
-            _cond("all ordered idempotents lie in one H-class", c1),
+            _cond("group like", forall_exists(s, *GROUP_LIKE)),
+            _cond(
+                "all ordered idempotents lie in one H-class",
+                _first_failure(
+                    combinations(bits(idempotent_mask(s)), 2),
+                    lambda e, f: ids[e] == ids[f],
+                ),
+            ),
         ),
     )
 
 
 def _build_inv_comm(s) -> BundleResult:
-    c0 = _inverse_condition(s)[:2]
-    above = above_masks(s)
-    table = s.table
-    idem = list(bits(idempotent_mask(s)))
-    c1 = (True, None)
-    for e in idem:
-        row_e = table[e]
-        for f in idem:
-            if not above[row_e[f]] & sandwich_mask(s, f, e):
-                c1 = (False, (e, f))
-                break
-        if not c1[0]:
-            break
     return make_bundle(
         "INV-COMM",
         (
-            _cond("ordered inverses of each element are H-related", c0),
-            _cond("ef <= f x e solvable for all ordered idempotents e, f", c1),
+            _cond("ordered inverses of each element are H-related", _inverse(s)),
+            _cond(
+                "ef <= f x e solvable for all ordered idempotents e, f",
+                witness_scan(
+                    s,
+                    product(bits(idempotent_mask(s)), repeat=2),
+                    lambda tb, e, f: ((tb[e][f], f, e),),
+                ),
+            ),
         ),
     )
 
@@ -561,38 +337,29 @@ def _build_cr_hcomm(s) -> BundleResult:
     return make_bundle(
         "CR-HCOMM",
         (
-            _cond("regular", _scan_regular(s)[:2]),
-            _cond("completely regular", _scan_completely_regular(s)[:2]),
+            _cond("regular", forall_exists(s, *REGULAR)),
+            _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
         ),
     )
 
 
 def _build_cr_inv(s) -> BundleResult:
-    c0 = _scan_completely_regular(s)[:2]
-    above = above_masks(s)
-    table = s.table
-    c1 = (True, None)
-    for a in range(s.size):
-        row_a = table[a]
-        ok = False
-        for ap in bits(inverse_mask(s, a)):
-            aap = row_a[ap]
-            apa = table[ap][a]
-            if above[aap] & sandwich_mask(s, ap, a) and above[apa] & sandwich_mask(
-                s, a, ap
-            ):
-                ok = True
-                break
-        if not ok:
-            c1 = (False, (a,))
-            break
+    def has_inverse(a):
+        # an ordered inverse a' with aa' <= a'ua and a'a <= ava'
+        return any(
+            witness_scan(
+                s, ((a, ap),), lambda tb, a, ap: ((tb[a][ap], ap, a), (tb[ap][a], a, ap))
+            )[0]
+            for ap in bits(inverse_mask(s, a))
+        )
+
     return make_bundle(
         "CR-INV",
         (
-            _cond("completely regular", c0),
+            _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
             _cond(
                 "each a has an ordered inverse a' with aa' <= a'ua and a'a <= ava'",
-                c1,
+                _first_failure(((a,) for a in range(s.size)), has_inverse),
             ),
         ),
     )
@@ -606,70 +373,47 @@ def _union_of_group_like(s):
     for mask in range(1, full + 1):
         if covered | mask == covered:
             continue
-        if _closed(s, mask) and _scan_group_like(s, mask)[0]:
+        if _group_like_subsemigroup(s, mask):
             covered |= mask
             if covered == full:
-                return True, None
-    return False, (next(bits(full & ~covered)),)
+                return True, None, {}
+    return False, (next(bits(full & ~covered)),), {}
 
 
 def _build_cr_hclass(s) -> BundleResult:
-    c0 = _scan_completely_regular(s)[:2]
     h = green_relation(s, "H")
-    c1 = (True, None)
-    for cls_set in h.classes:
-        mask = cls_set.mask
-        if not _closed(s, mask) or not _scan_group_like(s, mask)[0]:
-            c1 = (False, tuple(cls_set))
-            break
-    c2 = _union_of_group_like(s)
     return make_bundle(
         "CR-HCLASS",
         (
-            _cond("completely regular", c0),
-            _cond("every H-class is a group like ordered subsemigroup", c1),
-            _cond("carrier is a union of group like ordered subsemigroups", c2),
+            _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
+            _cond(
+                "every H-class is a group like ordered subsemigroup",
+                _classes_all(h, lambda m: _group_like_subsemigroup(s, m)),
+            ),
+            _cond(
+                "carrier is a union of group like ordered subsemigroups",
+                _union_of_group_like(s),
+            ),
         ),
     )
 
 
 def _build_cl_eq(s) -> BundleResult:
-    c0 = _scan_clifford_condition(s)[:2]
     lrel = green_relation(s, "L")
     rrel = green_relation(s, "R")
-    if lrel.class_ids == rrel.class_ids:
-        c1 = (True, None)
-    else:
-        pair = next(
-            (a, b)
-            for a in range(s.size)
-            for b in range(s.size)
-            if (lrel.class_ids[a] == lrel.class_ids[b])
-            != (rrel.class_ids[a] == rrel.class_ids[b])
-        )
-        c1 = (False, pair)
-
-    c2 = (True, None)
-    for a in range(s.size):
-        aS = down_mask(s, right_multiples(s, a))
-        Sa = down_mask(s, left_multiples(s, a))
-        if aS != Sa:
-            c2 = (False, (a, next(bits(aS ^ Sa))))
-            break
-    c3 = (True, None)
-    for e in bits(idempotent_mask(s)):
-        eS = down_mask(s, right_multiples(s, e))
-        Se = down_mask(s, left_multiples(s, e))
-        if eS != Se:
-            c3 = (False, (e, next(bits(eS ^ Se))))
-            break
     return make_bundle(
         "CL-EQ",
         (
-            _cond("clifford: ae <= eua and ea <= ave solvable", c0),
-            _cond("L = R", c1),
-            _cond("(aS] = (Sa] for all a", c2),
-            _cond("(eS] = (Se] for all ordered idempotents e", c3),
+            _cond("clifford: ae <= eua and ea <= ave solvable", _clifford(s)),
+            _cond(
+                "L = R",
+                _relation_pairs(s, lambda a, b: lrel.same(a, b) == rrel.same(a, b)),
+            ),
+            _cond("(aS] = (Sa] for all a", _compare_aS_Sa(s, range(s.size), True)),
+            _cond(
+                "(eS] = (Se] for all ordered idempotents e",
+                _compare_aS_Sa(s, bits(idempotent_mask(s)), True),
+            ),
         ),
     )
 
@@ -678,148 +422,99 @@ def _build_cl_hcomm(s) -> BundleResult:
     return make_bundle(
         "CL-HCOMM",
         (
-            _cond("clifford: ae <= eua and ea <= ave solvable", _scan_clifford_condition(s)[:2]),
-            _cond("h-commutative: ab <= bxa solvable for all a, b", _scan_h_commutative(s)[:2]),
+            _cond("clifford: ae <= eua and ea <= ave solvable", _clifford(s)),
+            _cond(
+                "h-commutative: ab <= bxa solvable for all a, b",
+                forall_exists(s, *H_COMMUTATIVE),
+            ),
         ),
     )
 
 
 def _build_cl_cresef(s) -> BundleResult:
-    c0 = _clifford_total(s)
-    cr, cr_ce, _ = _scan_completely_regular(s)
-    if not cr:
-        c1 = (False, cr_ce)
-    else:
-        above = above_masks(s)
-        c1 = (True, None)
-        idem = list(bits(idempotent_mask(s)))
-        for e in idem:
-            for f in idem:
-                target = sandwich_mask(s, f, e)
-                bad = next(
-                    (m for m in bits(sandwich_mask(s, e, f)) if not above[m] & target),
-                    None,
-                )
-                if bad is not None:
-                    c1 = (False, (e, f, bad))
-                    break
-            if not c1[0]:
-                break
+    idem = list(bits(idempotent_mask(s)))
+    # every m in eSf must lie in (fSe]
+    e_s_f = ((e, f, m) for e in idem for f in idem for m in bits(sandwich_mask(s, e, f)))
     return make_bundle(
         "CL-CRESEF",
         (
-            _cond("regular with the clifford condition", c0),
+            _cond("regular with the clifford condition", _regular_then(s, _clifford)),
             _cond(
                 "completely regular, and eSf inside (f S e] for all ordered idempotents",
-                c1,
+                _then(
+                    forall_exists(s, *COMPLETELY_REGULAR),
+                    witness_scan,
+                    s,
+                    e_s_f,
+                    lambda tb, e, f, m: ((m, f, e),),
+                ),
             ),
         ),
     )
 
 
 def _build_cl_crinv(s) -> BundleResult:
-    c0 = _clifford_total(s)
-    cr, cr_ce, _ = _scan_completely_regular(s)
-    if not cr:
-        c1 = (False, cr_ce)
-    else:
-        c1 = _inverse_condition(s)[:2]
     return make_bundle(
         "CL-CRINV",
         (
-            _cond("regular with the clifford condition", c0),
-            _cond("completely regular and inverse", c1),
+            _cond("regular with the clifford condition", _regular_then(s, _clifford)),
+            _cond(
+                "completely regular and inverse",
+                _then(forall_exists(s, *COMPLETELY_REGULAR), _inverse, s),
+            ),
         ),
     )
 
 
 def _build_lcl_eq5(s) -> BundleResult:
-    above = above_masks(s)
-    table = s.table
-    c0 = _left_clifford_condition(s)[:2]
-
-    c1 = (True, None)
-    for e in bits(idempotent_mask(s)):
-        eS = down_mask(s, right_multiples(s, e))
-        Se = down_mask(s, left_multiples(s, e))
-        if eS & ~Se:
-            c1 = (False, (e, next(bits(eS & ~Se))))
-            break
-
-    c2 = (True, None)
-    for a in range(s.size):
-        for e in bits(idempotent_mask(s)):
-            ea = table[e][a]
-            if not above[ea] & down_mask(s, left_multiples(s, e)):
-                c2 = (False, (a, e))
-                break
-        if not c2[0]:
-            break
-
-    c3 = (True, None)
-    for a in range(s.size):
-        row_a = table[a]
-        Sa = left_multiples(s, a)
-        for b in range(s.size):
-            if not above[row_a[b]] & Sa:
-                c3 = (False, (a, b))
-                break
-        if not c3[0]:
-            break
-
+    idem = idempotent_mask(s)
     rrel = green_relation(s, "R")
     lrel = green_relation(s, "L")
-    if rrel.refines(lrel):
-        c4 = (True, None)
-    else:
-        pair = next(
-            (a, b)
-            for a in range(s.size)
-            for b in range(s.size)
-            if rrel.same(a, b) and not lrel.same(a, b)
-        )
-        c4 = (False, pair)
-
     return make_bundle(
         "LCL-EQ5",
         (
-            _cond("left clifford: (aS] inside (Sa] for all a", c0),
-            _cond("(eS] inside (Se] for all ordered idempotents e", c1),
-            _cond("ea <= xe solvable for all a and ordered idempotents e", c2),
-            _cond("ab <= xa solvable for all a, b", c3),
-            _cond("R inside L", c4),
+            _cond("left clifford: (aS] inside (Sa] for all a", _left_clifford(s)),
+            _cond(
+                "(eS] inside (Se] for all ordered idempotents e",
+                _compare_aS_Sa(s, bits(idem), False),
+            ),
+            _cond(
+                "ea <= xe solvable for all a and ordered idempotents e",
+                witness_scan(
+                    s,
+                    product(range(s.size), bits(idem)),
+                    lambda tb, a, e: ((tb[e][a], None, e),),
+                ),
+            ),
+            _cond(
+                "ab <= xa solvable for all a, b",
+                forall_exists(s, 2, lambda tb, a, b: ((tb[a][b], None, a),)),
+            ),
+            _cond(
+                "R inside L",
+                _relation_pairs(s, lambda a, b: lrel.same(a, b) or not rrel.same(a, b)),
+            ),
         ),
     )
 
 
 def _build_lcl_eq2(s) -> BundleResult:
-    c0 = _left_clifford_total(s)
-    above = above_masks(s)
-    table = s.table
-    c1 = (True, None)
-    for a in range(s.size):
-        if not above[a] & sandwich_mask(s, a, table[a][a]):
-            c1 = (False, (a,))
-            break
-    if c1[0]:
-        idem = list(bits(idempotent_mask(s)))
-        for e in idem:
-            row_e = table[e]
-            for f in idem:
-                ef = row_e[f]
-                fe = table[f][e]
-                if not above[ef] & sandwich_mask(s, ef, fe):
-                    c1 = (False, (e, f))
-                    break
-            if not c1[0]:
-                break
     return make_bundle(
         "LCL-EQ2",
         (
-            _cond("regular with the left clifford condition", c0),
+            _cond(
+                "regular with the left clifford condition",
+                _regular_then(s, _left_clifford),
+            ),
             _cond(
                 "a in (a S a^2] for all a, and ef in (ef S fe] for ordered idempotents",
-                c1,
+                _then(
+                    forall_exists(s, 1, lambda tb, a: ((a, a, tb[a][a]),)),
+                    witness_scan,
+                    s,
+                    product(bits(idempotent_mask(s)), repeat=2),
+                    lambda tb, e, f: ((tb[e][f], tb[e][f], tb[f][e]),),
+                ),
             ),
         ),
     )
@@ -851,7 +546,7 @@ def equivalence_bundle(s: OrderedSemigroup, bundle_id: str) -> BundleResult:
         raise UnknownBundle(bundle_id)
     if spec.premise == "regular" and not is_regular_structure(s):
         raise NotApplicable(bundle_id, "requires a regular structure")
-    if spec.premise == "h_commutative" and not _scan_h_commutative(s)[0]:
+    if spec.premise == "h_commutative" and not forall_exists(s, *H_COMMUTATIVE)[0]:
         raise NotApplicable(bundle_id, "requires an h-commutative structure")
     return spec.build(s)
 

@@ -19,16 +19,18 @@ from typing import Iterator
 
 from . import limits
 from .classification import (
-    _clifford_total,
+    COMPLETELY_REGULAR,
+    LEFT_GROUP_LIKE,
+    _classes_all,
+    _clifford,
     _closed,
-    _left_clifford_total,
-    _scan_completely_regular,
-    _scan_group_like,
-    _scan_left_divisible,
-    _scan_regular,
-    _scan_simple,
+    _group_like_subsemigroup,
+    _left_clifford,
+    _regular_then,
+    _simple,
 )
 from .core import ElementSet, OrderedSemigroup, _cached, bits, down_mask
+from .elements import REGULAR, forall_exists
 from .errors import (
     InvariantViolation,
     NotCompleteSemilattice,
@@ -269,13 +271,6 @@ def decompose(
 # structure theorems
 
 
-def _classes_all(s, rel: EquivalenceRelation, check) -> tuple[bool, tuple | None]:
-    for cls_set in rel.classes:
-        if not check(cls_set.mask):
-            return False, tuple(cls_set)
-    return True, None
-
-
 def _exists_csc_with_classes(s, check) -> tuple[bool, tuple | None]:
     for rel in complete_semilattice_congruences(s):
         if all(check(cls_set.mask) for cls_set in rel.classes):
@@ -284,27 +279,27 @@ def _exists_csc_with_classes(s, check) -> tuple[bool, tuple | None]:
 
 
 def _is_group_like_class(s):
-    return lambda mask: _closed(s, mask) and _scan_group_like(s, mask)[0]
+    return lambda mask: _group_like_subsemigroup(s, mask)
 
 
 def _is_left_group_like_class(s):
     return lambda mask: (
         _closed(s, mask)
-        and _scan_regular(s, mask)[0]
-        and _scan_left_divisible(s, mask)[0]
+        and forall_exists(s, *REGULAR, mask)[0]
+        and forall_exists(s, *LEFT_GROUP_LIKE, mask)[0]
     )
 
 
 def _is_completely_simple_class(s):
     return lambda mask: (
         _closed(s, mask)
-        and _scan_simple(s, mask, Side.TWO_SIDED)[0]
-        and _scan_completely_regular(s, mask)[0]
+        and _simple(s, Side.TWO_SIDED, mask)[0]
+        and forall_exists(s, *COMPLETELY_REGULAR, mask)[0]
     )
 
 
 def _check_cr_leastcsc(s) -> BundleResult:
-    cr = _scan_completely_regular(s)[:2]
+    cr = forall_exists(s, *COMPLETELY_REGULAR)
     j = green_relation(s, "J")
     least = least_csc(s)
     c1 = (j.class_ids == least.class_ids, None)
@@ -322,7 +317,7 @@ def _check_cr_leastcsc(s) -> BundleResult:
 
 
 def _check_cr_csdecomp(s) -> BundleResult:
-    cr = _scan_completely_regular(s)[:2]
+    cr = forall_exists(s, *COMPLETELY_REGULAR)
     exists, detail = _exists_csc_with_classes(s, _is_completely_simple_class(s))
     return make_bundle(
         "CR-CSDECOMP",
@@ -338,10 +333,10 @@ def _check_cr_csdecomp(s) -> BundleResult:
 
 
 def _check_cr_hclass_gl(s) -> BundleResult:
-    cr = _scan_completely_regular(s)[:2]
+    cr = forall_exists(s, *COMPLETELY_REGULAR)
     h = green_relation(s, "H")
-    closed_ok, closed_ce = _classes_all(s, h, lambda m: _closed(s, m))
-    gl_ok, gl_ce = _classes_all(s, h, lambda m: _closed(s, m) and _scan_group_like(s, m)[0])
+    closed_ok, closed_ce, _ = _classes_all(h, lambda m: _closed(s, m))
+    gl_ok, gl_ce, _ = _classes_all(h, _is_group_like_class(s))
 
     # inside each H-class, every a admits h in the class with
     # a <= aha, a <= a^2 h, a <= h a^2
@@ -383,9 +378,9 @@ def _check_cr_hclass_gl(s) -> BundleResult:
 
 
 def _check_cl_decomp(s) -> BundleResult:
-    cliff = _clifford_total(s)
+    cliff = _regular_then(s, _clifford)
     least = least_csc(s)
-    via_least = _classes_all(s, least, _is_group_like_class(s))
+    via_least = _classes_all(least, _is_group_like_class(s))
     via_exists = _exists_csc_with_classes(s, _is_group_like_class(s))
     j = green_relation(s, "J")
     h = green_relation(s, "H")
@@ -416,8 +411,8 @@ def _check_lcl_leastcsc(s) -> BundleResult:
     # make every principal left ideal full on a non-regular structure), so
     # the ambient regularity of the left clifford notion is conjoined to
     # both sides.
-    lcl = _left_clifford_total(s)
-    regular, reg_ce, _ = _scan_regular(s)
+    lcl = _regular_then(s, _left_clifford)
+    regular, reg_ce, _ = forall_exists(s, *REGULAR)
     if not regular:
         side2, detail = False, reg_ce
     else:
@@ -440,9 +435,9 @@ def _check_lcl_leastcsc(s) -> BundleResult:
 
 
 def _check_lcl_decomp(s) -> BundleResult:
-    lcl = _left_clifford_total(s)
+    lcl = _regular_then(s, _left_clifford)
     via_exists = _exists_csc_with_classes(s, _is_left_group_like_class(s))
-    via_least = _classes_all(s, least_csc(s), _is_left_group_like_class(s))
+    via_least = _classes_all(least_csc(s), _is_left_group_like_class(s))
     return make_bundle(
         "LCL-DECOMP",
         (

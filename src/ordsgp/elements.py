@@ -2,13 +2,20 @@
 inverses, commutation witnesses, and the group component around an ordered
 idempotent.
 
-All existential witnesses are searched in ascending index order, so every
-reported witness is the least one.
+Every "there is x" in the package goes through one primitive,
+``witness_scan``: at each argument tuple, for each term, the least x in a
+carrier mask T with lhs <= left*x*right, where either factor may be absent.
+Candidates are tried in ascending index order, so every reported witness is
+the least one, and argument tuples are taken in ascending lexicographic
+order, so a failure reports the least failing tuple.  A condition is its
+argument tuples plus a terms function; it shares no result with any other
+condition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .core import ElementSet, OrderedSemigroup, _cached, bits, full_mask
 from .errors import InvariantViolation, NotIdempotent
@@ -52,75 +59,79 @@ def ordered_idempotents(s: OrderedSemigroup) -> ElementSet:
     return ElementSet(s, idempotent_mask(s))
 
 
-def _regularity_witness(s: OrderedSemigroup, a: int, left: int, right: int) -> int:
-    """Least x with a <= left*x*right, or -1."""
+# Quantified conditions as (arity, terms): for every argument tuple,
+# terms(table, *args) lists inequalities (lhs, left, right), each asking for
+# a witness x with lhs <= left*x*right.  The element specs name the flags
+# above; REGULAR is the package's one definition of regularity.
+REGULAR = (1, lambda tb, a: ((a, a, a),))  # a in (aSa]
+COMPLETELY_REGULAR = (1, lambda tb, a: ((a, tb[a][a], tb[a][a]),))  # a in (a^2 S a^2]
+LEFT_REGULAR = (1, lambda tb, a: ((a, None, tb[a][a]),))  # a in (S a^2]
+RIGHT_REGULAR = (1, lambda tb, a: ((a, tb[a][a], None),))  # a in (a^2 S]
+H_COMMUTATIVE = (2, lambda tb, a, b: ((tb[a][b], b, a),))  # ab <= b*x*a
+
+_FLAG_SPECS = (
+    ("regular", REGULAR),
+    ("completely_regular", COMPLETELY_REGULAR),
+    ("left_regular", LEFT_REGULAR),
+    ("right_regular", RIGHT_REGULAR),
+)
+
+
+def witness_scan(s: OrderedSemigroup, args, terms, xs=None, witnesses=False):
+    """Every term has a least witness at every argument tuple.
+
+    ``args`` yields argument tuples in ascending order; ``terms(table,
+    *args)`` lists that tuple's inequalities (lhs, left, right), each asking
+    for x with lhs <= left*x*right, where a None factor is absent.  ``xs``
+    lists the candidate witnesses in ascending order (None: the carrier).
+    Returns (holds, first failing tuple, witnesses); the witness map, from
+    each tuple to its least witness per term, is filled only when requested.
+    """
     table, leq = s.table, s.leq
-    row = table[left]
-    la = leq[a]
-    for x in range(s.size):
-        if la[table[row[x]][right]]:
-            return x
-    return -1
+    columns = _cached(s, "columns", lambda: tuple(zip(*table)))
+    same = range(s.size)
+    xs = same if xs is None else xs
+    wits = {}
+    for argt in args:
+        found = []
+        for lhs, left, right in terms(table, *argt):
+            above = leq[lhs]
+            row = same if left is None else table[left]
+            col = same if right is None else columns[right]
+            for x in xs:
+                if above[col[row[x]]]:
+                    found.append(x)
+                    break
+            else:
+                return False, argt, {}
+        if witnesses:
+            wits[argt] = tuple(found)
+    return True, None, wits
 
 
-def regular_mask(s: OrderedSemigroup) -> int:
-    def build():
-        mask = 0
-        for a in range(s.size):
-            if _regularity_witness(s, a, a, a) >= 0:
-                mask |= 1 << a
-        return mask
+def forall_exists(s: OrderedSemigroup, arity: int, terms, t=None, witnesses=False):
+    """``witness_scan`` over every tuple in T^arity with witnesses in T.
 
-    return _cached(s, "regular_mask", build)
-
-
-def completely_regular_mask(s: OrderedSemigroup) -> int:
-    def build():
-        table = s.table
-        mask = 0
-        for a in range(s.size):
-            aa = table[a][a]
-            if _regularity_witness(s, a, aa, aa) >= 0:
-                mask |= 1 << a
-        return mask
-
-    return _cached(s, "cr_mask", build)
+    T is the carrier mask t, or the whole carrier when t is None.
+    """
+    xs = range(s.size) if t is None else tuple(bits(t))
+    return witness_scan(s, product(xs, repeat=arity), terms, xs, witnesses)
 
 
 def is_regular_structure(s: OrderedSemigroup) -> bool:
-    return regular_mask(s) == full_mask(s)
+    """Every element is regular (cached per structure)."""
+    return _cached(s, "regular", lambda: forall_exists(s, *REGULAR)[0])
 
 
 def element_regularity(s: OrderedSemigroup, a: int) -> ElementRegularity:
-    table, leq = s.table, s.leq
-    aa = table[a][a]
     witnesses = {}
-
-    x = _regularity_witness(s, a, a, a)
-    regular = x >= 0
-    if regular:
-        witnesses["regular"] = x
-
-    x = _regularity_witness(s, a, aa, aa)
-    completely_regular = x >= 0
-    if completely_regular:
-        witnesses["completely_regular"] = x
-
-    la = leq[a]
-    left_regular = False
-    for x in range(s.size):
-        if la[table[x][aa]]:
-            left_regular = True
-            witnesses["left_regular"] = x
-            break
-    right_regular = False
-    row_aa = table[aa]
-    for x in range(s.size):
-        if la[row_aa[x]]:
-            right_regular = True
-            witnesses["right_regular"] = x
-            break
-
+    for flag, (_, terms) in _FLAG_SPECS:
+        holds, _, found = witness_scan(s, ((a,),), terms, None, True)
+        if holds:
+            witnesses[flag] = found[(a,)][0]
+    regular, completely_regular, left_regular, right_regular = (
+        flag in witnesses for flag, _ in _FLAG_SPECS
+    )
     if completely_regular and not (regular and left_regular and right_regular):
         raise InvariantViolation(
             f"element {a}: completely regular without the implied flags"
@@ -156,13 +167,8 @@ def inverses_of(s: OrderedSemigroup, a: int) -> ElementSet:
 
 def h_commute_witness(s: OrderedSemigroup, a: int, b: int) -> int | None:
     """Least x with a*b <= b*x*a, or None."""
-    table, leq = s.table, s.leq
-    lab = leq[table[a][b]]
-    row_b = table[b]
-    for x in range(s.size):
-        if lab[table[row_b[x]][a]]:
-            return x
-    return None
+    holds, _, found = witness_scan(s, ((a, b),), H_COMMUTATIVE[1], None, True)
+    return found[(a, b)][0] if holds else None
 
 
 def group_component_mask(

@@ -32,7 +32,7 @@ from .core import (
     sandwich_mask,
     up_mask,
 )
-from .elements import idempotent_mask, is_regular_structure, regular_mask
+from .elements import REGULAR, forall_exists, idempotent_mask
 from .errors import EmptySet, NotIdempotent, NotRegular
 from .report import ConditionGroup, ConditionResult, make_bundle
 
@@ -41,13 +41,6 @@ class Side(Enum):
     LEFT = "left"
     RIGHT = "right"
     TWO_SIDED = "two-sided"
-
-    @classmethod
-    def from_string(cls, text: str) -> "Side":
-        for side in cls:
-            if side.value == text:
-                return side
-        raise ValueError(f"unknown side: {text!r}")
 
 
 @dataclass(frozen=True)
@@ -117,25 +110,36 @@ class IdealCheck:
         return self.holds
 
 
+def principal_mask_in(s: OrderedSemigroup, t: int, a: int, side: Side) -> int:
+    """The principal ideal of a inside the carrier mask t.
+
+    left: ({a} u Ta]   right: ({a} u aT]   two-sided: ({a} u Ta u aT u TaT],
+    each intersected with T; with T the carrier, the principal ideal of S.
+    """
+    table = s.table
+    seed = 1 << a
+    if side in (Side.LEFT, Side.TWO_SIDED):
+        for x in bits(t):
+            seed |= 1 << table[x][a]
+    if side in (Side.RIGHT, Side.TWO_SIDED):
+        row = table[a]
+        for x in bits(t):
+            seed |= 1 << row[x]
+    if side is Side.TWO_SIDED:
+        for x in bits(t):
+            row = table[table[x][a]]
+            for y in bits(t):
+                seed |= 1 << row[y]
+    return down_mask(s, seed) & t
+
+
 def _principal_masks(s: OrderedSemigroup, side: Side) -> tuple[int, ...]:
-    key = f"principal_{side.value}"
-
-    def build():
-        out = []
-        for a in range(s.size):
-            seed = 1 << a
-            if side is Side.LEFT:
-                seed |= left_multiples(s, a)
-            elif side is Side.RIGHT:
-                seed |= right_multiples(s, a)
-            else:
-                seed |= left_multiples(s, a) | right_multiples(s, a)
-                for x in range(s.size):
-                    seed |= right_multiples(s, s.table[x][a])
-            out.append(down_mask(s, seed))
-        return tuple(out)
-
-    return _cached(s, key, build)
+    full = full_mask(s)
+    return _cached(
+        s,
+        f"principal_{side.value}",
+        lambda: tuple(principal_mask_in(s, full, a, side) for a in range(s.size)),
+    )
 
 
 def principal_ideal(s: OrderedSemigroup, a: int, side: Side) -> ElementSet:
@@ -269,9 +273,9 @@ def idempotent_ideal_identities(s: OrderedSemigroup, e: int, f: int):
     Returns a claim-mode BundleResult with the first counterexample per
     identity.
     """
-    reg = regular_mask(s)
-    if reg != full_mask(s):
-        raise NotRegular(next(bits(full_mask(s) & ~reg)))
+    regular, counterexample, _ = forall_exists(s, *REGULAR)
+    if not regular:
+        raise NotRegular(counterexample[0])
     idem = idempotent_mask(s)
     if not (idem >> e) & 1:
         raise NotIdempotent(e)

@@ -21,11 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import limits
-from .classification import (
-    _left_group_like_total,
-    _scan_completely_regular,
-    _scan_simple,
-)
+from .classification import COMPLETELY_REGULAR, LEFT_GROUP_LIKE, _regular_then, _simple
 from .core import (
     FiniteSemigroup,
     OrderedSemigroup,
@@ -33,6 +29,7 @@ from .core import (
     bits,
     validate_structure,
 )
+from .elements import forall_exists
 from .errors import NoJoin, NotMorphism, UnknownPredicate
 from .ideals import Side
 from .report import ConditionResult, make_bundle
@@ -216,12 +213,12 @@ def power_correspondence_check(f: FiniteSemigroup, property_name: str):
 
     p = power_ordered_semigroup(f)
     if property_name == "t_simple":
-        ok = _scan_simple(p, None, Side.LEFT)[0] and _scan_simple(p, None, Side.RIGHT)[0]
+        ok = _simple(p, Side.LEFT)[0] and _simple(p, Side.RIGHT)[0]
         ordered = (ok, None if ok else ())
     elif property_name == "left_group_like":
-        ordered = _left_group_like_total(p)
+        ordered = _regular_then(p, forall_exists, *LEFT_GROUP_LIKE)
     else:
-        ordered = _scan_completely_regular(p)[:2]
+        ordered = forall_exists(p, *COMPLETELY_REGULAR)
 
     return make_bundle(
         f"POWER-{property_name}",

@@ -33,9 +33,9 @@ from ordsgp import (
     transcript_hash,
     universal_extension,
 )
-from ordsgp.classification import _scan_completely_regular
+from ordsgp.classification import COMPLETELY_REGULAR
 from ordsgp.core import bits, down_closure, set_product
-from ordsgp.elements import idempotent_mask, is_regular_structure
+from ordsgp.elements import forall_exists, idempotent_mask, is_regular_structure
 from ordsgp.enumeration import sample_ordered_semigroups
 from ordsgp.errors import NotApplicable
 from ordsgp.sweep import BUNDLE_IDS, THEOREM_IDS, check_structure
@@ -79,7 +79,7 @@ class Tally:
             self.theorem_disagreements.append(item)
 
         least = least_csc(s)
-        if _scan_completely_regular(s)[0]:
+        if forall_exists(s, *COMPLETELY_REGULAR)[0]:
             self.cr_structures += 1
             result = decompose(s, least, classify_classes=False)
             for cond in result.condition_verdicts:

@@ -11,12 +11,13 @@ from ordsgp import (
     predicate,
 )
 from ordsgp.classification import (
-    _scan_completely_regular,
-    _scan_group_like,
-    _scan_left_divisible,
-    _scan_regular,
-    _scan_simple,
+    COMPLETELY_REGULAR,
+    GROUP_LIKE,
+    LEFT_GROUP_LIKE,
+    REGULAR,
+    _simple,
 )
+from ordsgp.elements import forall_exists
 from ordsgp.core import mask_of
 from ordsgp.errors import NotApplicable, UnknownBundle, UnknownPredicate
 from ordsgp.ideals import Side
@@ -164,9 +165,9 @@ def test_restricted_scans_match_induced_substructures():
     # evaluating a scan on a closed subset must agree with classifying the
     # induced substructure
     checks = {
-        "regular": _scan_regular,
-        "completely_regular": _scan_completely_regular,
-        "group_like": _scan_group_like,
+        "regular": REGULAR,
+        "completely_regular": COMPLETELY_REGULAR,
+        "group_like": GROUP_LIKE,
     }
     for name, s in all_ordered_fixtures():
         for mask in range(1, 1 << s.size):
@@ -176,13 +177,13 @@ def test_restricted_scans_match_induced_substructures():
             ):
                 continue
             sub = induced_substructure(s, s.subset(members))
-            for pname, scan in checks.items():
-                restricted = scan(s, mask)[0]
-                induced = scan(sub)[0]
+            for pname, spec in checks.items():
+                restricted = forall_exists(s, *spec, mask)[0]
+                induced = forall_exists(sub, *spec)[0]
                 assert restricted == induced, (name, members, pname)
-            restricted = _scan_simple(s, mask, Side.TWO_SIDED)[0]
-            induced = _scan_simple(sub, None, Side.TWO_SIDED)[0]
+            restricted = _simple(s, Side.TWO_SIDED, mask)[0]
+            induced = _simple(sub, Side.TWO_SIDED)[0]
             assert restricted == induced, (name, members)
-            restricted = _scan_left_divisible(s, mask)[0]
-            induced = _scan_left_divisible(sub)[0]
+            restricted = forall_exists(s, *LEFT_GROUP_LIKE, mask)[0]
+            induced = forall_exists(sub, *LEFT_GROUP_LIKE)[0]
             assert restricted == induced, (name, members)
