@@ -54,7 +54,7 @@ from .elements import (
     witness_scan,
 )
 from .errors import InvariantViolation, NotApplicable, SizeLimit, UnknownBundle, UnknownPredicate
-from .ideals import Side, green_relation, principal_mask_in
+from .ideals import Side, _principal_mask_in, green_relation
 from .report import (
     BundleResult,
     ClassificationReport,
@@ -103,7 +103,7 @@ def _simple(s, side, t=None):
     """No proper ideal of the given side: every principal ideal is everything."""
     t = full_mask(s) if t is None else t
     for a in bits(t):
-        m = principal_mask_in(s, t, a, side)
+        m = _principal_mask_in(s, t, a, side)
         if m != t:
             return False, (a, next(bits(t & ~m))), {}
     return True, None, {}

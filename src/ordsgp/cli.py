@@ -1,7 +1,12 @@
 """Command-line surface.
 
 Exit codes: 0 = success / all checks agree, 1 = a disagreement was found
-(counterexample printed), 2 = input error.
+(counterexample printed), 2 = input error.  Input errors print one
+``error:`` line on stderr and no traceback; they include an unreadable or
+invalid document, an unknown check id, ``enumerate --order`` below 1 or
+above the size guard, a malformed ``--resume`` token, a token whose order
+index is out of range or whose table is not associative, and ``--workers``
+above 1 together with ``--resume``.
 """
 
 from __future__ import annotations
@@ -256,20 +261,22 @@ def _parse_sweep_ids(spec: str):
 
 def cmd_enumerate(args) -> int:
     n = args.order
-    table_count = sum(1 for _ in enumerate_semigroups(n))
-    print(f"semigroups: {table_count}")
-
+    if args.workers > 1 and args.resume:
+        raise OrdsgpError("--workers above 1 cannot be combined with --resume")
     if args.sweep:
         bundle_ids, theorem_ids = _parse_sweep_ids(args.sweep)
     else:
         bundle_ids, theorem_ids = (), ()
+    # built before any output: it rejects a bad order or resume token
+    stream = enumeration.enumerate_ordered_semigroups(n, resume=args.resume)
+    table_count = sum(1 for _ in enumerate_semigroups(n))
+    print(f"semigroups: {table_count}")
 
-    if args.workers > 1 and not args.resume:
+    if args.workers > 1:
         report = parallel_sweep(n, args.workers, bundle_ids, theorem_ids)
         print(f"ordered-semigroups: {report.total}")
         print(f"sorted-hash: {transcript_hash(report.transcripts, sort=True)}")
     else:
-        stream = enumeration.enumerate_ordered_semigroups(n, resume=args.resume)
         report = sweep(stream, bundle_ids, theorem_ids)
         print(f"ordered-semigroups: {report.total}")
         print(f"sequence-hash: {transcript_hash(report.transcripts)}")
@@ -282,9 +289,9 @@ def cmd_enumerate(args) -> int:
         print(f"checks: {checked} per structure")
         if report.disagreements:
             for item in report.disagreements:
-                print(f"DISAGREE {item.check_id}")
-                for label, holds in item.conditions:
-                    print(f"  [{'true ' if holds else 'false'}] {label}")
+                disagreeing = BundleResult(item.check_id, item.conditions, (), False)
+                for line in _bundle_text(disagreeing):
+                    print(line)
                 print(item.document, end="")
             return 1
         print("all checks agree")

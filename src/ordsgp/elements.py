@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import ElementSet, OrderedSemigroup, _cached, bits, full_mask
+from .core import ElementSet, OrderedSemigroup, _cached, bits
 from .errors import InvariantViolation, NotIdempotent
 
 

@@ -18,12 +18,20 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, Iterator
 
 from . import limits
-from .core import FiniteSemigroup, OrderedSemigroup, validate_semigroup, validate_structure
+from .core import (
+    FiniteSemigroup,
+    OrderedSemigroup,
+    _check_associative,
+    validate_semigroup,
+    validate_structure,
+)
+from .errors import BadEnumeration, NotAssociative
 
 DEFAULT_SAMPLE_SEED = 20260810
 
@@ -125,18 +133,28 @@ def _flat_to_rows(n: int, flat: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(flat[i * n : (i + 1) * n] for i in range(n))
 
 
+def _check_order(n: int) -> None:
+    if n < 1:
+        raise BadEnumeration(f"order must be a positive integer, got {n}")
+    limits.check("semigroups", n)
+
+
 def _semigroup_token(n: int, flat: tuple[int, ...]) -> str:
     return f"s{n}:" + "".join(str(v) for v in flat)
 
 
-def _parse_semigroup_token(n: int, token: str) -> tuple[int, ...]:
-    prefix = f"s{n}:"
-    if not token.startswith(prefix):
-        raise ValueError(f"bad resume token for order {n}: {token!r}")
-    digits = token[len(prefix):]
-    if len(digits) != n * n or any(not d.isdigit() or int(d) >= n for d in digits):
-        raise ValueError(f"bad resume token: {token!r}")
-    return tuple(int(d) for d in digits)
+def _parse_token(n: int, token: str, kind: str) -> tuple[tuple[int, ...], int]:
+    """The associative table and the order index (0 for kind "s") of a token."""
+    index = ":([0-9]+)" if kind == "o" else "()"
+    match = re.fullmatch(rf"{kind}{n}:([0-{n - 1}]{{{n * n}}}){index}", token)
+    if match is None:
+        raise BadEnumeration(f"bad resume token for order {n}: {token!r}")
+    flat = tuple(int(d) for d in match[1])
+    try:
+        _check_associative(n, _flat_to_rows(n, flat))
+    except NotAssociative as exc:
+        raise BadEnumeration(f"bad resume token {token!r}: {exc}") from None
+    return flat, int(match[2] or 0)
 
 
 def enumerate_semigroups(
@@ -145,8 +163,8 @@ def enumerate_semigroups(
     first_row_range: tuple[int, int] | None = None,
 ) -> EnumerationStream:
     """Stream of all FiniteSemigroups on n labeled elements."""
-    limits.check("semigroups", n)
-    resume_flat = _parse_semigroup_token(n, resume) if resume else None
+    _check_order(n)
+    resume_flat = _parse_token(n, resume, "s")[0] if resume else None
 
     def gen():
         for flat in _tables_dfs(n, resume_flat, first_row_range):
@@ -229,17 +247,6 @@ def _ordered_token(n: int, flat: tuple[int, ...], k: int) -> str:
     return f"o{n}:" + "".join(str(v) for v in flat) + f":{k}"
 
 
-def _parse_ordered_token(n: int, token: str) -> tuple[tuple[int, ...], int]:
-    prefix = f"o{n}:"
-    if not token.startswith(prefix):
-        raise ValueError(f"bad resume token for order {n}: {token!r}")
-    body = token[len(prefix):]
-    digits, _, k = body.partition(":")
-    if len(digits) != n * n or not k.isdigit():
-        raise ValueError(f"bad resume token: {token!r}")
-    return tuple(int(d) for d in digits), int(k)
-
-
 def enumerate_ordered_semigroups(
     n: int,
     resume: str | None = None,
@@ -249,16 +256,19 @@ def enumerate_ordered_semigroups(
 
     Every yielded structure passes full validation.
     """
-    limits.check("semigroups", n)
+    _check_order(n)
+    resume_flat = None
+    if resume:
+        resume_flat, start_k = _parse_token(n, resume, "o")
+        if start_k >= len(_compatible_orders_flat(n, resume_flat)):
+            raise BadEnumeration(f"bad resume token {resume!r}: no compatible order {start_k}")
 
     def build(flat, leq, k):
         structure = validate_structure(n, _flat_to_rows(n, flat), _leq_pairs(leq))
         return structure, _ordered_token(n, flat, k)
 
     def gen():
-        resume_flat = None
         if resume:
-            resume_flat, start_k = _parse_ordered_token(n, resume)
             orders = _compatible_orders_flat(n, resume_flat)
             for k in range(start_k + 1, len(orders)):
                 yield build(resume_flat, orders[k], k)
@@ -274,7 +284,7 @@ _TABLE_LISTS: dict[int, tuple] = {}
 
 def all_semigroup_tables(n: int) -> tuple:
     """All associative flat tables on n elements (cached)."""
-    limits.check("semigroups", n)
+    _check_order(n)
     if n not in _TABLE_LISTS:
         _TABLE_LISTS[n] = tuple(_tables_dfs(n))
     return _TABLE_LISTS[n]

@@ -93,6 +93,10 @@ class UnknownTheorem(OrdsgpError):
         super().__init__(f"unknown theorem id: {name!r}")
 
 
+class BadEnumeration(OrdsgpError, ValueError):
+    """An enumeration order or resume token that names no position."""
+
+
 class NotApplicable(OrdsgpError):
     def __init__(self, name: str, reason: str):
         self.name = name

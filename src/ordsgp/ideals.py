@@ -110,7 +110,7 @@ class IdealCheck:
         return self.holds
 
 
-def principal_mask_in(s: OrderedSemigroup, t: int, a: int, side: Side) -> int:
+def _principal_mask_in(s: OrderedSemigroup, t: int, a: int, side: Side) -> int:
     """The principal ideal of a inside the carrier mask t.
 
     left: ({a} u Ta]   right: ({a} u aT]   two-sided: ({a} u Ta u aT u TaT],
@@ -138,7 +138,7 @@ def _principal_masks(s: OrderedSemigroup, side: Side) -> tuple[int, ...]:
     return _cached(
         s,
         f"principal_{side.value}",
-        lambda: tuple(principal_mask_in(s, full, a, side) for a in range(s.size)),
+        lambda: tuple(_principal_mask_in(s, full, a, side) for a in range(s.size)),
     )
 
 

@@ -2,8 +2,9 @@
 
 A sweep evaluates each equivalence bundle (skipping those whose premise a
 structure does not meet) and each structure theorem; any ``agree = False``
-result is collected as a Disagreement carrying the serialized structure,
-so a counterexample is reproducible from the report alone.
+result is collected as a Disagreement carrying the serialized structure
+and every condition with its counterexample detail, so a counterexample is
+reproducible from the report alone.
 
 Multi-worker sweeps split the table search space by the first table row;
 each worker's sub-stream is independently deterministic, and merged
@@ -18,9 +19,10 @@ from dataclasses import dataclass
 from .classification import BUNDLE_ORDER, equivalence_bundle
 from .congruence import THEOREM_ORDER, structure_theorem_check
 from .core import OrderedSemigroup
-from .enumeration import enumerate_ordered_semigroups, transcript_hash
+from .enumeration import enumerate_ordered_semigroups
 from .errors import NotApplicable
 from .fileformat import serialize_document
+from .report import ConditionResult
 
 BUNDLE_IDS = BUNDLE_ORDER
 THEOREM_IDS = THEOREM_ORDER
@@ -31,7 +33,7 @@ ALL_CHECK_IDS = BUNDLE_IDS + THEOREM_IDS
 class Disagreement:
     check_id: str
     document: str
-    conditions: tuple[tuple[str, bool], ...]
+    conditions: tuple[ConditionResult, ...]
 
 
 def check_structure(
@@ -49,24 +51,12 @@ def check_structure(
             continue
         if not result.agree:
             doc = doc or serialize_document(s)
-            found.append(
-                Disagreement(
-                    bundle_id,
-                    doc,
-                    tuple((c.label, c.holds) for c in result.conditions),
-                )
-            )
+            found.append(Disagreement(bundle_id, doc, result.conditions))
     for theorem_id in theorem_ids:
         result = structure_theorem_check(s, theorem_id)
         if not result.agree:
             doc = doc or serialize_document(s)
-            found.append(
-                Disagreement(
-                    theorem_id,
-                    doc,
-                    tuple((c.label, c.holds) for c in result.conditions),
-                )
-            )
+            found.append(Disagreement(theorem_id, doc, result.conditions))
     return found
 
 
@@ -140,6 +130,3 @@ def parallel_sweep(
     transcripts.sort()
     return SweepReport(totals, disagreements, transcripts)
 
-
-def sorted_hash(report: SweepReport) -> str:
-    return transcript_hash(report.transcripts, sort=True)

@@ -266,22 +266,50 @@ def test_criterion_5_kernel_properties(small_tally, n4_tally):
     )
 
 
+def _least(s, holds):
+    """Least x in the carrier with holds(x), or None."""
+    return next((x for x in range(s.size) if holds(x)), None)
+
+
+def _witness(*xs):
+    """The witness tuple, or None when some component has no witness."""
+    return None if None in xs else xs
+
+
+def _left_div(s, a, b):
+    return _least(s, lambda x: s.le(a, s.prod(x, b)))
+
+
+def _right_div(s, a, b):
+    return _least(s, lambda y: s.le(a, s.prod(b, y)))
+
+
+# least witness tuple at one argument tuple, straight from the definitions
 BRUTE_WITNESS = {
-    "regular": lambda s, a: next(
-        (x for x in range(s.size) if s.le(a, s.word(a, x, a))), None
+    "regular": lambda s, a: _witness(_least(s, lambda x: s.le(a, s.word(a, x, a)))),
+    "completely_regular": lambda s, a: _witness(
+        _least(s, lambda x: s.le(a, s.word(s.prod(a, a), x, s.prod(a, a))))
     ),
-    "completely_regular": lambda s, a: next(
-        (
-            x
-            for x in range(s.size)
-            if s.le(a, s.word(s.prod(a, a), x, s.prod(a, a)))
-        ),
-        None,
+    "h_commutative": lambda s, a, b: _witness(
+        _least(s, lambda x: s.le(s.prod(a, b), s.word(b, x, a)))
     ),
-    "h_commutative": lambda s, a, b: next(
-        (x for x in range(s.size) if s.le(s.prod(a, b), s.word(b, x, a))), None
+    "left_group_like": lambda s, a, b: _witness(_left_div(s, a, b)),
+    "right_group_like": lambda s, a, b: _witness(_right_div(s, a, b)),
+    "group_like": lambda s, a, b: _witness(_left_div(s, a, b), _right_div(s, a, b)),
+    "clifford": lambda s, a, e: _witness(
+        _least(s, lambda u: s.le(s.prod(a, e), s.word(e, u, a))),
+        _least(s, lambda v: s.le(s.prod(e, a), s.word(a, v, e))),
     ),
 }
+
+
+def _brute_args(s, name):
+    """The predicate's argument tuples in ascending order."""
+    if name == "clifford":
+        idempotents = [e for e in range(s.size) if s.le(e, s.prod(e, e))]
+        return itertools.product(range(s.size), idempotents)
+    arity = 1 if name in ("regular", "completely_regular") else 2
+    return itertools.product(range(s.size), repeat=arity)
 
 
 def test_criterion_6_determinism_and_roundtrip():
@@ -296,36 +324,32 @@ def test_criterion_6_determinism_and_roundtrip():
     docs_b = [serialize_document(s) for s in enumerate_ordered_semigroups(3)]
     hashes_equal = transcript_hash(docs_a) == transcript_hash(docs_b)
 
-    rng = random.Random(4242)
     witness_bad = 0
-    spot = 0
-    while spot < 100:
-        s = structures[rng.randrange(len(structures))]
-        name = rng.choice(("regular", "completely_regular", "h_commutative"))
-        result = predicate(s, name)
-        brute = BRUTE_WITNESS[name]
-        if result.holds:
-            args = rng.choice(sorted(result.witnesses))
-            expect = brute(s, *args)
-            if result.witnesses[args] != (expect,):
-                witness_bad += 1
-        else:
-            arity = 1 if name != "h_commutative" else 2
-            expect = next(
-                argt
-                for argt in itertools.product(range(s.size), repeat=arity)
-                if brute(s, *argt) is None
-            )
-            if result.counterexample != expect:
-                witness_bad += 1
-        spot += 1
+    witness_checks = 0
+    for s in structures:
+        for name, brute in BRUTE_WITNESS.items():
+            try:
+                result = predicate(s, name)
+            except NotApplicable:
+                continue  # a regularity-gated predicate on a non-regular structure
+            witness_checks += 1
+            if result.holds:
+                witness_bad += sum(
+                    wit != brute(s, *args) for args, wit in result.witnesses.items()
+                )
+            else:
+                expect = next(
+                    argt for argt in _brute_args(s, name) if brute(s, *argt) is None
+                )
+                if result.counterexample != expect:
+                    witness_bad += 1
 
     _report(
         6,
         roundtrip_bad == 0 and hashes_equal and witness_bad == 0,
         f"serialize/parse identity on {len(structures)} structures and all fixtures; "
-        "two enumeration runs hash identically; 100 witness spot-checks are "
-        "lexicographically least",
+        f"two enumeration runs hash identically; the witnesses and counterexamples of "
+        f"{witness_checks} predicate verdicts are lexicographically least",
     )
 
 

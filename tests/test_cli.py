@@ -5,7 +5,9 @@ import json
 import pytest
 
 from ordsgp import parse_document, serialize_document
+from ordsgp import sweep as sweep_module
 from ordsgp.cli import main
+from ordsgp.report import ConditionResult, make_bundle
 
 from conftest import make_sl2, make_z2
 
@@ -188,3 +190,40 @@ def test_enumerate_resume(capsys):
 
 def test_enumerate_unknown_check_id(capsys):
     assert main(["enumerate", "--order", "2", "--sweep", "WAT"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--order", "0"],
+        ["enumerate", "--order", "-1"],
+        ["enumerate", "--order", "2", "--resume", "garbage"],
+        ["enumerate", "--order", "2", "--resume", "o2:0000:99"],
+        ["enumerate", "--order", "2", "--resume", "o2:1000:0"],
+    ],
+)
+def test_enumerate_bad_input_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+def test_enumerate_refuses_workers_with_resume(capsys):
+    argv = ["enumerate", "--order", "2", "--workers", "2", "--resume", "o2:0000:0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--workers" in err and "--resume" in err
+
+
+def test_enumerate_prints_disagreement_detail(monkeypatch, capsys):
+    fake = make_bundle(
+        "CR-EQ5",
+        (ConditionResult("first side", True), ConditionResult("second side", False, (0, 0))),
+    )
+    monkeypatch.setattr(sweep_module, "equivalence_bundle", lambda s, bundle_id: fake)
+    assert main(["enumerate", "--order", "1", "--sweep", "CR-EQ5"]) == 1
+    out = capsys.readouterr().out
+    assert "CR-EQ5: DISAGREE" in out
+    assert "  [false] second side  counterexample (0, 0)" in out

@@ -110,6 +110,14 @@ def test_resume_token_rejects_garbage():
         list(enumerate_semigroups(2, resume="bogus"))
     with pytest.raises(ValueError):
         list(enumerate_ordered_semigroups(2, resume="o2:xx:0"))
+    # an order index past the table's compatible orders
+    with pytest.raises(ValueError):
+        list(enumerate_ordered_semigroups(2, resume="o2:0000:99"))
+    # tables that are not associative
+    with pytest.raises(ValueError):
+        list(enumerate_ordered_semigroups(2, resume="o2:1000:0"))
+    with pytest.raises(ValueError):
+        list(enumerate_semigroups(2, resume="s2:1000"))
 
 
 def test_first_row_split_covers_everything():
