@@ -344,13 +344,12 @@ def _build_cr_hcomm(s) -> BundleResult:
 
 
 def _build_cr_inv(s) -> BundleResult:
+    def good_inverse(tb, a, ap):  # aa' <= a'ua and a'a <= ava'
+        return (tb[a][ap], ap, a), (tb[ap][a], a, ap)
+
     def has_inverse(a):
-        # an ordered inverse a' with aa' <= a'ua and a'a <= ava'
         return any(
-            witness_scan(
-                s, ((a, ap),), lambda tb, a, ap: ((tb[a][ap], ap, a), (tb[ap][a], a, ap))
-            )[0]
-            for ap in bits(inverse_mask(s, a))
+            witness_scan(s, ((a, ap),), good_inverse)[0] for ap in bits(inverse_mask(s, a))
         )
 
     return make_bundle(

@@ -144,9 +144,13 @@ def _semigroup_token(n: int, flat: tuple[int, ...]) -> str:
 
 
 def _parse_token(n: int, token: str, kind: str) -> tuple[tuple[int, ...], int]:
-    """The associative table and the order index (0 for kind "s") of a token."""
-    index = ":([0-9]+)" if kind == "o" else "()"
-    match = re.fullmatch(rf"{kind}{n}:([0-{n - 1}]{{{n * n}}}){index}", token)
+    """The associative table and the order index of a resume token.
+
+    ``kind`` is "o" for ordered-semigroup tokens; "s" tokens (semigroups)
+    carry no order index and report 0.
+    """
+    suffix = ":([0-9]+)" if kind == "o" else ""
+    match = re.fullmatch(rf"{kind}{n}:([0-{n - 1}]{{{n * n}}}){suffix}", token)
     if match is None:
         raise BadEnumeration(f"bad resume token for order {n}: {token!r}")
     flat = tuple(int(d) for d in match[1])
@@ -154,7 +158,7 @@ def _parse_token(n: int, token: str, kind: str) -> tuple[tuple[int, ...], int]:
         _check_associative(n, _flat_to_rows(n, flat))
     except NotAssociative as exc:
         raise BadEnumeration(f"bad resume token {token!r}: {exc}") from None
-    return flat, int(match[2] or 0)
+    return flat, int(match[2]) if kind == "o" else 0
 
 
 def enumerate_semigroups(

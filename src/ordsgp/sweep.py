@@ -129,4 +129,3 @@ def parallel_sweep(
             transcripts.extend(docs)
     transcripts.sort()
     return SweepReport(totals, disagreements, transcripts)
-
