@@ -1,14 +1,19 @@
 """Golden outputs: SHA-256 digests of every report over all structures of
-order <= 3.
+order <= 3, and of the enumeration sequence itself.
 
 Each digest pins the full JSON (or repr) of one report family, so any
 change to a verdict, a least witness, a counterexample or a condition
 label shows up here.  A refactor of the scans must leave all four
-unchanged.
+unchanged.  The ``enumerate`` lines and the semigroup transcript pin the
+order in which structures are produced, so a change to the table search
+or to resume handling that reorders, drops or repeats a structure shows
+up here as well.
 """
 
 import hashlib
 import json
+
+import pytest
 
 from ordsgp import (
     classify,
@@ -16,15 +21,43 @@ from ordsgp import (
     enumerate_ordered_semigroups,
     enumerate_semigroups,
     power_correspondence_check,
+    serialize_document,
     structure_theorem_check,
+    transcript_hash,
 )
-from ordsgp.cli import _bundle_json, _classification_json
+from ordsgp.cli import _bundle_json, _classification_json, main
 from ordsgp.congruence import THEOREM_ORDER
 
 CLASSIFY_SHA = "41647785fbaaf6f82f58ae53317e03c545e60b95af24790ed8ccecc828f8be3e"
 THEOREMS_SHA = "59fc5d1f0151f3d1464b331d4abd9fe55013c90b72f2332b67a093ca1d8594d5"
 ELEMENTS_SHA = "667d6008c06b61466e53b995814aac5e3ed0ec2f9c69cfc02b48d3da752711b9"
 POWER_SHA = "067ca4a62188bc6cfd0d2b0590f73ea4be2fbab5c0bb514d90836cd4aaac28c1"
+
+SEMIGROUPS_SHA = "d83dbcdd3b7db1dc0f364dc2e4d0ddf568176d94425382f9098833e4ddb0b9fe"
+
+ENUMERATE_LINES = {
+    1: (
+        "semigroups: 1",
+        "ordered-semigroups: 1",
+        "sequence-hash: 61e1b7a4cf0dfb12d1fcff92f9b336ff243b805f287bc2a4cbbfec211479c74d",
+        "sorted-hash: 61e1b7a4cf0dfb12d1fcff92f9b336ff243b805f287bc2a4cbbfec211479c74d",
+        "resume-token: o1:0:0",
+    ),
+    2: (
+        "semigroups: 8",
+        "ordered-semigroups: 20",
+        "sequence-hash: ab36609a9f0c07796898273f3d84d999a42c5b6ed6812d9bef216e0a881c519a",
+        "sorted-hash: ab36609a9f0c07796898273f3d84d999a42c5b6ed6812d9bef216e0a881c519a",
+        "resume-token: o2:1111:2",
+    ),
+    3: (
+        "semigroups: 113",
+        "ordered-semigroups: 971",
+        "sequence-hash: d45e27e5da05ca268faf78605e9d830449eb104e5986d4a401e90a4006499b52",
+        "sorted-hash: 7c97df2c26828467ce77e2794bcdd3be722aea82962d50914a99d242745dfddb",
+        "resume-token: o3:222222222:18",
+    ),
+}
 
 POWER_PROPERTIES = ("t_simple", "left_group_like", "completely_regular")
 
@@ -81,3 +114,15 @@ def test_power_correspondence_golden():
         for f in enumerate_semigroups(n)
         for p in POWER_PROPERTIES
     ) == POWER_SHA
+
+
+@pytest.mark.parametrize("n", sorted(ENUMERATE_LINES))
+def test_enumerate_output_golden(n, capsys):
+    assert main(["enumerate", "--order", str(n)]) == 0
+    assert tuple(capsys.readouterr().out.splitlines()) == ENUMERATE_LINES[n]
+
+
+def test_semigroup_transcript_golden():
+    docs = [serialize_document(f) for n in (1, 2, 3) for f in enumerate_semigroups(n)]
+    assert len(docs) == 122
+    assert transcript_hash(docs) == SEMIGROUPS_SHA
