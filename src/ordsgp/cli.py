@@ -5,8 +5,12 @@ Exit codes: 0 = success / all checks agree, 1 = a disagreement was found
 ``error:`` line on stderr and no traceback; they include an unreadable or
 invalid document, an unknown check id, ``enumerate --order`` below 1 or
 above the size guard, a malformed ``--resume`` token, a token whose order
-index is out of range or whose table is not associative, and ``--workers``
-above 1 together with ``--resume``.
+index is out of range or whose table is not associative, ``--workers``
+below 1, ``--workers`` above 1 together with ``--resume``, a ``--sweep``
+list that names no check, and a malformed ``ORDSGP_LIMITS`` value.
+
+``enumerate --workers N`` prints the same lines as a serial run, apart
+from the resume token, which only a serial run reports.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from pathlib import Path
 from .classification import BUNDLE_ORDER, classify, equivalence_bundle
 from .congruence import THEOREM_ORDER, decompose, least_csc, structure_theorem_check
 from .core import OrderedSemigroup
-from .enumeration import enumerate_semigroups, transcript_hash
+from .enumeration import all_semigroup_tables, transcript_hash
 from .errors import NotApplicable, OrdsgpError
 from .fileformat import parse_document, serialize_document
 from .ideals import green_relation
@@ -256,35 +260,36 @@ def _parse_sweep_ids(spec: str):
             theorems.append(name)
         else:
             raise OrdsgpError(f"unknown check id: {name!r}")
+    if not bundles and not theorems:
+        raise OrdsgpError(f"--sweep names no check: {spec!r}")
     return tuple(bundles), tuple(theorems)
 
 
 def cmd_enumerate(args) -> int:
     n = args.order
+    if args.workers < 1:
+        raise OrdsgpError(f"--workers must be at least 1, got {args.workers}")
     if args.workers > 1 and args.resume:
         raise OrdsgpError("--workers above 1 cannot be combined with --resume")
-    if args.sweep:
+    if args.sweep is not None:
         bundle_ids, theorem_ids = _parse_sweep_ids(args.sweep)
     else:
         bundle_ids, theorem_ids = (), ()
     # built before any output: it rejects a bad order or resume token
     stream = enumeration.enumerate_ordered_semigroups(n, resume=args.resume)
-    table_count = sum(1 for _ in enumerate_semigroups(n))
-    print(f"semigroups: {table_count}")
+    print(f"semigroups: {len(all_semigroup_tables(n))}")
 
     if args.workers > 1:
         report = parallel_sweep(n, args.workers, bundle_ids, theorem_ids)
-        print(f"ordered-semigroups: {report.total}")
-        print(f"sorted-hash: {transcript_hash(report.transcripts, sort=True)}")
     else:
         report = sweep(stream, bundle_ids, theorem_ids)
-        print(f"ordered-semigroups: {report.total}")
-        print(f"sequence-hash: {transcript_hash(report.transcripts)}")
-        print(f"sorted-hash: {transcript_hash(report.transcripts, sort=True)}")
-        if stream.resume_token:
-            print(f"resume-token: {stream.resume_token}")
+    print(f"ordered-semigroups: {report.total}")
+    print(f"sequence-hash: {transcript_hash(report.transcripts)}")
+    print(f"sorted-hash: {transcript_hash(report.transcripts, sort=True)}")
+    if stream.resume_token:
+        print(f"resume-token: {stream.resume_token}")
 
-    if args.sweep:
+    if args.sweep is not None:
         checked = len(bundle_ids) + len(theorem_ids)
         print(f"checks: {checked} per structure")
         if report.disagreements:

@@ -9,6 +9,11 @@ its compatible orders in that fixed order.  Two runs therefore yield
 identical sequences, and a resume token (the last yielded position)
 restarts a stream exactly after that position.
 
+The table search runs once per process: ``all_semigroup_tables`` caches
+its result, and every stream reads that list.  A resume token and a
+worker's first-row range pick positions in the cached list, so the first
+item of any stream arrives only after the full search has finished.
+
 Enumeration is labeled, not isomorphism-reduced: theorem sweeps need
 logical coverage.  ``canonical_form`` provides an optional dedup key
 (minimum relabeling under all carrier permutations) for reporting.
@@ -19,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, Iterator
@@ -37,13 +43,10 @@ DEFAULT_SAMPLE_SEED = 20260810
 
 
 class EnumerationStream:
-    """Iterator with a deterministic resume token and a running count."""
+    """Iterator with a deterministic resume token: the last yielded position."""
 
-    def __init__(self, kind: str, order: int, gen: Iterator):
-        self.kind = kind
-        self.order = order
+    def __init__(self, gen: Iterator):
         self._gen = gen
-        self.count = 0
         self.resume_token: str | None = None
 
     def __iter__(self):
@@ -51,23 +54,16 @@ class EnumerationStream:
 
     def __next__(self):
         item, token = next(self._gen)
-        self.count += 1
         self.resume_token = token
         return item
 
 
-def _tables_dfs(
-    n: int,
-    resume_flat: tuple[int, ...] | None = None,
-    first_row_range: tuple[int, int] | None = None,
-) -> Iterator[tuple[int, ...]]:
+def _tables_dfs(n: int) -> Iterator[tuple[int, ...]]:
     """All associative tables on n labeled elements, flat, lexicographic.
 
     Cells fill row-major with associativity pruned as soon as the triples
-    touching the new cell are decided; a full check at each leaf guards the
-    pruning.  ``resume_flat`` skips everything up to and including that
-    table; ``first_row_range`` keeps only tables whose first row, read as a
-    base-n number, falls in [lo, hi).
+    touching the new cell are decided.  The pruning does not revisit every
+    triple, so a full check at each leaf filters what it lets through.
     """
     cells = [(i, j) for i in range(n) for j in range(n)]
     total = n * n
@@ -104,29 +100,19 @@ def _tables_dfs(
                         return False
         return True
 
-    def rec(d: int, tight: bool):
+    def rec(d: int):
         if d == total:
-            if tight:
-                return
             if full_ok():
                 yield tuple(table[i][j] for i, j in cells)
             return
         i, j = cells[d]
-        start = resume_flat[d] if tight else 0
-        for v in range(start, n):
+        for v in range(n):
             table[i][j] = v
             if partial_ok(i, j):
-                if d == n - 1 and first_row_range is not None:
-                    idx = 0
-                    for jj in range(n):
-                        idx = idx * n + table[0][jj]
-                    if not first_row_range[0] <= idx < first_row_range[1]:
-                        table[i][j] = -1
-                        continue
-                yield from rec(d + 1, tight and v == start)
+                yield from rec(d + 1)
             table[i][j] = -1
 
-    yield from rec(0, resume_flat is not None)
+    yield from rec(0)
 
 
 def _flat_to_rows(n: int, flat: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -137,6 +123,22 @@ def _check_order(n: int) -> None:
     if n < 1:
         raise BadEnumeration(f"order must be a positive integer, got {n}")
     limits.check("semigroups", n)
+
+
+_TABLE_LISTS: dict[int, tuple] = {}
+
+
+def all_semigroup_tables(n: int) -> tuple:
+    """All associative flat tables on n elements, lexicographic (cached)."""
+    _check_order(n)
+    if n not in _TABLE_LISTS:
+        _TABLE_LISTS[n] = tuple(_tables_dfs(n))
+    return _TABLE_LISTS[n]
+
+
+def _first_row_index(n: int, flat: tuple[int, ...]) -> int:
+    """The first table row read as a base-n number."""
+    return sum(v * n ** (n - 1 - j) for j, v in enumerate(flat[:n]))
 
 
 def _semigroup_token(n: int, flat: tuple[int, ...]) -> str:
@@ -161,20 +163,18 @@ def _parse_token(n: int, token: str, kind: str) -> tuple[tuple[int, ...], int]:
     return flat, int(match[2]) if kind == "o" else 0
 
 
-def enumerate_semigroups(
-    n: int,
-    resume: str | None = None,
-    first_row_range: tuple[int, int] | None = None,
-) -> EnumerationStream:
+def enumerate_semigroups(n: int, resume: str | None = None) -> EnumerationStream:
     """Stream of all FiniteSemigroups on n labeled elements."""
     _check_order(n)
     resume_flat = _parse_token(n, resume, "s")[0] if resume else None
 
     def gen():
-        for flat in _tables_dfs(n, resume_flat, first_row_range):
+        tables = all_semigroup_tables(n)
+        start = bisect_right(tables, resume_flat) if resume else 0
+        for flat in tables[start:]:
             yield validate_semigroup(n, _flat_to_rows(n, flat)), _semigroup_token(n, flat)
 
-    return EnumerationStream("semigroup", n, gen())
+    return EnumerationStream(gen())
 
 
 @lru_cache(maxsize=None)
@@ -258,40 +258,32 @@ def enumerate_ordered_semigroups(
 ) -> EnumerationStream:
     """Stream of all OrderedSemigroups on n labeled elements.
 
-    Every yielded structure passes full validation.
+    Every yielded structure passes full validation.  ``first_row_range``
+    keeps only tables whose first row, read as a base-n number, falls in
+    [lo, hi).
     """
     _check_order(n)
-    resume_flat = None
+    resume_flat, first_k = None, 0
     if resume:
-        resume_flat, start_k = _parse_token(n, resume, "o")
-        if start_k >= len(_compatible_orders_flat(n, resume_flat)):
-            raise BadEnumeration(f"bad resume token {resume!r}: no compatible order {start_k}")
-
-    def build(flat, leq, k):
-        structure = validate_structure(n, _flat_to_rows(n, flat), _leq_pairs(leq))
-        return structure, _ordered_token(n, flat, k)
+        resume_flat, k = _parse_token(n, resume, "o")
+        if k >= len(_compatible_orders_flat(n, resume_flat)):
+            raise BadEnumeration(f"bad resume token {resume!r}: no compatible order {k}")
+        first_k = k + 1
 
     def gen():
-        if resume:
-            orders = _compatible_orders_flat(n, resume_flat)
-            for k in range(start_k + 1, len(orders)):
-                yield build(resume_flat, orders[k], k)
-        for flat in _tables_dfs(n, resume_flat, first_row_range):
-            for k, leq in enumerate(_compatible_orders_flat(n, flat)):
-                yield build(flat, leq, k)
+        tables = all_semigroup_tables(n)
+        # the resumed table is in the list: it goes on after the token's order
+        start = bisect_left(tables, resume_flat) if resume else 0
+        lo, hi = first_row_range or (0, n**n)
+        for flat in tables[start:]:
+            if not lo <= _first_row_index(n, flat) < hi:
+                continue
+            orders = _compatible_orders_flat(n, flat)
+            for k in range(first_k if flat == resume_flat else 0, len(orders)):
+                structure = validate_structure(n, _flat_to_rows(n, flat), _leq_pairs(orders[k]))
+                yield structure, _ordered_token(n, flat, k)
 
-    return EnumerationStream("ordered-semigroup", n, gen())
-
-
-_TABLE_LISTS: dict[int, tuple] = {}
-
-
-def all_semigroup_tables(n: int) -> tuple:
-    """All associative flat tables on n elements (cached)."""
-    _check_order(n)
-    if n not in _TABLE_LISTS:
-        _TABLE_LISTS[n] = tuple(_tables_dfs(n))
-    return _TABLE_LISTS[n]
+    return EnumerationStream(gen())
 
 
 def sample_ordered_semigroups(

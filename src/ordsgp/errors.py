@@ -97,6 +97,10 @@ class BadEnumeration(OrdsgpError, ValueError):
     """An enumeration order or resume token that names no position."""
 
 
+class BadLimit(OrdsgpError, ValueError):
+    """An ORDSGP_LIMITS entry whose value is not an integer."""
+
+
 class NotApplicable(OrdsgpError):
     def __init__(self, name: str, reason: str):
         self.name = name

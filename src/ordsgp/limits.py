@@ -3,14 +3,15 @@
 ORDSGP_LIMITS is a comma-separated list of key=value pairs, e.g.
 ``ORDSGP_LIMITS="ideals=14,partitions=10"``.  Raising a guard is an
 expert-only move: the guarded scans are exponential (2^n subsets, Bell(n)
-partitions, n^(n*n) tables).
+partitions, n^(n*n) tables).  A value that is not an integer raises
+``BadLimit`` when its guard is read, so the CLI exits 2.
 """
 
 from __future__ import annotations
 
 import os
 
-from .errors import SizeLimit
+from .errors import BadLimit, SizeLimit
 
 DEFAULTS = {
     # carrier bound for 2^n subset scans (ideal enumeration, subset covers)
@@ -38,7 +39,7 @@ def get(guard: str) -> int:
             try:
                 value = int(val)
             except ValueError:
-                raise ValueError(f"bad ORDSGP_LIMITS entry: {item!r}") from None
+                raise BadLimit(f"bad ORDSGP_LIMITS entry: {item!r}") from None
     return value
 
 

@@ -6,9 +6,9 @@ result is collected as a Disagreement carrying the serialized structure
 and every condition with its counterexample detail, so a counterexample is
 reproducible from the report alone.
 
-Multi-worker sweeps split the table search space by the first table row;
-each worker's sub-stream is independently deterministic, and merged
-transcripts are sorted before hashing.
+Multi-worker sweeps split the cached table list into contiguous
+first-row ranges, one per worker; the workers' results are merged in range
+order, so the merged transcripts are the serial sequence.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ from dataclasses import dataclass
 from .classification import BUNDLE_ORDER, equivalence_bundle
 from .congruence import THEOREM_ORDER, structure_theorem_check
 from .core import OrderedSemigroup
-from .enumeration import enumerate_ordered_semigroups
+from .enumeration import all_semigroup_tables, enumerate_ordered_semigroups
 from .errors import NotApplicable
 from .fileformat import serialize_document
 from .report import ConditionResult
 
 BUNDLE_IDS = BUNDLE_ORDER
 THEOREM_IDS = THEOREM_ORDER
-ALL_CHECK_IDS = BUNDLE_IDS + THEOREM_IDS
 
 
 @dataclass(frozen=True)
@@ -66,24 +65,18 @@ class SweepReport:
     disagreements: list[Disagreement]
     transcripts: list[str]
 
-    @property
-    def ok(self) -> bool:
-        return not self.disagreements
-
 
 def sweep(
     structures,
     bundle_ids=BUNDLE_IDS,
     theorem_ids=THEOREM_IDS,
-    keep_transcripts: bool = True,
 ) -> SweepReport:
     total = 0
     disagreements: list[Disagreement] = []
     transcripts: list[str] = []
     for s in structures:
         total += 1
-        if keep_transcripts:
-            transcripts.append(serialize_document(s))
+        transcripts.append(serialize_document(s))
         disagreements.extend(check_structure(s, bundle_ids, theorem_ids))
     return SweepReport(total, disagreements, transcripts)
 
@@ -96,11 +89,9 @@ def split_first_rows(n: int, workers: int) -> list[tuple[int, int]]:
     return [(bounds[w], bounds[w + 1]) for w in range(workers)]
 
 
-def _sweep_chunk(args) -> tuple[int, list[Disagreement], list[str]]:
+def _sweep_chunk(args) -> SweepReport:
     n, chunk, bundle_ids, theorem_ids = args
-    stream = enumerate_ordered_semigroups(n, first_row_range=chunk)
-    report = sweep(stream, bundle_ids, theorem_ids)
-    return report.total, report.disagreements, report.transcripts
+    return sweep(enumerate_ordered_semigroups(n, first_row_range=chunk), bundle_ids, theorem_ids)
 
 
 def parallel_sweep(
@@ -111,21 +102,18 @@ def parallel_sweep(
 ) -> SweepReport:
     """Sweep the full order-n enumeration across worker processes.
 
-    Transcripts from the workers are merged and sorted, so the sorted
-    transcript hash is identical for every worker count.
+    The chunks are contiguous first-row ranges and ``pool.map`` returns
+    them in order, so the merged report lists structures and disagreements
+    in the serial order.
     """
+    # built before the pool starts, so forked workers inherit the list
+    all_semigroup_tables(n)
     chunks = split_first_rows(n, workers)
     args = [(n, chunk, tuple(bundle_ids), tuple(theorem_ids)) for chunk in chunks]
-    if len(chunks) == 1:
-        total, disagreements, transcripts = _sweep_chunk(args[0])
-        return SweepReport(total, list(disagreements), list(transcripts))
-    totals = 0
-    disagreements = []
-    transcripts = []
+    merged = SweepReport(0, [], [])
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        for total, disagrees, docs in pool.map(_sweep_chunk, args):
-            totals += total
-            disagreements.extend(disagrees)
-            transcripts.extend(docs)
-    transcripts.sort()
-    return SweepReport(totals, disagreements, transcripts)
+        for report in pool.map(_sweep_chunk, args):
+            merged.total += report.total
+            merged.disagreements.extend(report.disagreements)
+            merged.transcripts.extend(report.transcripts)
+    return merged

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ordsgp import parse_document, serialize_document
+from ordsgp import enumeration, parse_document, serialize_document
 from ordsgp import sweep as sweep_module
 from ordsgp.cli import main
 from ordsgp.report import ConditionResult, make_bundle
@@ -173,7 +173,8 @@ def test_enumerate_workers_match_sorted_hash(capsys):
     def grab(out, key):
         return next(l for l in out.splitlines() if l.startswith(key))
 
-    assert grab(single, "sorted-hash") == grab(double, "sorted-hash")
+    for key in ("semigroups", "ordered-semigroups", "sequence-hash", "sorted-hash"):
+        assert grab(single, key + ":") == grab(double, key + ":")
 
 
 def test_enumerate_resume(capsys):
@@ -200,6 +201,10 @@ def test_enumerate_unknown_check_id(capsys):
         ["enumerate", "--order", "2", "--resume", "garbage"],
         ["enumerate", "--order", "2", "--resume", "o2:0000:99"],
         ["enumerate", "--order", "2", "--resume", "o2:1000:0"],
+        ["enumerate", "--order", "2", "--workers", "0"],
+        ["enumerate", "--order", "2", "--workers", "-5"],
+        ["enumerate", "--order", "2", "--sweep", ","],
+        ["enumerate", "--order", "2", "--sweep", ""],
     ],
 )
 def test_enumerate_bad_input_exits_2(argv, capsys):
@@ -208,6 +213,29 @@ def test_enumerate_bad_input_exits_2(argv, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+def test_malformed_limits_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("ORDSGP_LIMITS", "semigroups=x")
+    assert main(["enumerate", "--order", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad ORDSGP_LIMITS entry: 'semigroups=x'\n"
+
+
+def test_enumerate_runs_table_search_once(monkeypatch, capsys):
+    calls = []
+    dfs = enumeration._tables_dfs
+
+    def counting_dfs(n):
+        calls.append(n)
+        return dfs(n)
+
+    monkeypatch.setattr(enumeration, "_TABLE_LISTS", {})
+    monkeypatch.setattr(enumeration, "_tables_dfs", counting_dfs)
+    assert main(["enumerate", "--order", "3"]) == 0
+    assert calls == [3]
+    assert "semigroups: 113" in capsys.readouterr().out
 
 
 def test_enumerate_refuses_workers_with_resume(capsys):

@@ -13,15 +13,16 @@ from ordsgp import (
     transcript_hash,
     validate_semigroup,
 )
-from ordsgp.enumeration import all_posets, sample_ordered_semigroups
+from ordsgp.enumeration import all_posets, all_semigroup_tables, sample_ordered_semigroups
 from ordsgp.errors import SizeLimit
 from ordsgp.sweep import split_first_rows
 
 from conftest import make_lz2_sg, make_t1
 
 
-def naive_semigroup_count(n):
-    count = 0
+def naive_semigroup_tables(n):
+    """Every associative flat table, by brute force over all n^(n*n) tables."""
+    found = []
     for flat in itertools.product(range(n), repeat=n * n):
         table = [flat[i * n : (i + 1) * n] for i in range(n)]
         if all(
@@ -30,14 +31,18 @@ def naive_semigroup_count(n):
             for j in range(n)
             for k in range(n)
         ):
-            count += 1
-    return count
+            found.append(flat)
+    return found
 
 
 def test_semigroup_counts_against_naive_oracle():
-    assert sum(1 for _ in enumerate_semigroups(1)) == 1 == naive_semigroup_count(1)
-    assert sum(1 for _ in enumerate_semigroups(2)) == 8 == naive_semigroup_count(2)
-    assert sum(1 for _ in enumerate_semigroups(3)) == 113 == naive_semigroup_count(3)
+    for n, count in [(1, 1), (2, 8), (3, 113)]:
+        naive = naive_semigroup_tables(n)
+        assert sum(1 for _ in enumerate_semigroups(n)) == count == len(naive)
+        # the cached list is the brute-force list, in the same strictly
+        # increasing order that resume tokens are bisected in
+        assert list(all_semigroup_tables(n)) == naive
+        assert all(a < b for a, b in zip(naive, naive[1:]))
 
 
 def test_semigroup_stream_is_lexicographic_and_guarded():
@@ -86,23 +91,30 @@ def test_stream_determinism():
     assert transcript_hash(docs1) == transcript_hash(docs2)
 
 
+def _resume_splits(enumerate_fn, n, cuts):
+    """(head, tail, full) for a stream cut after each count in ``cuts``."""
+    full = list(enumerate_fn(n))
+    for cut in cuts:
+        stream = enumerate_fn(n)
+        head = [next(stream) for _ in range(cut)]
+        yield head, list(enumerate_fn(n, resume=stream.resume_token)), full
+
+
 def test_resume_semigroups():
-    stream = enumerate_semigroups(3)
-    head = [next(stream) for _ in range(40)]
-    token = stream.resume_token
-    tail = list(enumerate_semigroups(3, resume=token))
-    assert len(head) + len(tail) == 113
-    full = list(enumerate_semigroups(3))
-    assert head + tail == full
+    for head, tail, full in _resume_splits(enumerate_semigroups, 3, [40]):
+        assert len(head) + len(tail) == 113
+        assert head + tail == full
+    # every position at order 2, the last one included
+    for head, tail, full in _resume_splits(enumerate_semigroups, 2, range(1, 9)):
+        assert head + tail == full
 
 
 def test_resume_ordered():
-    stream = enumerate_ordered_semigroups(3)
-    head = [next(stream) for _ in range(137)]
-    token = stream.resume_token
-    tail = list(enumerate_ordered_semigroups(3, resume=token))
-    full = list(enumerate_ordered_semigroups(3))
-    assert head + tail == full
+    for head, tail, full in _resume_splits(enumerate_ordered_semigroups, 3, [137]):
+        assert head + tail == full
+    # every position at order 2: each resumes inside or at the end of a table
+    for head, tail, full in _resume_splits(enumerate_ordered_semigroups, 2, range(1, 21)):
+        assert head + tail == full
 
 
 def test_resume_token_rejects_garbage():
