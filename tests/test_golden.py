@@ -4,10 +4,10 @@ order <= 3, and of the enumeration sequence itself.
 Each digest pins the full JSON (or repr) of one report family, so any
 change to a verdict, a least witness, a counterexample or a condition
 label shows up here.  A refactor of the scans must leave all four
-unchanged.  The ``enumerate`` lines and the semigroup transcript pin the
-order in which structures are produced, so a change to the table search
-or to resume handling that reorders, drops or repeats a structure shows
-up here as well.
+unchanged.  The ``enumerate`` lines (orders 1 to 4) and the semigroup
+transcript pin the order in which structures are produced, so a change to
+the table search, the compatible-order filter or resume handling that
+reorders, drops or repeats a structure shows up here as well.
 """
 
 import hashlib
@@ -56,6 +56,13 @@ ENUMERATE_LINES = {
         "sequence-hash: d45e27e5da05ca268faf78605e9d830449eb104e5986d4a401e90a4006499b52",
         "sorted-hash: 7c97df2c26828467ce77e2794bcdd3be722aea82962d50914a99d242745dfddb",
         "resume-token: o3:222222222:18",
+    ),
+    4: (
+        "semigroups: 3492",
+        "ordered-semigroups: 107688",
+        "sequence-hash: e8201566e1c7b07683ebd7e58ace77600846907dc8a7b79d252a5a88b1ed9d76",
+        "sorted-hash: 46c5c8b5f96bb11b0d6228440cb5c2956ad87869d96217c7e23b4fa3c4e5542b",
+        "resume-token: o4:3333333333333333:218",
     ),
 }
 
