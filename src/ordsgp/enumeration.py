@@ -2,12 +2,18 @@
 ordered semigroups, with deterministic resume tokens.
 
 Canonical sequence: multiplication tables are generated in lexicographic
-order of their row-major flattening (backtracking with incremental
-associativity pruning); partial orders are generated in ascending order of
+order of their row-major flattening (backtracking that tests every
+associativity triple as soon as its four products are known, so no leaf
+needs a second check); partial orders are generated in ascending order of
 their pair-set bitmask; an ordered-semigroup stream pairs each table with
 its compatible orders in that fixed order.  Two runs therefore yield
 identical sequences, and a resume token (the last yielded position)
 restarts a stream exactly after that position.
+
+A table's compatible orders come from one mask per strict pair (a, b): the
+pairs (ca, cb) and (ac, bc) that a compatible order holding a <= b must
+also hold.  They are tested against all posets at once, as bitsets of
+poset positions, and cached per table as positions in ``all_posets(n)``.
 
 The table search runs once per process: ``all_semigroup_tables`` caches
 its result, and every stream reads that list.  A resume token and a
@@ -61,18 +67,23 @@ class EnumerationStream:
 def _tables_dfs(n: int) -> Iterator[tuple[int, ...]]:
     """All associative tables on n labeled elements, flat, lexicographic.
 
-    Cells fill row-major with associativity pruned as soon as the triples
-    touching the new cell are decided.  The pruning does not revisit every
-    triple, so a full check at each leaf filters what it lets through.
+    Cells fill row-major.  Setting a cell tests every triple (xy)z = x(yz)
+    whose four products are then known, with the new cell in each position
+    it can take: xy, yz, the outer (xy)z and the outer x(yz).  A triple is
+    tested when the last of its products is set, so every partial table is
+    consistent and every leaf is associative.
     """
     cells = [(i, j) for i in range(n) for j in range(n)]
     total = n * n
     table = [[-1] * n for _ in range(n)]
+    # the set cells (a, b) with table[a][b] == v, for each value v
+    preimage: list[list[tuple[int, int]]] = [[] for _ in range(n)]
 
     def partial_ok(i: int, j: int) -> bool:
         v = table[i][j]
         row_v = table[v]
         row_i = table[i]
+        # the new cell as xy: (ij)c = i(jc)
         for c in range(n):
             q = table[j][c]
             if q >= 0:
@@ -80,6 +91,7 @@ def _tables_dfs(n: int) -> Iterator[tuple[int, ...]]:
                 right = row_i[q]
                 if left >= 0 and right >= 0 and left != right:
                     return False
+        # as yz: (ai)j = a(ij)
         for a in range(n):
             p = table[a][i]
             if p >= 0:
@@ -87,29 +99,33 @@ def _tables_dfs(n: int) -> Iterator[tuple[int, ...]]:
                 right = table[a][v]
                 if left >= 0 and right >= 0 and left != right:
                     return False
-        return True
-
-    def full_ok() -> bool:
-        for a in range(n):
-            ra = table[a]
-            for b in range(n):
-                rab = table[ra[b]]
-                rb = table[b]
-                for c in range(n):
-                    if rab[c] != ra[rb[c]]:
-                        return False
+        # as the outer (xy)z, xy = ab = i: (ab)j = a(bj)
+        for a, b in preimage[i]:
+            q = table[b][j]
+            if q >= 0:
+                right = table[a][q]
+                if right >= 0 and right != v:
+                    return False
+        # as the outer x(yz), yz = bc = j: i(bc) = (ib)c
+        for b, c in preimage[j]:
+            p = row_i[b]
+            if p >= 0:
+                left = table[p][c]
+                if left >= 0 and left != v:
+                    return False
         return True
 
     def rec(d: int):
         if d == total:
-            if full_ok():
-                yield tuple(table[i][j] for i, j in cells)
+            yield tuple(table[i][j] for i, j in cells)
             return
         i, j = cells[d]
         for v in range(n):
             table[i][j] = v
+            preimage[v].append((i, j))
             if partial_ok(i, j):
                 yield from rec(d + 1)
+            preimage[v].pop()
             table[i][j] = -1
 
     yield from rec(0)
@@ -177,6 +193,11 @@ def enumerate_semigroups(n: int, resume: str | None = None) -> EnumerationStream
     return EnumerationStream(gen())
 
 
+def _strict_pairs(n: int) -> list[tuple[int, int]]:
+    """The pairs (a, b) with a != b, row-major: bit p of a poset's mask."""
+    return [(a, b) for a in range(n) for b in range(n) if a != b]
+
+
 @lru_cache(maxsize=None)
 def all_posets(n: int) -> tuple:
     """Every partial order on n labeled points, as leq matrices.
@@ -184,7 +205,7 @@ def all_posets(n: int) -> tuple:
     Deterministic order: non-reflexive pairs are listed row-major and pair
     subsets are scanned by ascending bitmask.
     """
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    pairs = _strict_pairs(n)
     found = []
     for bitsmask in range(1 << len(pairs)):
         leq = [[i == j for j in range(n)] for i in range(n)]
@@ -210,45 +231,76 @@ def all_posets(n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _compatible_orders_flat(n: int, flat: tuple[int, ...]) -> tuple:
-    table = _flat_to_rows(n, flat)
-    result = []
-    for leq in all_posets(n):
-        ok = True
-        for a in range(n):
-            if not ok:
-                break
-            la = leq[a]
-            for b in range(n):
-                if a != b and la[b]:
-                    good = True
-                    for c in range(n):
-                        tc = table[c]
-                        if not leq[tc[a]][tc[b]] or not leq[table[a][c]][table[b][c]]:
-                            good = False
-                            break
-                    if not good:
-                        ok = False
-                        break
-        if ok:
-            result.append(leq)
-    return tuple(result)
+def _posets_with_pair(n: int) -> tuple[tuple[int, ...], int]:
+    """For each strict pair p, the set of positions in ``all_posets(n)``
+    whose order holds p, as a bitset; and the set of all positions."""
+    posets = all_posets(n)
+    holding = tuple(
+        sum(1 << k for k, leq in enumerate(posets) if leq[a][b]) for a, b in _strict_pairs(n)
+    )
+    return holding, (1 << len(posets)) - 1
+
+
+@lru_cache(maxsize=None)
+def _compatible_orders_flat(n: int, flat: tuple[int, ...]) -> tuple[int, ...]:
+    """Ascending positions in ``all_posets(n)`` of the orders compatible
+    with the table.
+
+    ``need[p]`` is the strict-pair mask of the non-diagonal pairs (ca, cb)
+    and (ac, bc) over every c, for p = (a, b).  A poset with strict-pair
+    mask M is compatible iff ``need[p]`` lies inside M for every p in M.
+    The test runs on bitsets of poset positions: a poset is dropped when it
+    holds some p and lacks some pair of ``need[p]``.
+    """
+    rows = _flat_to_rows(n, flat)
+    cols = tuple(zip(*rows))
+    pairs = _strict_pairs(n)
+    bit = [[0] * n for _ in range(n)]
+    for p, (a, b) in enumerate(pairs):
+        bit[a][b] = 1 << p
+    holding, everything = _posets_with_pair(n)
+    dropped = 0
+    for p, (a, b) in enumerate(pairs):
+        row_a, row_b, col_a, col_b = rows[a], rows[b], cols[a], cols[b]
+        need = 0
+        for c in range(n):
+            need |= bit[col_a[c]][col_b[c]] | bit[row_a[c]][row_b[c]]
+        lacking = 0
+        while need:
+            low = need & -need
+            lacking |= everything ^ holding[low.bit_length() - 1]
+            need ^= low
+        dropped |= holding[p] & lacking
+    kept = everything & ~dropped
+    positions = []
+    while kept:
+        low = kept & -kept
+        positions.append(low.bit_length() - 1)
+        kept ^= low
+    return tuple(positions)
 
 
 def enumerate_compatible_orders(f: FiniteSemigroup) -> list:
     """All partial orders compatible with F's table; the discrete order always appears."""
     limits.check("orders", f.size)
     flat = tuple(v for row in f.table for v in row)
-    return list(_compatible_orders_flat(f.size, flat))
+    posets = all_posets(f.size)
+    return [posets[k] for k in _compatible_orders_flat(f.size, flat)]
+
+
+def ordered_counts_by_first_row(n: int) -> list[tuple[int, int]]:
+    """(first-row index, number of ordered semigroups) for each first row
+    that starts an associative table, ascending by index."""
+    counts: dict[int, int] = {}
+    for flat in all_semigroup_tables(n):
+        row = _first_row_index(n, flat)
+        counts[row] = counts.get(row, 0) + len(_compatible_orders_flat(n, flat))
+    return list(counts.items())
 
 
 def _leq_pairs(leq) -> list[tuple[int, int]]:
     n = len(leq)
     return [(a, b) for a in range(n) for b in range(n) if a != b and leq[a][b]]
-
-
-def _ordered_token(n: int, flat: tuple[int, ...], k: int) -> str:
-    return f"o{n}:" + "".join(str(v) for v in flat) + f":{k}"
 
 
 def enumerate_ordered_semigroups(
@@ -272,16 +324,19 @@ def enumerate_ordered_semigroups(
 
     def gen():
         tables = all_semigroup_tables(n)
+        order_pairs = [_leq_pairs(leq) for leq in all_posets(n)]
         # the resumed table is in the list: it goes on after the token's order
         start = bisect_left(tables, resume_flat) if resume else 0
         lo, hi = first_row_range or (0, n**n)
         for flat in tables[start:]:
             if not lo <= _first_row_index(n, flat) < hi:
                 continue
+            rows = _flat_to_rows(n, flat)
+            token_prefix = f"o{n}:" + "".join(str(v) for v in flat) + ":"
             orders = _compatible_orders_flat(n, flat)
             for k in range(first_k if flat == resume_flat else 0, len(orders)):
-                structure = validate_structure(n, _flat_to_rows(n, flat), _leq_pairs(orders[k]))
-                yield structure, _ordered_token(n, flat, k)
+                structure = validate_structure(n, rows, order_pairs[orders[k]])
+                yield structure, token_prefix + str(k)
 
     return EnumerationStream(gen())
 
@@ -295,7 +350,7 @@ def sample_ordered_semigroups(
     for _ in range(count):
         flat = tables[rng.randrange(len(tables))]
         orders = _compatible_orders_flat(n, flat)
-        leq = orders[rng.randrange(len(orders))]
+        leq = all_posets(n)[orders[rng.randrange(len(orders))]]
         yield validate_structure(n, _flat_to_rows(n, flat), _leq_pairs(leq))
 
 

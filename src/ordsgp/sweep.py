@@ -7,19 +7,24 @@ and every condition with its counterexample detail, so a counterexample is
 reproducible from the report alone.
 
 Multi-worker sweeps split the cached table list into contiguous
-first-row ranges, one per worker; the workers' results are merged in range
-order, so the merged transcripts are the serial sequence.
+first-row ranges, one per worker, balanced by the number of ordered
+semigroups each range holds; at most one worker runs per CPU.  The
+workers' results are merged in range order, so the merged transcripts are
+the serial sequence.
 """
 
 from __future__ import annotations
 
+import os
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .classification import BUNDLE_ORDER, equivalence_bundle
 from .congruence import THEOREM_ORDER, structure_theorem_check
 from .core import OrderedSemigroup
-from .enumeration import all_semigroup_tables, enumerate_ordered_semigroups
+from .enumeration import enumerate_ordered_semigroups, ordered_counts_by_first_row
 from .errors import NotApplicable
 from .fileformat import serialize_document
 from .report import ConditionResult
@@ -82,11 +87,28 @@ def sweep(
 
 
 def split_first_rows(n: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous first-row index ranges covering the whole search space."""
-    space = n ** n
-    workers = max(1, min(workers, space))
-    bounds = [round(w * space / workers) for w in range(workers + 1)]
-    return [(bounds[w], bounds[w + 1]) for w in range(workers)]
+    """Contiguous first-row index ranges covering the whole search space,
+    balanced by work.
+
+    The w-th cut is the first-row index at which the count of ordered
+    semigroups before it comes nearest to w/workers of the total.  Cuts
+    that fall together are merged, so there may be fewer ranges than
+    ``workers`` but none is empty.
+    """
+    counts = ordered_counts_by_first_row(n)
+    starts = [row for row, _ in counts]
+    before = list(accumulate((count for _, count in counts), initial=0))
+    total = before.pop()
+    bounds = [0]
+    for w in range(1, workers):
+        target = w * total / workers
+        i = bisect_left(before, target)
+        if i == len(before) or (i > 0 and target - before[i - 1] <= before[i] - target):
+            i -= 1
+        if starts[i] > bounds[-1]:
+            bounds.append(starts[i])
+    bounds.append(n**n)
+    return list(zip(bounds, bounds[1:]))
 
 
 def _sweep_chunk(args) -> SweepReport:
@@ -102,13 +124,13 @@ def parallel_sweep(
 ) -> SweepReport:
     """Sweep the full order-n enumeration across worker processes.
 
-    The chunks are contiguous first-row ranges and ``pool.map`` returns
-    them in order, so the merged report lists structures and disagreements
-    in the serial order.
+    At most ``os.cpu_count()`` processes start.  The chunks are contiguous
+    first-row ranges and ``pool.map`` returns them in order, so the merged
+    report lists structures and disagreements in the serial order.
     """
-    # built before the pool starts, so forked workers inherit the list
-    all_semigroup_tables(n)
-    chunks = split_first_rows(n, workers)
+    # the split builds the table list and every table's compatible orders
+    # before the pool starts, so forked workers inherit both caches
+    chunks = split_first_rows(n, min(workers, os.cpu_count() or 1))
     args = [(n, chunk, tuple(bundle_ids), tuple(theorem_ids)) for chunk in chunks]
     merged = SweepReport(0, [], [])
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:

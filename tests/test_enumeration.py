@@ -1,5 +1,6 @@
 """Exhaustive generation: counts, determinism, resume, canonical forms."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -13,9 +14,15 @@ from ordsgp import (
     transcript_hash,
     validate_semigroup,
 )
-from ordsgp.enumeration import all_posets, all_semigroup_tables, sample_ordered_semigroups
+from ordsgp import sweep as sweep_module
+from ordsgp.enumeration import (
+    all_posets,
+    all_semigroup_tables,
+    ordered_counts_by_first_row,
+    sample_ordered_semigroups,
+)
 from ordsgp.errors import SizeLimit
-from ordsgp.sweep import split_first_rows
+from ordsgp.sweep import parallel_sweep, split_first_rows, sweep
 
 from conftest import make_lz2_sg, make_t1
 
@@ -45,6 +52,17 @@ def test_semigroup_counts_against_naive_oracle():
         assert all(a < b for a, b in zip(naive, naive[1:]))
 
 
+# SHA-256 of the order-4 table list, one flat table per line
+TABLES_4_SHA = "3897cf419417bcdb3de32e142bd3c24eda60127cdb8a5028a17e6ba64d75eb58"
+
+
+def test_order_4_table_list_pinned():
+    tables = all_semigroup_tables(4)
+    assert len(tables) == 3492
+    text = "\n".join("".join(map(str, flat)) for flat in tables)
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLES_4_SHA
+
+
 def test_semigroup_stream_is_lexicographic_and_guarded():
     flats = [tuple(v for row in sg.table for v in row) for sg in enumerate_semigroups(2)]
     assert flats == sorted(flats)
@@ -67,6 +85,29 @@ def test_compatible_orders_examples():
     assert len(enumerate_compatible_orders(min2)) == 3
     z2 = validate_semigroup(2, [[0, 1], [1, 0]])
     assert len(enumerate_compatible_orders(z2)) == 1  # discrete only
+
+
+def naive_compatible_orders(f):
+    """Every poset of ``all_posets``, tested one by one: a <= b must give
+    ca <= cb and ac <= bc for every c."""
+    n, table = f.size, f.table
+    return [
+        leq
+        for leq in all_posets(n)
+        if all(
+            leq[table[c][a]][table[c][b]] and leq[table[a][c]][table[b][c]]
+            for a in range(n)
+            for b in range(n)
+            if a != b and leq[a][b]
+            for c in range(n)
+        )
+    ]
+
+
+def test_compatible_orders_against_naive_oracle():
+    for n in (1, 2, 3, 4):
+        for f in enumerate_semigroups(n):
+            assert enumerate_compatible_orders(f) == naive_compatible_orders(f), f.table
 
 
 def test_discrete_order_always_compatible():
@@ -140,6 +181,55 @@ def test_first_row_split_covers_everything():
         merged.extend(enumerate_ordered_semigroups(3, first_row_range=chunk))
     full = list(enumerate_ordered_semigroups(3))
     assert merged == full  # contiguous ranges preserve the global order
+
+
+def _chunk_sizes(n, chunks):
+    counts = ordered_counts_by_first_row(n)
+    return [sum(c for row, c in counts if lo <= row < hi) for lo, hi in chunks]
+
+
+def test_first_row_split_balances_work():
+    # first row 0000 alone holds 27,078 of the 107,688 order-4 structures
+    for workers in (2, 3, 4):
+        chunks = split_first_rows(4, workers)
+        assert len(chunks) == workers
+        assert chunks[0][0] == 0 and chunks[-1][1] == 4**4
+        assert all(lo < hi for lo, hi in chunks)
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        sizes = _chunk_sizes(4, chunks)
+        assert sum(sizes) == 107688
+        assert max(sizes) < 1.05 * 107688 / workers, sizes
+    # more workers than first rows: fewer ranges, none empty
+    chunks = split_first_rows(2, 100)
+    assert chunks[0][0] == 0 and chunks[-1][1] == 4
+    assert all(size > 0 for size in _chunk_sizes(2, chunks))
+
+
+def test_parallel_sweep_caps_processes_at_cpu_count(monkeypatch):
+    started = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", SerialPool)
+    report = parallel_sweep(3, 1000, bundle_ids=(), theorem_ids=())
+    assert started == [2]
+    serial = sweep(enumerate_ordered_semigroups(3), bundle_ids=(), theorem_ids=())
+    assert report.total == serial.total == 971
+    assert report.transcripts == serial.transcripts
 
 
 def test_sampling_is_deterministic():
