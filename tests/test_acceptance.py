@@ -20,6 +20,7 @@ from ordsgp import (
     enumerate_ideals,
     enumerate_ordered_semigroups,
     enumerate_semigroups,
+    equivalence_bundle,
     idempotent_ideal_identities,
     least_csc,
     n_relation,
@@ -30,6 +31,7 @@ from ordsgp import (
     relation_properties,
     semigroup_morphism,
     serialize_document,
+    structure_theorem_check,
     transcript_hash,
     universal_extension,
 )
@@ -364,3 +366,23 @@ def test_criterion_7_regression_counts():
         f"semigroup counts {semigroup_counts} and ordered-semigroup counts "
         f"{ordered_counts} match the frozen constants",
     )
+
+
+def test_no_vacuous_condition():
+    """Every condition of every bundle and theorem takes both truth values
+    on the structures of order <= 3 where its check applies."""
+    seen = {check_id: set() for check_id in BUNDLE_IDS + THEOREM_IDS}
+    for s in small_structures():
+        results = [structure_theorem_check(s, t) for t in THEOREM_IDS]
+        for bundle_id in BUNDLE_IDS:
+            try:
+                results.append(equivalence_bundle(s, bundle_id))
+            except NotApplicable:
+                pass
+        for result in results:
+            if result.applicable:
+                seen[result.bundle_id].add(tuple(c.holds for c in result.conditions))
+    for check_id, patterns in seen.items():
+        assert patterns, f"{check_id} never applies"
+        for i, values in enumerate(zip(*patterns)):
+            assert set(values) == {True, False}, f"{check_id} condition {i} is constant"

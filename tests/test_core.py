@@ -123,6 +123,14 @@ def test_input_shape_errors():
         validate_structure(2, [[0, 0], [0, 1]], names=["only-one"])
 
 
+def test_fault_precedence():
+    # the table is checked before the order, and the order before the names
+    with pytest.raises(NotAssociative):
+        validate_structure(2, [[1, 0], [0, 0]], [(0, 5)])
+    with pytest.raises(ValueError, match="order pair"):
+        validate_structure(2, [[0, 0], [0, 1]], [(0, 5)], names=["only-one"])
+
+
 def test_down_closure_examples():
     sl2 = make_sl2()
     assert down_closure(sl2, sl2.subset([1])).members == {0, 1}

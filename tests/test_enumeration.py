@@ -14,6 +14,7 @@ from ordsgp import (
     transcript_hash,
     validate_semigroup,
 )
+from ordsgp import enumeration
 from ordsgp import sweep as sweep_module
 from ordsgp.enumeration import (
     all_posets,
@@ -21,7 +22,7 @@ from ordsgp.enumeration import (
     ordered_counts_by_first_row,
     sample_ordered_semigroups,
 )
-from ordsgp.errors import SizeLimit
+from ordsgp.errors import NotAssociative, NotCompatible, SizeLimit
 from ordsgp.sweep import parallel_sweep, split_first_rows, sweep
 
 from conftest import make_lz2_sg, make_t1
@@ -171,6 +172,30 @@ def test_resume_token_rejects_garbage():
         list(enumerate_ordered_semigroups(2, resume="o2:1000:0"))
     with pytest.raises(ValueError):
         list(enumerate_semigroups(2, resume="s2:1000"))
+
+
+def _streams(n):
+    """The ordered-semigroup stream and a sample, both fully consumed."""
+    yield lambda: list(enumerate_ordered_semigroups(n))
+    yield lambda: list(sample_ordered_semigroups(n, 5, seed=1))
+
+
+def test_streams_validate_every_table(monkeypatch):
+    # rows (1, 0), (0, 0): (00)1 = 1*1 = 0 but 0(01) = 0*0 = 1
+    monkeypatch.setattr(enumeration, "_TABLE_LISTS", {2: ((1, 0, 0, 0),)})
+    for consume in _streams(2):
+        with pytest.raises(NotAssociative):
+            consume()
+
+
+def test_streams_validate_every_order(monkeypatch):
+    # Z2 with the chain 0 <= 1 (position 1 in all_posets(2)) is incompatible
+    monkeypatch.setattr(enumeration, "_TABLE_LISTS", {2: ((0, 1, 1, 0),)})
+    monkeypatch.setattr(enumeration, "_compatible_orders_flat", lambda n, flat: (1,))
+    assert all_posets(2)[1] == ((True, True), (False, True))
+    for consume in _streams(2):
+        with pytest.raises(NotCompatible):
+            consume()
 
 
 def test_first_row_split_covers_everything():

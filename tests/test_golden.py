@@ -129,6 +129,14 @@ def test_enumerate_output_golden(n, capsys):
     assert tuple(capsys.readouterr().out.splitlines()) == ENUMERATE_LINES[n]
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_enumerate_workers_golden(workers, capsys):
+    # a parallel run prints the serial lines apart from the resume token
+    assert main(["enumerate", "--order", "3", "--workers", str(workers)]) == 0
+    expected = tuple(l for l in ENUMERATE_LINES[3] if not l.startswith("resume-token:"))
+    assert tuple(capsys.readouterr().out.splitlines()) == expected
+
+
 def test_semigroup_transcript_golden():
     docs = [serialize_document(f) for n in (1, 2, 3) for f in enumerate_semigroups(n)]
     assert len(docs) == 122
