@@ -2,11 +2,11 @@
 
 Exit codes: 0 = success / all checks agree, 1 = a disagreement was found
 (counterexample printed), 2 = input error.  Input errors print one
-``error:`` line on stderr and no traceback; they include an unreadable or
-invalid document, an unknown check id, ``enumerate --order`` below 1 or
-above the size guard, a malformed ``--resume`` token, a token whose order
-index is out of range or whose table is not associative, ``--workers``
-below 1, ``--workers`` above 1 together with ``--resume``, a ``--sweep``
+``error:`` line on stderr and no traceback; they include an unreadable
+(missing or not UTF-8) or invalid document, an unknown check id,
+``enumerate --order`` below 1 or above the size guard, a malformed
+``--resume`` token, a token whose order index is out of range or whose
+table is not associative, ``--workers`` below 1, ``--workers`` above 1 together with ``--resume``, a ``--sweep``
 list that names no check, and a malformed ``ORDSGP_LIMITS`` value.
 
 ``enumerate --workers N`` prints the same lines as a serial run, apart
@@ -36,7 +36,7 @@ from . import enumeration
 def _read_structure(path: str, close_order: bool = False):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise OrdsgpError(f"cannot read {path}: {exc}") from exc
     return parse_document(text, close_order=close_order)
 

@@ -223,9 +223,18 @@ def validate_structure(
     closure could mask modeling errors) unless ``close_order`` is set, in
     which case the transitive closure is taken before validation.
     """
-    tbl = _check_table(size, table)
-    _check_associative(size, tbl)
+    return _order_on(validate_semigroup(size, table), leq_pairs, close_order, names)
 
+
+def _order_on(
+    f: FiniteSemigroup,
+    leq_pairs: Iterable[tuple[int, int]],
+    close_order: bool = False,
+    names=None,
+) -> OrderedSemigroup:
+    """Check the order axioms of ``leq_pairs`` on F's validated table, then
+    the names, and build the ordered semigroup."""
+    size, tbl = f.size, f.table
     leq = [[False] * size for _ in range(size)]
     for i in range(size):
         leq[i][i] = True

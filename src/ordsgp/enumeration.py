@@ -16,9 +16,11 @@ also hold.  They are tested against all posets at once, as bitsets of
 poset positions, and cached per table as positions in ``all_posets(n)``.
 
 The table search runs once per process: ``all_semigroup_tables`` caches
-its result, and every stream reads that list.  A resume token and a
-worker's first-row range pick positions in the cached list, so the first
-item of any stream arrives only after the full search has finished.
+its result, and every stream reads that list.  The ordered-semigroup
+stream is addressed by position: table t's orders sit at positions
+offsets[t] .. offsets[t+1]-1 (``ordered_offsets``).  A resume token and a
+worker's chunk both become a range of positions, so the first item of any
+stream arrives only after the full search has finished.
 
 Enumeration is labeled, not isomorphism-reduced: theorem sweeps need
 logical coverage.  ``canonical_form`` provides an optional dedup key
@@ -32,7 +34,7 @@ import random
 import re
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations
 from typing import Iterable, Iterator
 
 from . import limits
@@ -40,8 +42,8 @@ from .core import (
     FiniteSemigroup,
     OrderedSemigroup,
     _check_associative,
+    _order_on,
     validate_semigroup,
-    validate_structure,
 )
 from .errors import BadEnumeration, NotAssociative
 
@@ -150,11 +152,6 @@ def all_semigroup_tables(n: int) -> tuple:
     if n not in _TABLE_LISTS:
         _TABLE_LISTS[n] = tuple(_tables_dfs(n))
     return _TABLE_LISTS[n]
-
-
-def _first_row_index(n: int, flat: tuple[int, ...]) -> int:
-    """The first table row read as a base-n number."""
-    return sum(v * n ** (n - 1 - j) for j, v in enumerate(flat[:n]))
 
 
 def _semigroup_token(n: int, flat: tuple[int, ...]) -> str:
@@ -288,14 +285,10 @@ def enumerate_compatible_orders(f: FiniteSemigroup) -> list:
     return [posets[k] for k in _compatible_orders_flat(f.size, flat)]
 
 
-def ordered_counts_by_first_row(n: int) -> list[tuple[int, int]]:
-    """(first-row index, number of ordered semigroups) for each first row
-    that starts an associative table, ascending by index."""
-    counts: dict[int, int] = {}
-    for flat in all_semigroup_tables(n):
-        row = _first_row_index(n, flat)
-        counts[row] = counts.get(row, 0) + len(_compatible_orders_flat(n, flat))
-    return list(counts.items())
+def ordered_offsets(n: int) -> list[int]:
+    """The stream position of each table's first order, then the total."""
+    counts = (len(_compatible_orders_flat(n, flat)) for flat in all_semigroup_tables(n))
+    return list(accumulate(counts, initial=0))
 
 
 def _leq_pairs(leq) -> list[tuple[int, int]]:
@@ -306,37 +299,38 @@ def _leq_pairs(leq) -> list[tuple[int, int]]:
 def enumerate_ordered_semigroups(
     n: int,
     resume: str | None = None,
-    first_row_range: tuple[int, int] | None = None,
+    positions: tuple[int, int] | None = None,
 ) -> EnumerationStream:
     """Stream of all OrderedSemigroups on n labeled elements.
 
-    Every yielded structure passes full validation.  ``first_row_range``
-    keeps only tables whose first row, read as a base-n number, falls in
-    [lo, hi).
+    ``positions=(lo, hi)`` yields stream positions lo .. hi-1 only; a
+    resume token starts the stream after its own position.  Each table is
+    validated once and the order axioms once per yielded structure, so
+    every structure passes full validation.
     """
     _check_order(n)
-    resume_flat, first_k = None, 0
     if resume:
-        resume_flat, k = _parse_token(n, resume, "o")
-        if k >= len(_compatible_orders_flat(n, resume_flat)):
-            raise BadEnumeration(f"bad resume token {resume!r}: no compatible order {k}")
-        first_k = k + 1
+        resume_flat, resume_k = _parse_token(n, resume, "o")
+        if resume_k >= len(_compatible_orders_flat(n, resume_flat)):
+            raise BadEnumeration(f"bad resume token {resume!r}: no compatible order {resume_k}")
 
     def gen():
         tables = all_semigroup_tables(n)
+        offsets = ordered_offsets(n)
+        lo, hi = positions or (0, offsets[-1])
+        if not 0 <= lo <= hi <= offsets[-1]:
+            raise BadEnumeration(f"positions {lo}..{hi} outside 0..{offsets[-1]}")
+        if resume:
+            lo = max(lo, offsets[bisect_left(tables, resume_flat)] + resume_k + 1)
         order_pairs = [_leq_pairs(leq) for leq in all_posets(n)]
-        # the resumed table is in the list: it goes on after the token's order
-        start = bisect_left(tables, resume_flat) if resume else 0
-        lo, hi = first_row_range or (0, n**n)
-        for flat in tables[start:]:
-            if not lo <= _first_row_index(n, flat) < hi:
-                continue
-            rows = _flat_to_rows(n, flat)
+        # the tables holding some position in lo .. hi-1
+        for t in range(bisect_right(offsets, lo) - 1, bisect_left(offsets, hi)):
+            flat = tables[t]
+            f = validate_semigroup(n, _flat_to_rows(n, flat))
             token_prefix = f"o{n}:" + "".join(str(v) for v in flat) + ":"
             orders = _compatible_orders_flat(n, flat)
-            for k in range(first_k if flat == resume_flat else 0, len(orders)):
-                structure = validate_structure(n, rows, order_pairs[orders[k]])
-                yield structure, token_prefix + str(k)
+            for k in range(max(lo - offsets[t], 0), min(hi - offsets[t], len(orders))):
+                yield _order_on(f, order_pairs[orders[k]]), token_prefix + str(k)
 
     return EnumerationStream(gen())
 
@@ -351,7 +345,7 @@ def sample_ordered_semigroups(
         flat = tables[rng.randrange(len(tables))]
         orders = _compatible_orders_flat(n, flat)
         leq = all_posets(n)[orders[rng.randrange(len(orders))]]
-        yield validate_structure(n, _flat_to_rows(n, flat), _leq_pairs(leq))
+        yield _order_on(validate_semigroup(n, _flat_to_rows(n, flat)), _leq_pairs(leq))
 
 
 def canonical_form(structure) -> tuple:

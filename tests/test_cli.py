@@ -46,6 +46,16 @@ def test_validate_missing_file(capsys):
     assert main(["validate", "/no/such/file.osg"]) == 2
 
 
+def test_validate_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "bad.osg"
+    path.write_bytes(b"kind: osg\nelements: 1\ntable:\n0\norder:\n\xff\n")
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot read {path}:"), lines
+
+
 def test_close_order_flag(tmp_path):
     doc = (
         "kind: osg\nelements: 3\ntable:\n0 0 0\n0 1 1\n0 1 2\n"

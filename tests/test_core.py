@@ -108,6 +108,14 @@ def test_not_compatible():
     a, b, c, side = err.value.witness
     assert (a, b) == (0, 1)
     assert not brute_valid(2, [[0, 1], [1, 0]], [(0, 1)])
+    # one side fails alone: here 0 <= 2 needs 0*1 = 0 <= 1 = 2*1, which the
+    # order lacks, while every left product agrees; transposed, the left fails
+    table = [[0, 0, 0], [0, 0, 0], [0, 1, 2]]
+    transposed = [list(col) for col in zip(*table)]
+    for t, failing in ((table, "right"), (transposed, "left")):
+        with pytest.raises(NotCompatible) as err:
+            validate_structure(3, t, [(0, 2)])
+        assert err.value.witness == (0, 2, 1, failing)
 
 
 def test_input_shape_errors():

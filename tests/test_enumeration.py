@@ -14,16 +14,16 @@ from ordsgp import (
     transcript_hash,
     validate_semigroup,
 )
-from ordsgp import enumeration
+from ordsgp import core, enumeration
 from ordsgp import sweep as sweep_module
 from ordsgp.enumeration import (
     all_posets,
     all_semigroup_tables,
-    ordered_counts_by_first_row,
+    ordered_offsets,
     sample_ordered_semigroups,
 )
 from ordsgp.errors import NotAssociative, NotCompatible, SizeLimit
-from ordsgp.sweep import parallel_sweep, split_first_rows, sweep
+from ordsgp.sweep import parallel_sweep, split_positions, sweep
 
 from conftest import make_lz2_sg, make_t1
 
@@ -198,36 +198,62 @@ def test_streams_validate_every_order(monkeypatch):
             consume()
 
 
-def test_first_row_split_covers_everything():
-    chunks = split_first_rows(3, 4)
-    assert chunks[0][0] == 0 and chunks[-1][1] == 27
+def test_stream_checks_each_table_once(monkeypatch):
+    calls = []
+    check = core._check_associative
+
+    def counting_check(size, table):
+        calls.append(table)
+        check(size, table)
+
+    monkeypatch.setattr(core, "_check_associative", counting_check)
+    assert sum(1 for _ in enumerate_ordered_semigroups(3)) == 971
+    assert len(calls) == len(set(calls)) == 113
+    # a chunk checks only the tables that hold one of its positions
+    offsets = ordered_offsets(3)
+    for lo, hi in split_positions(3, 4):
+        calls.clear()
+        list(enumerate_ordered_semigroups(3, positions=(lo, hi)))
+        assert len(calls) == sum(offsets[t] < hi and lo < offsets[t + 1] for t in range(113))
+
+
+def test_positions_slice_the_stream():
+    stream = enumerate_ordered_semigroups(2)
+    full, tokens = zip(*((s, stream.resume_token) for s in stream))
+    # each table's first order (token suffix ":0") starts at its offset
+    starts = [p for p, token in enumerate(tokens) if token.endswith(":0")]
+    assert ordered_offsets(2) == starts + [20] == [0, 3, 6, 9, 12, 13, 16, 17, 20]
+    full = list(full)
+    for lo in range(21):
+        for hi in range(lo, 21):
+            assert list(enumerate_ordered_semigroups(2, positions=(lo, hi))) == full[lo:hi]
+    for bad in [(-1, 3), (5, 4), (0, 21)]:
+        with pytest.raises(ValueError):
+            list(enumerate_ordered_semigroups(2, positions=bad))
+
+
+def test_position_split_covers_everything():
+    chunks = split_positions(3, 4)
+    assert chunks[0][0] == 0 and chunks[-1][1] == 971
     merged = []
     for chunk in chunks:
-        merged.extend(enumerate_ordered_semigroups(3, first_row_range=chunk))
+        merged.extend(enumerate_ordered_semigroups(3, positions=chunk))
     full = list(enumerate_ordered_semigroups(3))
     assert merged == full  # contiguous ranges preserve the global order
 
 
-def _chunk_sizes(n, chunks):
-    counts = ordered_counts_by_first_row(n)
-    return [sum(c for row, c in counts if lo <= row < hi) for lo, hi in chunks]
-
-
-def test_first_row_split_balances_work():
-    # first row 0000 alone holds 27,078 of the 107,688 order-4 structures
+def test_position_split_balances_work():
     for workers in (2, 3, 4):
-        chunks = split_first_rows(4, workers)
+        chunks = split_positions(4, workers)
         assert len(chunks) == workers
-        assert chunks[0][0] == 0 and chunks[-1][1] == 4**4
-        assert all(lo < hi for lo, hi in chunks)
+        assert chunks[0][0] == 0
         assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-        sizes = _chunk_sizes(4, chunks)
+        sizes = [hi - lo for lo, hi in chunks]
         assert sum(sizes) == 107688
-        assert max(sizes) < 1.05 * 107688 / workers, sizes
-    # more workers than first rows: fewer ranges, none empty
-    chunks = split_first_rows(2, 100)
-    assert chunks[0][0] == 0 and chunks[-1][1] == 4
-    assert all(size > 0 for size in _chunk_sizes(2, chunks))
+        assert max(sizes) - min(sizes) <= 1, sizes
+    # more workers than structures: one range per structure, none empty
+    chunks = split_positions(2, 100)
+    assert chunks == [(p, p + 1) for p in range(20)]
 
 
 def test_parallel_sweep_caps_processes_at_cpu_count(monkeypatch):
