@@ -6,8 +6,9 @@ Exit codes: 0 = success / all checks agree, 1 = a disagreement was found
 (missing or not UTF-8) or invalid document, an unknown check id,
 ``enumerate --order`` below 1 or above the size guard, a malformed
 ``--resume`` token, a token whose order index is out of range or whose
-table is not associative, ``--workers`` below 1, ``--workers`` above 1 together with ``--resume``, a ``--sweep``
-list that names no check, and a malformed ``ORDSGP_LIMITS`` value.
+table is not associative, ``--workers`` below 1, ``--workers`` above 1
+together with ``--resume``, a ``--sweep`` list that names no check, and a
+malformed ``ORDSGP_LIMITS`` value.
 
 ``enumerate --workers N`` prints the same lines as a serial run, apart
 from the resume token, which only a serial run reports.
