@@ -5,13 +5,14 @@ import pytest
 from ordsgp import (
     classify,
     element_regularity,
+    enumerate_ordered_semigroups,
     group_component,
     h_commute_witness,
     induced_substructure,
     inverses_of,
     ordered_idempotents,
 )
-from ordsgp.elements import group_component_mask, idempotent_mask
+from ordsgp.elements import idempotent_mask
 from ordsgp.errors import NotIdempotent
 
 from conftest import (
@@ -102,19 +103,23 @@ def test_group_component_contains_idempotent_and_is_group_like():
             assert classify(sub).verdicts["group_like"].holds, (name, e)
 
 
-def test_group_component_witness_modes_agree_on_fixtures():
-    differences = []
-    for name, s in all_ordered_fixtures():
-        for e in range(s.size):
-            if not (idempotent_mask(s) >> e) & 1:
-                continue
-            shared = group_component_mask(s, e, True)
-            independent = group_component_mask(s, e, False)
-            assert shared & ~independent == 0, name  # shared implies independent
-            if shared != independent:
-                differences.append((name, e))
-    # informational: report where the two readings ever differ
-    print("group component witness-mode differences:", differences)
+def test_group_component_against_definition():
+    # brute force of G_e = {a : a <= ea, a <= ae, and e <= za, e <= az for
+    # one z} at every ordered idempotent of every structure of order <= 3
+    for n in (1, 2, 3):
+        for s in enumerate_ordered_semigroups(n):
+            le, tb = s.leq, s.table
+            for e in range(n):
+                if not le[e][tb[e][e]]:
+                    continue
+                want = {
+                    a
+                    for a in range(n)
+                    if le[a][tb[e][a]]
+                    and le[a][tb[a][e]]
+                    and any(le[e][tb[z][a]] and le[e][tb[a][z]] for z in range(n))
+                }
+                assert group_component(s, e).members == want, (s.table, s.leq, e)
 
 
 def test_completely_regular_witness_laws():

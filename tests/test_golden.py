@@ -3,7 +3,7 @@ order <= 3, and of the enumeration sequence itself.
 
 Each digest pins the full JSON (or repr) of one report family, so any
 change to a verdict, a least witness, a counterexample or a condition
-label shows up here.  A refactor of the scans must leave all four
+label shows up here.  A refactor of the scans must leave all six
 unchanged.  The ``enumerate`` lines (orders 1 to 4) and the semigroup
 transcript pin the order in which structures are produced, so a change to
 the table search, the compatible-order filter or resume handling that
@@ -12,14 +12,18 @@ reorders, drops or repeats a structure shows up here as well.
 
 import hashlib
 import json
+from itertools import product
 
 import pytest
 
 from ordsgp import (
     classify,
+    complete_semilattice_congruences,
+    decompose,
     element_regularity,
     enumerate_ordered_semigroups,
     enumerate_semigroups,
+    idempotent_ideal_identities,
     power_correspondence_check,
     serialize_document,
     structure_theorem_check,
@@ -27,11 +31,14 @@ from ordsgp import (
 )
 from ordsgp.cli import _bundle_json, _classification_json, main
 from ordsgp.congruence import THEOREM_ORDER
+from ordsgp.errors import NotIdempotent, NotRegular
 
 CLASSIFY_SHA = "41647785fbaaf6f82f58ae53317e03c545e60b95af24790ed8ccecc828f8be3e"
 THEOREMS_SHA = "59fc5d1f0151f3d1464b331d4abd9fe55013c90b72f2332b67a093ca1d8594d5"
 ELEMENTS_SHA = "667d6008c06b61466e53b995814aac5e3ed0ec2f9c69cfc02b48d3da752711b9"
 POWER_SHA = "067ca4a62188bc6cfd0d2b0590f73ea4be2fbab5c0bb514d90836cd4aaac28c1"
+DECOMPOSE_SHA = "af0b45b9a3ce298c5e0ed4756b036444b934b93013d9cbb44d8c17ac173cfa79"
+IDEAL_IDENTITIES_SHA = "f24ff722d0ef37e89588a118b8d4d8b40a59ae4b255e3d8e020b15224ca80ee3"
 
 SEMIGROUPS_SHA = "d83dbcdd3b7db1dc0f364dc2e4d0ddf568176d94425382f9098833e4ddb0b9fe"
 
@@ -121,6 +128,39 @@ def test_power_correspondence_golden():
         for f in enumerate_semigroups(n)
         for p in POWER_PROPERTIES
     ) == POWER_SHA
+
+
+def test_decompose_golden():
+    # every complete semilattice congruence: quotient, order, four conditions
+    def reprs():
+        for s in _ordered():
+            for rho in complete_semilattice_congruences(s):
+                d = decompose(s, rho, classify_classes=False)
+                yield repr(
+                    (
+                        rho.class_ids,
+                        d.quotient_table,
+                        d.quotient_order,
+                        d.condition_verdicts,
+                    )
+                )
+
+    assert _digest(reprs()) == DECOMPOSE_SHA
+
+
+def test_ideal_identities_golden():
+    # every (e, f): the claim bundle, or the type of the error it raises
+    def reprs():
+        for s in _ordered():
+            for e, f in product(range(s.size), repeat=2):
+                try:
+                    r = idempotent_ideal_identities(s, e, f)
+                except (NotIdempotent, NotRegular) as exc:
+                    yield type(exc).__name__
+                else:
+                    yield repr((r.bundle_id, r.conditions, r.agree))
+
+    assert _digest(reprs()) == IDEAL_IDENTITIES_SHA
 
 
 @pytest.mark.parametrize("n", sorted(ENUMERATE_LINES))
