@@ -14,11 +14,12 @@ one witness search of ``elements`` (``witness_scan``): witnesses are
 tried in ascending order, so they are least, and argument tuples run in
 ascending lexicographic order, so a counterexample is the least failing
 tuple.  Membership t in (XSY] is the same search, for x with t <= X*x*Y.
-The remaining conditions (ideal comparisons, Green's relations) are
-first-failure scans in the same ascending order.  No condition is computed
-from another condition's result: conditions share terms, helpers and the
-regularity premise, never a verdict, so the sides of a bundle stay
-independent.
+The remaining conditions are first-failure scans in the same ascending
+order: ``elements.first_failure`` for Green's relations and inverses, and
+short loops for the principal-ideal and class comparisons.  No condition
+is computed from another condition's result: conditions share terms,
+helpers and the regularity premise, never a verdict, so the sides of a
+bundle stay independent.
 
 Predicates with a regularity premise (left/right group like, Clifford,
 left Clifford, inverse) raise NotApplicable on non-regular structures
@@ -47,6 +48,8 @@ from .elements import (
     COMPLETELY_REGULAR,
     H_COMMUTATIVE,
     REGULAR,
+    _then,
+    first_failure,
     forall_exists,
     idempotent_mask,
     inverse_mask,
@@ -59,8 +62,8 @@ from .report import (
     BundleResult,
     ClassificationReport,
     ConditionGroup,
-    ConditionResult,
     PredicateResult,
+    _cond,
     make_bundle,
 )
 
@@ -77,19 +80,6 @@ from .report import (
 LEFT_GROUP_LIKE = (2, lambda tb, a, b: ((a, None, b),))  # a <= x*b
 RIGHT_GROUP_LIKE = (2, lambda tb, a, b: ((a, b, None),))  # a <= b*y
 GROUP_LIKE = (2, lambda tb, a, b: ((a, None, b), (a, b, None)))
-
-
-def _first_failure(args, ok):
-    """The first argument tuple (in the order given) for which ok fails."""
-    for argt in args:
-        if not ok(*argt):
-            return False, argt, {}
-    return True, None, {}
-
-
-def _then(first, rest, *args):
-    """``first``, and only once it holds, ``rest(*args)``."""
-    return rest(*args) if first[0] else first
 
 
 def _regular_then(s, scan, *args):
@@ -170,7 +160,7 @@ def _left_clifford(s):
 def _inverse(s):
     """Any two ordered inverses of the same element are H-related."""
     ids = green_relation(s, "H").class_ids
-    return _first_failure(
+    return first_failure(
         (
             (a, a1, a2)
             for a in range(s.size)
@@ -182,7 +172,7 @@ def _inverse(s):
 
 def _relation_pairs(s, ok):
     """First pair (a, b) of carrier elements failing ok."""
-    return _first_failure(product(range(s.size), repeat=2), ok)
+    return first_failure(product(range(s.size), repeat=2), ok)
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +230,6 @@ def predicate(s: OrderedSemigroup, name: str) -> PredicateResult:
 class _Bundle:
     premise: str | None
     build: Callable
-
-
-def _cond(label, result) -> ConditionResult:
-    return ConditionResult(label, result[0], result[1])
 
 
 def _build_cr_eq5(s) -> BundleResult:
@@ -307,7 +293,7 @@ def _build_gl_hrel(s) -> BundleResult:
             _cond("group like", forall_exists(s, *GROUP_LIKE)),
             _cond(
                 "all ordered idempotents lie in one H-class",
-                _first_failure(
+                first_failure(
                     combinations(bits(idempotent_mask(s)), 2),
                     lambda e, f: ids[e] == ids[f],
                 ),
@@ -358,7 +344,7 @@ def _build_cr_inv(s) -> BundleResult:
             _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
             _cond(
                 "each a has an ordered inverse a' with aa' <= a'ua and a'a <= ava'",
-                _first_failure(((a,) for a in range(s.size)), has_inverse),
+                first_failure(((a,) for a in range(s.size)), has_inverse),
             ),
         ),
     )

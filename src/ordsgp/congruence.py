@@ -15,6 +15,7 @@ into an executable agreement check over independently computed sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Iterator
 
 from . import limits
@@ -29,8 +30,8 @@ from .classification import (
     _regular_then,
     _simple,
 )
-from .core import ElementSet, OrderedSemigroup, _cached, bits, down_mask
-from .elements import REGULAR, forall_exists
+from .core import OrderedSemigroup, _cached, bits, down_mask
+from .elements import REGULAR, _then, first_failure, forall_exists
 from .errors import (
     InvariantViolation,
     NotCompleteSemilattice,
@@ -43,6 +44,7 @@ from .report import (
     BundleResult,
     ConditionGroup,
     ConditionResult,
+    _cond,
     make_bundle,
 )
 
@@ -218,41 +220,39 @@ def decompose(
                 raise InvariantViolation("quotient order is not antisymmetric")
 
     masks = [cls_set.mask for cls_set in rho.classes]
-    c1 = ConditionResult("classes are pairwise disjoint", True)
-    for alpha in range(k):
-        for beta in range(alpha + 1, k):
-            if masks[alpha] & masks[beta]:
-                c1 = ConditionResult("classes are pairwise disjoint", False, (alpha, beta))
-
     union = 0
     for m in masks:
         union |= m
-    c2 = ConditionResult(
-        "classes cover the carrier",
-        union == (1 << s.size) - 1,
-        None if union == (1 << s.size) - 1 else (next(bits(~union & ((1 << s.size) - 1))),),
+    downs = [down_mask(s, m) for m in masks]
+    conditions = (
+        _cond(
+            "classes are pairwise disjoint",
+            first_failure(combinations(range(k), 2), lambda a, b: not masks[a] & masks[b]),
+        ),
+        _cond(
+            "classes cover the carrier",
+            first_failure(((x,) for x in range(s.size)), lambda x: (union >> x) & 1),
+        ),
+        _cond(
+            "S_a * S_b inside S_{ab}",
+            first_failure(
+                (
+                    (alpha, beta, x, y)
+                    for alpha, beta in product(range(k), repeat=2)
+                    for x in bits(masks[alpha])
+                    for y in bits(masks[beta])
+                ),
+                lambda alpha, beta, x, y: (masks[qtable[alpha][beta]] >> table[x][y]) & 1,
+            ),
+        ),
+        _cond(
+            "S_b meets (S_a] only when b <= a",
+            first_failure(
+                product(range(k), repeat=2),
+                lambda alpha, beta: qorder[beta][alpha] or not masks[beta] & downs[alpha],
+            ),
+        ),
     )
-
-    c3 = ConditionResult("S_a * S_b inside S_{ab}", True)
-    for alpha in range(k):
-        for beta in range(k):
-            target = masks[qtable[alpha][beta]]
-            for x in bits(masks[alpha]):
-                row = table[x]
-                for y in bits(masks[beta]):
-                    if not (target >> row[y]) & 1:
-                        c3 = ConditionResult(
-                            "S_a * S_b inside S_{ab}", False, (alpha, beta, x, y)
-                        )
-
-    c4 = ConditionResult("S_b meets (S_a] only when b <= a", True)
-    for alpha in range(k):
-        down_alpha = down_mask(s, masks[alpha])
-        for beta in range(k):
-            if masks[beta] & down_alpha and not qorder[beta][alpha]:
-                c4 = ConditionResult(
-                    "S_b meets (S_a] only when b <= a", False, (alpha, beta)
-                )
 
     if classify_classes:
         from .classification import classify
@@ -264,18 +264,20 @@ def decompose(
     else:
         class_types = tuple(None for _ in range(k))
 
-    return Decomposition(rho, k, qtable, qorder, (c1, c2, c3, c4), class_types)
+    return Decomposition(rho, k, qtable, qorder, conditions, class_types)
 
 
 # ---------------------------------------------------------------------------
 # structure theorems
 
 
-def _exists_csc_with_classes(s, check) -> tuple[bool, tuple | None]:
+def _exists_csc_with_classes(s, check):
+    """Some complete semilattice congruence has only classes passing check;
+    the detail is the first such congruence's class ids."""
     for rel in complete_semilattice_congruences(s):
         if all(check(cls_set.mask) for cls_set in rel.classes):
-            return True, tuple(rel.class_ids)
-    return False, None
+            return True, tuple(rel.class_ids), {}
+    return False, None, {}
 
 
 def _is_group_like_class(s):
@@ -299,78 +301,68 @@ def _is_completely_simple_class(s):
 
 
 def _check_cr_leastcsc(s) -> BundleResult:
-    cr = forall_exists(s, *COMPLETELY_REGULAR)
     j = green_relation(s, "J")
-    least = least_csc(s)
-    c1 = (j.class_ids == least.class_ids, None)
     props = relation_properties(s, j)
-    c2 = (props.complete_semilattice, props.counterexamples.get("complete_semilattice"))
     return make_bundle(
         "CR-LEASTCSC",
         (
-            ConditionResult("completely regular", cr[0], cr[1]),
-            ConditionResult("J equals the least complete semilattice congruence", *c1),
-            ConditionResult("J is a complete semilattice congruence", *c2),
+            _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
+            ConditionResult(
+                "J equals the least complete semilattice congruence",
+                j.class_ids == least_csc(s).class_ids,
+            ),
+            ConditionResult(
+                "J is a complete semilattice congruence",
+                props.complete_semilattice,
+                props.counterexamples.get("complete_semilattice"),
+            ),
         ),
         (ConditionGroup("implication", (0, 1, 2)),),
     )
 
 
 def _check_cr_csdecomp(s) -> BundleResult:
-    cr = forall_exists(s, *COMPLETELY_REGULAR)
-    exists, detail = _exists_csc_with_classes(s, _is_completely_simple_class(s))
     return make_bundle(
         "CR-CSDECOMP",
         (
-            ConditionResult("completely regular", cr[0], cr[1]),
-            ConditionResult(
+            _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
+            _cond(
                 "some complete semilattice congruence has completely simple classes",
-                exists,
-                detail,
+                _exists_csc_with_classes(s, _is_completely_simple_class(s)),
             ),
         ),
     )
 
 
 def _check_cr_hclass_gl(s) -> BundleResult:
-    cr = forall_exists(s, *COMPLETELY_REGULAR)
     h = green_relation(s, "H")
-    closed_ok, closed_ce, _ = _classes_all(h, lambda m: _closed(s, m))
-    gl_ok, gl_ce, _ = _classes_all(h, _is_group_like_class(s))
-
-    # inside each H-class, every a admits h in the class with
-    # a <= aha, a <= a^2 h, a <= h a^2
+    closed = _classes_all(h, lambda m: _closed(s, m))
     table, leq = s.table, s.leq
-    wit_ok, wit_ce = True, None
-    if closed_ok:
-        for cls_set in h.classes:
-            for a in cls_set:
-                aa = table[a][a]
-                la = leq[a]
-                good = any(
-                    la[table[table[a][hh]][a]]
-                    and la[table[aa][hh]]
-                    and la[table[hh][aa]]
-                    for hh in cls_set
-                )
-                if not good:
-                    wit_ok, wit_ce = False, (a,)
-                    break
-            if not wit_ok:
-                break
-    else:
-        wit_ok, wit_ce = False, closed_ce
+
+    def has_h(a):  # one h in a's H-class with a <= aha, a <= a^2 h, a <= h a^2
+        aa, la = table[a][a], leq[a]
+        return any(
+            la[table[table[a][x]][a]] and la[table[aa][x]] and la[table[x][aa]]
+            for x in h.classes[h.class_ids[a]]
+        )
 
     return make_bundle(
         "CR-HCLASS-GL",
         (
-            ConditionResult("completely regular", cr[0], cr[1]),
-            ConditionResult("every H-class is product-closed", closed_ok, closed_ce),
-            ConditionResult("every H-class is a group like ordered subsemigroup", gl_ok, gl_ce),
-            ConditionResult(
+            _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
+            _cond("every H-class is product-closed", closed),
+            _cond(
+                "every H-class is a group like ordered subsemigroup",
+                _classes_all(h, _is_group_like_class(s)),
+            ),
+            _cond(
                 "every a has h in its H-class with a <= aha, a <= a^2 h, a <= h a^2",
-                wit_ok,
-                wit_ce,
+                _then(
+                    closed,
+                    first_failure,
+                    ((a,) for cls_set in h.classes for a in cls_set),
+                    has_h,
+                ),
             ),
         ),
         (ConditionGroup("implication", (0, 1, 2, 3)),),
@@ -378,26 +370,22 @@ def _check_cr_hclass_gl(s) -> BundleResult:
 
 
 def _check_cl_decomp(s) -> BundleResult:
-    cliff = _regular_then(s, _clifford)
-    least = least_csc(s)
-    via_least = _classes_all(least, _is_group_like_class(s))
-    via_exists = _exists_csc_with_classes(s, _is_group_like_class(s))
-    j = green_relation(s, "J")
-    h = green_relation(s, "H")
-    jh = (j.class_ids == h.class_ids, None)
     return make_bundle(
         "CL-DECOMP",
         (
-            ConditionResult("regular with the clifford condition", cliff[0], cliff[1]),
-            ConditionResult(
-                "every least-congruence class is group like", via_least[0], via_least[1]
+            _cond("regular with the clifford condition", _regular_then(s, _clifford)),
+            _cond(
+                "every least-congruence class is group like",
+                _classes_all(least_csc(s), _is_group_like_class(s)),
             ),
-            ConditionResult(
+            _cond(
                 "some complete semilattice congruence has group like classes",
-                via_exists[0],
-                via_exists[1],
+                _exists_csc_with_classes(s, _is_group_like_class(s)),
             ),
-            ConditionResult("J = H", jh[0], jh[1]),
+            ConditionResult(
+                "J = H",
+                green_relation(s, "J").class_ids == green_relation(s, "H").class_ids,
+            ),
         ),
         (
             ConditionGroup("equivalence", (0, 1, 2)),
@@ -411,46 +399,42 @@ def _check_lcl_leastcsc(s) -> BundleResult:
     # make every principal left ideal full on a non-regular structure), so
     # the ambient regularity of the left clifford notion is conjoined to
     # both sides.
-    lcl = _regular_then(s, _left_clifford)
-    regular, reg_ce, _ = forall_exists(s, *REGULAR)
-    if not regular:
-        side2, detail = False, reg_ce
-    else:
+    def l_is_least():
         lrel = green_relation(s, "L")
         props = relation_properties(s, lrel)
-        least = least_csc(s)
-        side2 = props.complete_semilattice and lrel.class_ids == least.class_ids
-        detail = None if side2 else props.counterexamples.get("complete_semilattice")
+        holds = props.complete_semilattice and lrel.class_ids == least_csc(s).class_ids
+        return holds, None if holds else props.counterexamples.get("complete_semilattice"), {}
+
     return make_bundle(
         "LCL-LEASTCSC",
         (
-            ConditionResult("regular with the left clifford condition", lcl[0], lcl[1]),
-            ConditionResult(
+            _cond(
+                "regular with the left clifford condition",
+                _regular_then(s, _left_clifford),
+            ),
+            _cond(
                 "regular, and L is the least complete semilattice congruence",
-                side2,
-                detail,
+                _then(forall_exists(s, *REGULAR), l_is_least),
             ),
         ),
     )
 
 
 def _check_lcl_decomp(s) -> BundleResult:
-    lcl = _regular_then(s, _left_clifford)
-    via_exists = _exists_csc_with_classes(s, _is_left_group_like_class(s))
-    via_least = _classes_all(least_csc(s), _is_left_group_like_class(s))
     return make_bundle(
         "LCL-DECOMP",
         (
-            ConditionResult("regular with the left clifford condition", lcl[0], lcl[1]),
-            ConditionResult(
-                "some complete semilattice congruence has left group like classes",
-                via_exists[0],
-                via_exists[1],
+            _cond(
+                "regular with the left clifford condition",
+                _regular_then(s, _left_clifford),
             ),
-            ConditionResult(
+            _cond(
+                "some complete semilattice congruence has left group like classes",
+                _exists_csc_with_classes(s, _is_left_group_like_class(s)),
+            ),
+            _cond(
                 "every least-congruence class is left group like",
-                via_least[0],
-                via_least[1],
+                _classes_all(least_csc(s), _is_left_group_like_class(s)),
             ),
         ),
         (

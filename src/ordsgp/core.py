@@ -1,8 +1,14 @@
 """Finite ordered semigroup model and the primitive set operators.
 
-An ordered semigroup here is a carrier {0, ..., n-1} with an associative
-multiplication table and a partial order that multiplication preserves on
-both sides: a <= b implies c*a <= c*b and a*c <= b*c.  Subsets of the
+A FiniteSemigroup is a carrier {0, ..., n-1} with an associative
+multiplication table; it holds the table, the display names and the
+per-structure cache.  OrderedSemigroup is its subclass that adds a partial
+order ``leq`` which multiplication preserves on both sides: a <= b implies
+c*a <= c*b and a*c <= b*c.  The two stay distinct types rather than one
+type with a discrete default order, because the type is what decides
+whether a structure is written as a semigroup or an ordered semigroup and
+whether the ordered checks accept it.  Both are built only here, by the
+validators and the substructure and dual constructions.  Subsets of the
 carrier are ElementSet values; downward closure
 
     (H] = {t : t <= h for some h in H}
@@ -58,34 +64,17 @@ class FiniteSemigroup:
         return self.names[i] if self.names else str(i)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FiniteSemigroup(size={self.size})"
+        return f"{type(self).__name__}(size={self.size})"
 
 
-@dataclass(frozen=True)
-class OrderedSemigroup:
+@dataclass(frozen=True, repr=False)
+class OrderedSemigroup(FiniteSemigroup):
     """A finite ordered semigroup: table plus a compatible partial order."""
 
-    size: int
-    table: Table
-    leq: LeqMatrix
-    names: tuple[str, ...] | None = None
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def prod(self, a: int, b: int) -> int:
-        return self.table[a][b]
+    leq: LeqMatrix = field(kw_only=True)
 
     def le(self, a: int, b: int) -> bool:
         return self.leq[a][b]
-
-    def word(self, *xs: int) -> int:
-        it = iter(xs)
-        acc = next(it)
-        for x in it:
-            acc = self.table[acc][x]
-        return acc
-
-    def name_of(self, i: int) -> str:
-        return self.names[i] if self.names else str(i)
 
     def subset(self, members: Iterable[int]) -> "ElementSet":
         return ElementSet.from_members(self, members)
@@ -101,9 +90,6 @@ class OrderedSemigroup:
             for b in range(self.size)
             if a != b and self.leq[a][b]
         ]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"OrderedSemigroup(size={self.size})"
 
 
 @dataclass(frozen=True)
@@ -279,7 +265,7 @@ def _order_on(
                         raise NotCompatible(a, b, c, "right")
 
     return OrderedSemigroup(
-        size, tbl, tuple(tuple(row) for row in leq), _check_names(size, names)
+        size, tbl, _check_names(size, names), leq=tuple(tuple(row) for row in leq)
     )
 
 
@@ -447,7 +433,7 @@ def induced_substructure(s: OrderedSemigroup, t: ElementSet) -> OrderedSemigroup
     )
     leq = tuple(tuple(s.leq[a][b] for b in members) for a in members)
     names = tuple(s.names[m] for m in members) if s.names else None
-    return OrderedSemigroup(len(members), table, leq, names)
+    return OrderedSemigroup(len(members), table, names, leq=leq)
 
 
 def dual_structure(s: OrderedSemigroup) -> OrderedSemigroup:
@@ -458,4 +444,4 @@ def dual_structure(s: OrderedSemigroup) -> OrderedSemigroup:
     """
     n = s.size
     table = tuple(tuple(s.table[b][a] for b in range(n)) for a in range(n))
-    return OrderedSemigroup(n, table, s.leq, s.names)
+    return OrderedSemigroup(n, table, s.names, leq=s.leq)

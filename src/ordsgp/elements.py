@@ -2,14 +2,27 @@
 inverses, commutation witnesses, and the group component around an ordered
 idempotent.
 
-Every "there is x" in the package goes through one primitive,
-``witness_scan``: at each argument tuple, for each term, the least x in a
-carrier mask T with lhs <= left*x*right, where either factor may be absent.
-Candidates are tried in ascending index order, so every reported witness is
-the least one, and argument tuples are taken in ascending lexicographic
-order, so a failure reports the least failing tuple.  A condition is its
-argument tuples plus a terms function; it shares no result with any other
-condition.
+It also holds the two scans that conditions are built on.  Both return the
+triple (holds, least counterexample, witnesses):
+
+- ``witness_scan``: at each argument tuple, for each term, the least x in
+  a carrier mask T with lhs <= left*x*right, where either factor may be
+  absent.  Candidates are tried in ascending index order, so every
+  reported witness is the least one.
+- ``first_failure``: the first argument tuple at which a predicate fails;
+  its witness map is always empty.
+
+Argument tuples are given in ascending order (lexicographic unless a
+condition says otherwise), so a failure reports the least failing tuple.
+Each term has its own witness.  Where one witness must satisfy several
+inequalities at once (the z of ``group_component``, CR-INV's ordered
+inverse, the h of CR-HCLASS-GL) the search is an ``any`` over the
+candidates, inside a ``first_failure`` predicate when it is a condition.
+The principal-ideal comparisons of ``classification`` and the congruence
+flags of ``congruence.relation_properties``, which runs on every partition
+of the carrier, keep short loops of their own that return the same triple
+or flags in the same ascending order.  A condition shares no result with
+any other condition.
 """
 
 from __future__ import annotations
@@ -118,6 +131,19 @@ def forall_exists(s: OrderedSemigroup, arity: int, terms, t=None, witnesses=Fals
     return witness_scan(s, product(xs, repeat=arity), terms, xs, witnesses)
 
 
+def first_failure(args, ok):
+    """The first argument tuple (in the order given) for which ok fails."""
+    for argt in args:
+        if not ok(*argt):
+            return False, argt, {}
+    return True, None, {}
+
+
+def _then(first, rest, *args):
+    """``first``, and only once it holds, ``rest(*args)``."""
+    return rest(*args) if first[0] else first
+
+
 def is_regular_structure(s: OrderedSemigroup) -> bool:
     """Every element is regular (cached per structure)."""
     return _cached(s, "regular", lambda: forall_exists(s, *REGULAR)[0])
@@ -171,38 +197,16 @@ def h_commute_witness(s: OrderedSemigroup, a: int, b: int) -> int | None:
     return found[(a, b)][0] if holds else None
 
 
-def group_component_mask(
-    s: OrderedSemigroup, e: int, shared_witness: bool = True
-) -> int:
-    table, leq = s.table, s.leq
-    row_e = table[e]
-    le = leq[e]
-    mask = 0
-    for a in range(s.size):
-        if not (leq[a][row_e[a]] and leq[a][table[a][e]]):
-            continue
-        row_a = table[a]
-        if shared_witness:
-            ok = any(
-                le[table[z][a]] and le[row_a[z]] for z in range(s.size)
-            )
-        else:
-            ok = any(le[table[z][a]] for z in range(s.size)) and any(
-                le[row_a[z]] for z in range(s.size)
-            )
-        if ok:
-            mask |= 1 << a
-    return mask
-
-
-def group_component(
-    s: OrderedSemigroup, e: int, shared_witness: bool = True
-) -> ElementSet:
-    """G_e = {a : a <= ea, a <= ae, and e <= za, e <= az for some z}.
-
-    The two existentials share a single z by default; ``shared_witness=False``
-    allows independent witnesses for comparison.
-    """
+def group_component(s: OrderedSemigroup, e: int) -> ElementSet:
+    """G_e = {a : a <= ea, a <= ae, and e <= za, e <= az for one z}."""
     if not (idempotent_mask(s) >> e) & 1:
         raise NotIdempotent(e)
-    return ElementSet(s, group_component_mask(s, e, shared_witness))
+    table, leq = s.table, s.leq
+    le = leq[e]
+    return s.subset(
+        a
+        for a in range(s.size)
+        if leq[a][table[e][a]]
+        and leq[a][table[a][e]]
+        and any(le[table[z][a]] and le[table[a][z]] for z in range(s.size))
+    )

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FiniteSemigroup, OrderedSemigroup, validate_semigroup, validate_structure
+from .core import OrderedSemigroup, validate_semigroup, validate_structure
 from .errors import ParseError
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, product
 
 from . import limits
 from .core import (
@@ -32,9 +32,9 @@ from .core import (
     sandwich_mask,
     up_mask,
 )
-from .elements import REGULAR, forall_exists, idempotent_mask
+from .elements import REGULAR, first_failure, forall_exists, idempotent_mask
 from .errors import EmptySet, NotIdempotent, NotRegular
-from .report import ConditionGroup, ConditionResult, make_bundle
+from .report import ConditionGroup, _cond, make_bundle
 
 
 class Side(Enum):
@@ -282,41 +282,36 @@ def idempotent_ideal_identities(s: OrderedSemigroup, e: int, f: int):
     if not (idem >> f) & 1:
         raise NotIdempotent(f)
 
-    table = s.table
+    table, n = s.table, s.size
     eS = down_mask(s, right_multiples(s, e))
     Se = down_mask(s, left_multiples(s, e))
     Sf = down_mask(s, left_multiples(s, f))
 
-    holds1, detail1 = True, None
-    for lideal in enumerate_ideals(s, Side.LEFT):
-        eL = down_mask(s, mask_of(table[e][x] for x in lideal))
-        want = lideal.mask & eS
-        if eL != want:
-            holds1 = False
-            detail1 = (tuple(lideal), next(bits(eL ^ want)))
-            break
+    def identity(side, image, other):
+        # (image of I] = I n other for every ideal I of the side; a failure
+        # is I and the least element of the difference
+        diff = {
+            tuple(ideal): down_mask(s, mask_of(map(image, ideal))) ^ (ideal.mask & other)
+            for ideal in enumerate_ideals(s, side)
+        }
+        return first_failure(product(diff, range(n)), lambda i, x: not (diff[i] >> x) & 1)
 
-    holds2, detail2 = True, None
-    for rideal in enumerate_ideals(s, Side.RIGHT):
-        Re = down_mask(s, mask_of(table[x][e] for x in rideal))
-        want = rideal.mask & Se
-        if Re != want:
-            holds2 = False
-            detail2 = (tuple(rideal), next(bits(Re ^ want)))
-            break
-
-    eSf = down_mask(s, sandwich_mask(s, e, f))
-    want3 = Sf & eS
-    holds3 = eSf == want3
-    detail3 = None if holds3 else (next(bits(eSf ^ want3)),)
-
-    conditions = (
-        ConditionResult("(eL] = L n (eS] for every left ideal L", holds1, detail1),
-        ConditionResult("(Re] = R n (Se] for every right ideal R", holds2, detail2),
-        ConditionResult("(Sf] n (eS] = (eSf]", holds3, detail3),
-    )
+    sandwich = down_mask(s, sandwich_mask(s, e, f)) ^ (Sf & eS)
     return make_bundle(
         f"IDEAL-IDENTITIES(e={e},f={f})",
-        conditions,
+        (
+            _cond(
+                "(eL] = L n (eS] for every left ideal L",
+                identity(Side.LEFT, lambda x: table[e][x], eS),
+            ),
+            _cond(
+                "(Re] = R n (Se] for every right ideal R",
+                identity(Side.RIGHT, lambda x: table[x][e], Se),
+            ),
+            _cond(
+                "(Sf] n (eS] = (eSf]",
+                first_failure(((x,) for x in range(n)), lambda x: not (sandwich >> x) & 1),
+            ),
+        ),
         (ConditionGroup("claim", (0, 1, 2)),),
     )

@@ -32,14 +32,14 @@ from .core import (
 from .elements import forall_exists
 from .errors import NoJoin, NotMorphism, UnknownPredicate
 from .ideals import Side
-from .report import ConditionResult, make_bundle
+from .report import ConditionResult, _cond, make_bundle
 
 
 @dataclass(frozen=True)
 class SemigroupMorphism:
     """A product-respecting map; order-respecting when the source is ordered."""
 
-    source: FiniteSemigroup | OrderedSemigroup
+    source: FiniteSemigroup
     target: OrderedSemigroup
     mapping: tuple[int, ...]
 
@@ -213,8 +213,7 @@ def power_correspondence_check(f: FiniteSemigroup, property_name: str):
 
     p = power_ordered_semigroup(f)
     if property_name == "t_simple":
-        ok = _simple(p, Side.LEFT)[0] and _simple(p, Side.RIGHT)[0]
-        ordered = (ok, None if ok else ())
+        ordered = (_simple(p, Side.LEFT)[0] and _simple(p, Side.RIGHT)[0], None, {})
     elif property_name == "left_group_like":
         ordered = _regular_then(p, forall_exists, *LEFT_GROUP_LIKE)
     else:
@@ -224,8 +223,6 @@ def power_correspondence_check(f: FiniteSemigroup, property_name: str):
         f"POWER-{property_name}",
         (
             ConditionResult(label, unordered),
-            ConditionResult(
-                f"the power structure is {property_name}", ordered[0], ordered[1] or None
-            ),
+            _cond(f"the power structure is {property_name}", ordered),
         ),
     )

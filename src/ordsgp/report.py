@@ -29,6 +29,11 @@ class ConditionResult:
     detail: tuple | None = None
 
 
+def _cond(label, result) -> ConditionResult:
+    """A condition from a scan's (holds, least counterexample, witnesses)."""
+    return ConditionResult(label, result[0], result[1])
+
+
 @dataclass(frozen=True)
 class ConditionGroup:
     """How a slice of a bundle's conditions is judged.
