@@ -248,6 +248,15 @@ def test_enumerate_runs_table_search_once(monkeypatch, capsys):
     assert "semigroups: 113" in capsys.readouterr().out
 
 
+def test_serial_enumerate_starts_no_pool(monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a serial run started a process pool")
+
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", no_pool)
+    assert main(["enumerate", "--order", "2", "--workers", "1", "--sweep", "all"]) == 0
+    assert "all checks agree" in capsys.readouterr().out
+
+
 def test_enumerate_refuses_workers_with_resume(capsys):
     argv = ["enumerate", "--order", "2", "--workers", "2", "--resume", "o2:0000:0"]
     assert main(argv) == 2

@@ -33,6 +33,8 @@ from ordsgp.cli import _bundle_json, _classification_json, main
 from ordsgp.congruence import THEOREM_ORDER
 from ordsgp.errors import NotIdempotent, NotRegular
 
+from conftest import ORDERED_FIXTURES
+
 CLASSIFY_SHA = "41647785fbaaf6f82f58ae53317e03c545e60b95af24790ed8ccecc828f8be3e"
 THEOREMS_SHA = "59fc5d1f0151f3d1464b331d4abd9fe55013c90b72f2332b67a093ca1d8594d5"
 ELEMENTS_SHA = "667d6008c06b61466e53b995814aac5e3ed0ec2f9c69cfc02b48d3da752711b9"
@@ -70,6 +72,18 @@ ENUMERATE_LINES = {
         "sequence-hash: e8201566e1c7b07683ebd7e58ace77600846907dc8a7b79d252a5a88b1ed9d76",
         "sorted-hash: 46c5c8b5f96bb11b0d6228440cb5c2956ad87869d96217c7e23b4fa3c4e5542b",
         "resume-token: o4:3333333333333333:218",
+    ),
+}
+
+# SHA-256 of the output of `decompose FILE` and of `decompose --json FILE`
+DECOMPOSE_CLI_SHA = {
+    "SL2": (
+        "114f27d9bd0f2f5a413e59ed626e894bda8ad0d19fd31f4a599b8ee6628afdf8",
+        "ba16c7448463db7aaf5c8c5907af2d2f379e06a620d3db911bc3cbc29f174dd0",
+    ),
+    "LZ2": (
+        "03ae1929025eac6e1885196e220b00ccc08b6b3af634291a41c8d211efdacef8",
+        "10833dffd04bef285b4126ee19a53bee59ae7ae2cf0fe70721c2f40a40541ade",
     ),
 }
 
@@ -146,6 +160,17 @@ def test_decompose_golden():
                 )
 
     assert _digest(reprs()) == DECOMPOSE_SHA
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSE_CLI_SHA))
+def test_decompose_cli_golden(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.osg"
+    path.write_text(serialize_document(ORDERED_FIXTURES[name]()))
+    digests = []
+    for extra in ([], ["--json"]):
+        assert main(["decompose", str(path), *extra]) == 0
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert tuple(digests) == DECOMPOSE_CLI_SHA[name]
 
 
 def test_ideal_identities_golden():
