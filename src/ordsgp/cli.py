@@ -6,12 +6,13 @@ Exit codes: 0 = success / all checks agree, 1 = a disagreement was found
 (missing or not UTF-8) or invalid document, an unknown check id,
 ``enumerate --order`` below 1 or above the size guard, a malformed
 ``--resume`` token, a token whose order index is out of range or whose
-table is not associative, ``--workers`` below 1, ``--workers`` above 1
-together with ``--resume``, a ``--sweep`` list that names no check, and a
-malformed ``ORDSGP_LIMITS`` value.
+table is not associative, ``--workers`` below 1, a ``--sweep`` list that
+names no check, and a malformed ``ORDSGP_LIMITS`` value.
 
-``enumerate --workers N`` prints the same lines as a serial run, apart
-from the resume token, which only a serial run reports.
+``enumerate`` sweeps the stream positions from the start (or from the
+position after a ``--resume`` token) to the end, and prints the token of
+the last position it swept.  ``--workers N`` prints the same lines as a
+serial run, resume token included.
 """
 
 from __future__ import annotations
@@ -23,15 +24,14 @@ from pathlib import Path
 
 from .classification import BUNDLE_ORDER, classify, equivalence_bundle
 from .congruence import THEOREM_ORDER, decompose, least_csc, structure_theorem_check
-from .core import OrderedSemigroup
-from .enumeration import all_semigroup_tables, transcript_hash
+from .core import OrderedSemigroup, induced_substructure
+from .enumeration import all_semigroup_tables, resume_position, resume_token, transcript_hash
 from .errors import NotApplicable, OrdsgpError
 from .fileformat import parse_document, serialize_document
 from .ideals import green_relation
 from .power import power_ordered_semigroup
 from .report import BundleResult, ClassificationReport
-from .sweep import BUNDLE_IDS, THEOREM_IDS, parallel_sweep, sweep
-from . import enumeration
+from .sweep import CHECK_IDS, CHECKS, sweep_order
 
 
 def _read_structure(path: str, close_order: bool = False):
@@ -199,11 +199,8 @@ def cmd_decompose(args) -> int:
                     {"label": c.label, "holds": c.holds} for c in result.condition_verdicts
                 ],
                 "class_predicates": [
-                    {
-                        name: res.holds
-                        for name, res in report.verdicts.items()
-                    }
-                    for report in result.class_types
+                    {name: res.holds for name, res in classify(part).verdicts.items()}
+                    for part in (induced_substructure(structure, c) for c in result.rho.classes)
                 ],
             }
         )
@@ -247,52 +244,37 @@ def cmd_check(args) -> int:
     return 0 if result.agree else 1
 
 
-def _parse_sweep_ids(spec: str):
+def _parse_sweep_ids(spec: str) -> tuple[str, ...]:
+    """The checks a ``--sweep`` list names, each once, in registry order."""
     if spec == "all":
-        return BUNDLE_IDS, THEOREM_IDS
-    bundles, theorems = [], []
-    for name in spec.split(","):
-        name = name.strip()
-        if not name:
-            continue
-        if name in BUNDLE_IDS:
-            bundles.append(name)
-        elif name in THEOREM_IDS:
-            theorems.append(name)
-        else:
+        return CHECK_IDS
+    names = [name.strip() for name in spec.split(",") if name.strip()]
+    for name in names:
+        if name not in CHECKS:
             raise OrdsgpError(f"unknown check id: {name!r}")
-    if not bundles and not theorems:
+    if not names:
         raise OrdsgpError(f"--sweep names no check: {spec!r}")
-    return tuple(bundles), tuple(theorems)
+    return tuple(check_id for check_id in CHECK_IDS if check_id in names)
 
 
 def cmd_enumerate(args) -> int:
     n = args.order
     if args.workers < 1:
         raise OrdsgpError(f"--workers must be at least 1, got {args.workers}")
-    if args.workers > 1 and args.resume:
-        raise OrdsgpError("--workers above 1 cannot be combined with --resume")
-    if args.sweep is not None:
-        bundle_ids, theorem_ids = _parse_sweep_ids(args.sweep)
-    else:
-        bundle_ids, theorem_ids = (), ()
-    # built before any output: it rejects a bad order or resume token
-    stream = enumeration.enumerate_ordered_semigroups(n, resume=args.resume)
+    check_ids = _parse_sweep_ids(args.sweep) if args.sweep is not None else ()
+    # before any output: it rejects a bad order or resume token
+    start = resume_position(n, args.resume) if args.resume else 0
     print(f"semigroups: {len(all_semigroup_tables(n))}")
 
-    if args.workers > 1:
-        report = parallel_sweep(n, args.workers, bundle_ids, theorem_ids)
-    else:
-        report = sweep(stream, bundle_ids, theorem_ids)
+    report = sweep_order(n, args.workers, check_ids, start)
     print(f"ordered-semigroups: {report.total}")
     print(f"sequence-hash: {transcript_hash(report.transcripts)}")
     print(f"sorted-hash: {transcript_hash(report.transcripts, sort=True)}")
-    if stream.resume_token:
-        print(f"resume-token: {stream.resume_token}")
+    if report.total:
+        print(f"resume-token: {resume_token(n, start + report.total - 1)}")
 
     if args.sweep is not None:
-        checked = len(bundle_ids) + len(theorem_ids)
-        print(f"checks: {checked} per structure")
+        print(f"checks: {len(check_ids)} per structure")
         if report.disagreements:
             for item in report.disagreements:
                 disagreeing = BundleResult(item.check_id, item.conditions, (), False)

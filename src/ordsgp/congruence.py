@@ -35,7 +35,6 @@ from .elements import REGULAR, _then, first_failure, forall_exists
 from .errors import (
     InvariantViolation,
     NotCompleteSemilattice,
-    NotClosedClass,
     NotPartition,
     UnknownTheorem,
 )
@@ -168,17 +167,16 @@ class Decomposition:
     quotient_table: tuple[tuple[int, ...], ...]
     quotient_order: tuple[tuple[bool, ...], ...]
     condition_verdicts: tuple[ConditionResult, ...]
-    class_types: tuple
 
 
-def decompose(
-    s: OrderedSemigroup, rho: EquivalenceRelation, classify_classes: bool = True
-) -> Decomposition:
+def decompose(s: OrderedSemigroup, rho: EquivalenceRelation) -> Decomposition:
     """Split S along a complete semilattice congruence.
 
-    Builds the quotient semilattice Y with its order, verifies the four
-    decomposition conditions verbatim, and (optionally) classifies each
-    class as an induced substructure.
+    Builds the quotient semilattice Y with its order and verifies the four
+    decomposition conditions verbatim.  The quotient product of two classes
+    is the class of the product of their least elements: rho is a
+    congruence, so every product of the two classes lies in that class,
+    which the third condition checks.
     """
     props = relation_properties(s, rho)
     for flag in (
@@ -194,20 +192,8 @@ def decompose(
     k = rho.num_classes()
     table = s.table
 
-    qtable = [[-1] * k for _ in range(k)]
-    for alpha in range(k):
-        for beta in range(k):
-            target = -1
-            for x in rho.classes[alpha]:
-                row = table[x]
-                for y in rho.classes[beta]:
-                    cid = ids[row[y]]
-                    if target < 0:
-                        target = cid
-                    elif cid != target:
-                        raise NotClosedClass(alpha, beta)
-            qtable[alpha][beta] = target
-    qtable = tuple(tuple(row) for row in qtable)
+    reps = [next(iter(c)) for c in rho.classes]
+    qtable = tuple(tuple(ids[table[x][y]] for y in reps) for x in reps)
 
     qorder = tuple(
         tuple(qtable[alpha][beta] == alpha for beta in range(k)) for alpha in range(k)
@@ -254,17 +240,7 @@ def decompose(
         ),
     )
 
-    if classify_classes:
-        from .classification import classify
-        from .core import induced_substructure
-
-        class_types = tuple(
-            classify(induced_substructure(s, cls_set)) for cls_set in rho.classes
-        )
-    else:
-        class_types = tuple(None for _ in range(k))
-
-    return Decomposition(rho, k, qtable, qorder, conditions, class_types)
+    return Decomposition(rho, k, qtable, qorder, conditions)
 
 
 # ---------------------------------------------------------------------------

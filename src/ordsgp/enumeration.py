@@ -7,8 +7,7 @@ associativity triple as soon as its four products are known, so no leaf
 needs a second check); partial orders are generated in ascending order of
 their pair-set bitmask; an ordered-semigroup stream pairs each table with
 its compatible orders in that fixed order.  Two runs therefore yield
-identical sequences, and a resume token (the last yielded position)
-restarts a stream exactly after that position.
+identical sequences.
 
 A table's compatible orders come from one mask per strict pair (a, b): the
 pairs (ca, cb) and (ac, bc) that a compatible order holding a <= b must
@@ -18,9 +17,13 @@ poset positions, and cached per table as positions in ``all_posets(n)``.
 The table search runs once per process: ``all_semigroup_tables`` caches
 its result, and every stream reads that list.  The ordered-semigroup
 stream is addressed by position: table t's orders sit at positions
-offsets[t] .. offsets[t+1]-1 (``ordered_offsets``).  A resume token and a
-worker's chunk both become a range of positions, so the first item of any
-stream arrives only after the full search has finished.
+offsets[t] .. offsets[t+1]-1 (``ordered_offsets``), and
+``enumerate_ordered_semigroups(n, positions=(lo, hi))`` yields lo .. hi-1.
+A resume token ``o{n}:<table>:<k>`` names the position of order k of that
+table: ``resume_token`` builds it from a position and ``resume_position``
+turns it back into the position after it, where a resumed run starts.
+The first item of any stream arrives only after the full search has
+finished.
 
 Enumeration is labeled, not isomorphism-reduced: theorem sweeps need
 logical coverage.  ``canonical_form`` provides an optional dedup key
@@ -48,22 +51,6 @@ from .core import (
 from .errors import BadEnumeration, NotAssociative
 
 DEFAULT_SAMPLE_SEED = 20260810
-
-
-class EnumerationStream:
-    """Iterator with a deterministic resume token: the last yielded position."""
-
-    def __init__(self, gen: Iterator):
-        self._gen = gen
-        self.resume_token: str | None = None
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        item, token = next(self._gen)
-        self.resume_token = token
-        return item
 
 
 def _tables_dfs(n: int) -> Iterator[tuple[int, ...]]:
@@ -154,40 +141,9 @@ def all_semigroup_tables(n: int) -> tuple:
     return _TABLE_LISTS[n]
 
 
-def _semigroup_token(n: int, flat: tuple[int, ...]) -> str:
-    return f"s{n}:" + "".join(str(v) for v in flat)
-
-
-def _parse_token(n: int, token: str, kind: str) -> tuple[tuple[int, ...], int]:
-    """The associative table and the order index of a resume token.
-
-    ``kind`` is "o" for ordered-semigroup tokens; "s" tokens (semigroups)
-    carry no order index and report 0.
-    """
-    suffix = ":([0-9]+)" if kind == "o" else ""
-    match = re.fullmatch(rf"{kind}{n}:([0-{n - 1}]{{{n * n}}}){suffix}", token)
-    if match is None:
-        raise BadEnumeration(f"bad resume token for order {n}: {token!r}")
-    flat = tuple(int(d) for d in match[1])
-    try:
-        _check_associative(n, _flat_to_rows(n, flat))
-    except NotAssociative as exc:
-        raise BadEnumeration(f"bad resume token {token!r}: {exc}") from None
-    return flat, int(match[2]) if kind == "o" else 0
-
-
-def enumerate_semigroups(n: int, resume: str | None = None) -> EnumerationStream:
+def enumerate_semigroups(n: int) -> Iterator[FiniteSemigroup]:
     """Stream of all FiniteSemigroups on n labeled elements."""
-    _check_order(n)
-    resume_flat = _parse_token(n, resume, "s")[0] if resume else None
-
-    def gen():
-        tables = all_semigroup_tables(n)
-        start = bisect_right(tables, resume_flat) if resume else 0
-        for flat in tables[start:]:
-            yield validate_semigroup(n, _flat_to_rows(n, flat)), _semigroup_token(n, flat)
-
-    return EnumerationStream(gen())
+    return (validate_semigroup(n, _flat_to_rows(n, flat)) for flat in all_semigroup_tables(n))
 
 
 def _strict_pairs(n: int) -> list[tuple[int, int]]:
@@ -296,23 +252,47 @@ def _leq_pairs(leq) -> list[tuple[int, int]]:
     return [(a, b) for a in range(n) for b in range(n) if a != b and leq[a][b]]
 
 
-def enumerate_ordered_semigroups(
-    n: int,
-    resume: str | None = None,
-    positions: tuple[int, int] | None = None,
-) -> EnumerationStream:
-    """Stream of all OrderedSemigroups on n labeled elements.
+def resume_token(n: int, position: int) -> str:
+    """The token ``o{n}:<table>:<k>`` of a stream position: order k of that
+    table's compatible orders."""
+    offsets = ordered_offsets(n)
+    if not 0 <= position < offsets[-1]:
+        raise BadEnumeration(f"position {position} outside 0..{offsets[-1] - 1}")
+    t = bisect_right(offsets, position) - 1
+    flat = all_semigroup_tables(n)[t]
+    return f"o{n}:" + "".join(str(v) for v in flat) + f":{position - offsets[t]}"
 
-    ``positions=(lo, hi)`` yields stream positions lo .. hi-1 only; a
-    resume token starts the stream after its own position.  Each table is
-    validated once and the order axioms once per yielded structure, so
-    every structure passes full validation.
+
+def resume_position(n: int, token: str) -> int:
+    """The stream position after the one a resume token names.
+
+    A malformed token, a table that is not associative and an order index
+    past the table's compatible orders raise ``BadEnumeration``.
     """
     _check_order(n)
-    if resume:
-        resume_flat, resume_k = _parse_token(n, resume, "o")
-        if resume_k >= len(_compatible_orders_flat(n, resume_flat)):
-            raise BadEnumeration(f"bad resume token {resume!r}: no compatible order {resume_k}")
+    match = re.fullmatch(rf"o{n}:([0-{n - 1}]{{{n * n}}}):([0-9]+)", token)
+    if match is None:
+        raise BadEnumeration(f"bad resume token for order {n}: {token!r}")
+    flat, k = tuple(int(d) for d in match[1]), int(match[2])
+    try:
+        _check_associative(n, _flat_to_rows(n, flat))
+    except NotAssociative as exc:
+        raise BadEnumeration(f"bad resume token {token!r}: {exc}") from None
+    if k >= len(_compatible_orders_flat(n, flat)):
+        raise BadEnumeration(f"bad resume token {token!r}: no compatible order {k}")
+    return ordered_offsets(n)[bisect_left(all_semigroup_tables(n), flat)] + k + 1
+
+
+def enumerate_ordered_semigroups(
+    n: int, positions: tuple[int, int] | None = None
+) -> Iterator[OrderedSemigroup]:
+    """Stream of all OrderedSemigroups on n labeled elements.
+
+    ``positions=(lo, hi)`` yields stream positions lo .. hi-1 only.  Each
+    table is validated once and the order axioms once per yielded
+    structure, so every structure passes full validation.
+    """
+    _check_order(n)
 
     def gen():
         tables = all_semigroup_tables(n)
@@ -320,19 +300,16 @@ def enumerate_ordered_semigroups(
         lo, hi = positions or (0, offsets[-1])
         if not 0 <= lo <= hi <= offsets[-1]:
             raise BadEnumeration(f"positions {lo}..{hi} outside 0..{offsets[-1]}")
-        if resume:
-            lo = max(lo, offsets[bisect_left(tables, resume_flat)] + resume_k + 1)
         order_pairs = [_leq_pairs(leq) for leq in all_posets(n)]
         # the tables holding some position in lo .. hi-1
         for t in range(bisect_right(offsets, lo) - 1, bisect_left(offsets, hi)):
             flat = tables[t]
             f = validate_semigroup(n, _flat_to_rows(n, flat))
-            token_prefix = f"o{n}:" + "".join(str(v) for v in flat) + ":"
             orders = _compatible_orders_flat(n, flat)
             for k in range(max(lo - offsets[t], 0), min(hi - offsets[t], len(orders))):
-                yield _order_on(f, order_pairs[orders[k]]), token_prefix + str(k)
+                yield _order_on(f, order_pairs[orders[k]])
 
-    return EnumerationStream(gen())
+    return gen()
 
 
 def sample_ordered_semigroups(

@@ -121,14 +121,6 @@ class NotCompleteSemilattice(OrdsgpError):
         super().__init__(f"relation fails the '{flag}' congruence requirement{extra}")
 
 
-class NotClosedClass(OrdsgpError):
-    def __init__(self, alpha: int, beta: int):
-        self.pair = (alpha, beta)
-        super().__init__(
-            f"products of classes {alpha} and {beta} do not land in a single class"
-        )
-
-
 class NoJoin(OrdsgpError):
     def __init__(self, a: int, b: int):
         self.pair = (a, b)

@@ -1,15 +1,18 @@
 """Sweep machinery: run every registered check over enumerated structures.
 
-A sweep evaluates each equivalence bundle (skipping those whose premise a
-structure does not meet) and each structure theorem; any ``agree = False``
-result is collected as a Disagreement carrying the serialized structure
-and every condition with its counterexample detail, so a counterexample is
-reproducible from the report alone.
+``CHECKS`` maps each check id to its evaluator: the equivalence bundles
+first, then the structure theorems.  A sweep evaluates the checks it is
+given in that order, skipping a bundle whose premise a structure does not
+meet; any ``agree = False`` result is collected as a Disagreement carrying
+the serialized structure and every condition with its counterexample
+detail, so a counterexample is reproducible from the report alone.
 
-Multi-worker sweeps split the positions of the ordered-semigroup stream
-into contiguous ranges of equal size, one per worker; at most one worker
-runs per CPU.  The workers' results are merged in range order, so the
-merged transcripts are the serial sequence.
+``sweep_order`` sweeps the ordered-semigroup stream of one order from a
+start position to its end.  It splits that range into contiguous ranges
+of equal size, one per worker and at most one per CPU.  A single range
+runs in the calling process; several run in a process pool, and their
+results are merged in range order, so the merged transcripts are the
+serial sequence.
 """
 
 from __future__ import annotations
@@ -26,8 +29,11 @@ from .errors import NotApplicable
 from .fileformat import serialize_document
 from .report import ConditionResult
 
-BUNDLE_IDS = BUNDLE_ORDER
-THEOREM_IDS = THEOREM_ORDER
+CHECKS = {
+    **{b: (lambda s, b=b: equivalence_bundle(s, b)) for b in BUNDLE_ORDER},
+    **{t: (lambda s, t=t: structure_theorem_check(s, t)) for t in THEOREM_ORDER},
+}
+CHECK_IDS = tuple(CHECKS)
 
 
 @dataclass(frozen=True)
@@ -37,27 +43,18 @@ class Disagreement:
     conditions: tuple[ConditionResult, ...]
 
 
-def check_structure(
-    s: OrderedSemigroup,
-    bundle_ids=BUNDLE_IDS,
-    theorem_ids=THEOREM_IDS,
-) -> list[Disagreement]:
-    """Every registered check on one structure; empty list means all agree."""
+def check_structure(s: OrderedSemigroup, check_ids=CHECK_IDS) -> list[Disagreement]:
+    """The given checks on one structure; empty list means all agree."""
     found = []
     doc = None
-    for bundle_id in bundle_ids:
+    for check_id in check_ids:
         try:
-            result = equivalence_bundle(s, bundle_id)
+            result = CHECKS[check_id](s)
         except NotApplicable:
             continue
         if not result.agree:
             doc = doc or serialize_document(s)
-            found.append(Disagreement(bundle_id, doc, result.conditions))
-    for theorem_id in theorem_ids:
-        result = structure_theorem_check(s, theorem_id)
-        if not result.agree:
-            doc = doc or serialize_document(s)
-            found.append(Disagreement(theorem_id, doc, result.conditions))
+            found.append(Disagreement(check_id, doc, result.conditions))
     return found
 
 
@@ -68,58 +65,57 @@ class SweepReport:
     transcripts: list[str]
 
 
-def sweep(
-    structures,
-    bundle_ids=BUNDLE_IDS,
-    theorem_ids=THEOREM_IDS,
-) -> SweepReport:
+def sweep(structures, check_ids=CHECK_IDS) -> SweepReport:
     total = 0
     disagreements: list[Disagreement] = []
     transcripts: list[str] = []
     for s in structures:
         total += 1
         transcripts.append(serialize_document(s))
-        disagreements.extend(check_structure(s, bundle_ids, theorem_ids))
+        disagreements.extend(check_structure(s, check_ids))
     return SweepReport(total, disagreements, transcripts)
 
 
-def split_positions(n: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous position ranges covering the order-n stream, whose sizes
-    differ by at most 1.
+def split_positions(n: int, workers: int, start: int = 0) -> list[tuple[int, int]]:
+    """Contiguous position ranges covering start .. the end of the order-n
+    stream, whose sizes differ by at most 1.
 
     With more workers than structures, equal bounds are merged, so there
     are fewer ranges than ``workers`` but none is empty.
     """
     total = ordered_offsets(n)[-1]
-    bounds = sorted({w * total // workers for w in range(workers + 1)})
+    bounds = sorted({start + w * (total - start) // workers for w in range(workers + 1)})
     return list(zip(bounds, bounds[1:]))
 
 
 def _sweep_chunk(args) -> SweepReport:
-    n, chunk, bundle_ids, theorem_ids = args
-    return sweep(enumerate_ordered_semigroups(n, positions=chunk), bundle_ids, theorem_ids)
+    n, chunk, check_ids = args
+    return sweep(enumerate_ordered_semigroups(n, positions=chunk), check_ids)
 
 
-def parallel_sweep(
-    n: int,
-    workers: int,
-    bundle_ids=BUNDLE_IDS,
-    theorem_ids=THEOREM_IDS,
-) -> SweepReport:
-    """Sweep the full order-n enumeration across worker processes.
+def _merge(reports) -> SweepReport:
+    """The reports concatenated in order, extending the first in place."""
+    merged = next(reports, SweepReport(0, [], []))
+    for report in reports:
+        merged.total += report.total
+        merged.disagreements.extend(report.disagreements)
+        merged.transcripts.extend(report.transcripts)
+    return merged
 
-    At most ``os.cpu_count()`` processes start.  The chunks are contiguous
-    position ranges and ``pool.map`` returns them in order, so the merged
-    report lists structures and disagreements in the serial order.
+
+def sweep_order(n: int, workers: int = 1, check_ids=CHECK_IDS, start: int = 0) -> SweepReport:
+    """Sweep the order-n stream from position ``start`` to its end.
+
+    At most ``os.cpu_count()`` ranges.  One range runs here, with no pool
+    and no fork; more run in a process pool, and ``pool.map`` returns them
+    in order, so the merged report lists structures and disagreements in
+    the serial order.
     """
     # the split builds the table list and every table's compatible orders
-    # before the pool starts, so forked workers inherit both caches
-    chunks = split_positions(n, min(workers, os.cpu_count() or 1))
-    args = [(n, chunk, tuple(bundle_ids), tuple(theorem_ids)) for chunk in chunks]
-    merged = SweepReport(0, [], [])
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        for report in pool.map(_sweep_chunk, args):
-            merged.total += report.total
-            merged.disagreements.extend(report.disagreements)
-            merged.transcripts.extend(report.transcripts)
-    return merged
+    # before any pool starts, so forked workers inherit both caches
+    chunks = split_positions(n, min(workers, os.cpu_count() or 1), start)
+    args = [(n, chunk, check_ids) for chunk in chunks]
+    if len(args) < 2:
+        return _merge(map(_sweep_chunk, args))
+    with ProcessPoolExecutor(max_workers=len(args)) as pool:
+        return _merge(pool.map(_sweep_chunk, args))

@@ -13,6 +13,8 @@ import time
 import pytest
 
 from ordsgp import (
+    BUNDLE_ORDER,
+    THEOREM_ORDER,
     Side,
     classify,
     complete_semilattice_congruences,
@@ -20,7 +22,6 @@ from ordsgp import (
     enumerate_ideals,
     enumerate_ordered_semigroups,
     enumerate_semigroups,
-    equivalence_bundle,
     idempotent_ideal_identities,
     least_csc,
     n_relation,
@@ -31,7 +32,6 @@ from ordsgp import (
     relation_properties,
     semigroup_morphism,
     serialize_document,
-    structure_theorem_check,
     transcript_hash,
     universal_extension,
 )
@@ -40,7 +40,7 @@ from ordsgp.core import bits, down_closure, set_product
 from ordsgp.elements import forall_exists, idempotent_mask, is_regular_structure
 from ordsgp.enumeration import sample_ordered_semigroups
 from ordsgp.errors import NotApplicable
-from ordsgp.sweep import BUNDLE_IDS, THEOREM_IDS, check_structure
+from ordsgp.sweep import CHECK_IDS, CHECKS, check_structure
 
 from conftest import JOIN_CLOSED, ORDERED_FIXTURES, all_ordered_fixtures
 
@@ -75,15 +75,13 @@ class Tally:
 
     def feed(self, s):
         self.total += 1
-        for item in check_structure(s, BUNDLE_IDS, ()):
-            self.bundle_disagreements.append(item)
-        for item in check_structure(s, (), THEOREM_IDS):
-            self.theorem_disagreements.append(item)
+        self.bundle_disagreements.extend(check_structure(s, BUNDLE_ORDER))
+        self.theorem_disagreements.extend(check_structure(s, THEOREM_ORDER))
 
         least = least_csc(s)
         if forall_exists(s, *COMPLETELY_REGULAR)[0]:
             self.cr_structures += 1
-            result = decompose(s, least, classify_classes=False)
+            result = decompose(s, least)
             for cond in result.condition_verdicts:
                 if not cond.holds:
                     self.type_tau_failures.append((serialize_document(s), cond.label))
@@ -148,7 +146,7 @@ def test_criterion_1_bundle_sweep(small_tally, n4_tally):
     _report(
         1,
         not bad,
-        f"all {len(BUNDLE_IDS)} bundles agree on {small_tally.total} enumerated "
+        f"all {len(BUNDLE_ORDER)} bundles agree on {small_tally.total} enumerated "
         f"(n<=3) and {n4_tally.total} sampled (n=4) structures "
         f"[{small_tally.elapsed:.1f}s + {n4_tally.elapsed:.1f}s]",
     )
@@ -164,7 +162,7 @@ def test_criterion_2_structure_theorems(small_tally, n4_tally):
     _report(
         2,
         not bad and not tau_bad,
-        f"all {len(THEOREM_IDS)} structure theorems agree; the four "
+        f"all {len(THEOREM_ORDER)} structure theorems agree; the four "
         f"decomposition conditions hold on all {cr} completely regular "
         "structures",
     )
@@ -371,17 +369,15 @@ def test_criterion_7_regression_counts():
 def test_no_vacuous_condition():
     """Every condition of every bundle and theorem takes both truth values
     on the structures of order <= 3 where its check applies."""
-    seen = {check_id: set() for check_id in BUNDLE_IDS + THEOREM_IDS}
+    seen = {check_id: set() for check_id in CHECK_IDS}
     for s in small_structures():
-        results = [structure_theorem_check(s, t) for t in THEOREM_IDS]
-        for bundle_id in BUNDLE_IDS:
+        for check_id, check in CHECKS.items():
             try:
-                results.append(equivalence_bundle(s, bundle_id))
+                result = check(s)
             except NotApplicable:
-                pass
-        for result in results:
+                continue
             if result.applicable:
-                seen[result.bundle_id].add(tuple(c.holds for c in result.conditions))
+                seen[check_id].add(tuple(c.holds for c in result.conditions))
     for check_id, patterns in seen.items():
         assert patterns, f"{check_id} never applies"
         for i, values in enumerate(zip(*patterns)):

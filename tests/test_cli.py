@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ordsgp import enumeration, parse_document, serialize_document
+from ordsgp import enumeration, parse_document, resume_token, serialize_document
 from ordsgp import sweep as sweep_module
 from ordsgp.cli import main
 from ordsgp.report import ConditionResult, make_bundle
@@ -174,6 +174,20 @@ def test_enumerate_sweep_subset(capsys):
     assert "checks: 2 per structure" in out
 
 
+def test_enumerate_sweep_repeated_id(monkeypatch, capsys):
+    calls = []
+    bundle = sweep_module.equivalence_bundle
+
+    def counting_bundle(s, bundle_id):
+        calls.append(bundle_id)
+        return bundle(s, bundle_id)
+
+    monkeypatch.setattr(sweep_module, "equivalence_bundle", counting_bundle)
+    assert main(["enumerate", "--order", "2", "--sweep", "CR-EQ5,CR-EQ5,CR-EQ5"]) == 0
+    assert "checks: 1 per structure" in capsys.readouterr().out
+    assert calls == ["CR-EQ5"] * 20
+
+
 def test_enumerate_workers_match_sorted_hash(capsys):
     assert main(["enumerate", "--order", "2"]) == 0
     single = capsys.readouterr().out
@@ -185,6 +199,7 @@ def test_enumerate_workers_match_sorted_hash(capsys):
 
     for key in ("semigroups", "ordered-semigroups", "sequence-hash", "sorted-hash"):
         assert grab(single, key + ":") == grab(double, key + ":")
+    assert single == double
 
 
 def test_enumerate_resume(capsys):
@@ -197,6 +212,11 @@ def test_enumerate_resume(capsys):
     assert main(["enumerate", "--order", "2", "--resume", token]) == 0
     out = capsys.readouterr().out
     assert "ordered-semigroups: 0" in out
+    # a resumed run reports the token of the stream's last position
+    assert main(["enumerate", "--order", "2", "--resume", "o2:0001:2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "ordered-semigroups: 14"
+    assert out[-1] == f"resume-token: {token}"
 
 
 def test_enumerate_unknown_check_id(capsys):
@@ -257,11 +277,16 @@ def test_serial_enumerate_starts_no_pool(monkeypatch, capsys):
     assert "all checks agree" in capsys.readouterr().out
 
 
-def test_enumerate_refuses_workers_with_resume(capsys):
-    argv = ["enumerate", "--order", "2", "--workers", "2", "--resume", "o2:0000:0"]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "--workers" in err and "--resume" in err
+def test_enumerate_resume_with_workers(capsys):
+    # every token at order 2, the last one included
+    for p in range(20):
+        argv = ["enumerate", "--order", "2", "--resume", resume_token(2, p)]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
+    assert "ordered-semigroups: 0\n" in serial
+    assert "resume-token:" not in serial
 
 
 def test_enumerate_prints_disagreement_detail(monkeypatch, capsys):
@@ -269,7 +294,7 @@ def test_enumerate_prints_disagreement_detail(monkeypatch, capsys):
         "CR-EQ5",
         (ConditionResult("first side", True), ConditionResult("second side", False, (0, 0))),
     )
-    monkeypatch.setattr(sweep_module, "equivalence_bundle", lambda s, bundle_id: fake)
+    monkeypatch.setitem(sweep_module.CHECKS, "CR-EQ5", lambda s: fake)
     assert main(["enumerate", "--order", "1", "--sweep", "CR-EQ5"]) == 1
     out = capsys.readouterr().out
     assert "CR-EQ5: DISAGREE" in out

@@ -4,15 +4,20 @@ import pytest
 
 from ordsgp import (
     EquivalenceRelation,
+    RelationProperties,
     THEOREM_ORDER,
+    classify,
     complete_semilattice_congruences,
     decompose,
+    induced_substructure,
     enumerate_partitions,
     least_csc,
     n_relation,
     relation_properties,
     structure_theorem_check,
+    validate_structure,
 )
+from ordsgp import congruence
 from ordsgp.errors import (
     NotCompleteSemilattice,
     NotPartition,
@@ -92,15 +97,16 @@ def test_decompose_sl2():
     assert all(c.holds for c in result.condition_verdicts)
     # class of 0 sits below class of 1 in the quotient
     assert result.quotient_order[0][1] and not result.quotient_order[1][0]
-    for report in result.class_types:
-        assert report.verdicts["group_like"].holds
+    for c in result.rho.classes:
+        assert classify(induced_substructure(sl2, c)).verdicts["group_like"].holds
 
 
 def test_decompose_lz2():
     lz2 = make_lz2()
     result = decompose(lz2, least_csc(lz2))
     assert result.quotient_size == 1
-    assert result.class_types[0].verdicts["completely_simple"].holds
+    (c,) = result.rho.classes
+    assert classify(induced_substructure(lz2, c)).verdicts["completely_simple"].holds
     assert all(c.holds for c in result.condition_verdicts)
 
 
@@ -115,10 +121,24 @@ def test_decompose_rejects_non_csc():
         decompose(lz2, identity_rel(lz2))
 
 
-def test_decompose_skips_class_reports_when_asked():
-    sl2 = make_sl2()
-    result = decompose(sl2, least_csc(sl2), classify_classes=False)
-    assert result.class_types == (None, None)
+def test_decompose_checks_class_products(monkeypatch):
+    # {0} and {1, 2} is not a congruence (1*1 = 1 but 1*2 = 0), so S_b * S_b
+    # leaves S_b; with the congruence flags forced true, the third
+    # condition must report the least failing tuple
+    s = validate_structure(3, [[0, 0, 0], [0, 1, 0], [0, 0, 0]])
+    rho = EquivalenceRelation.from_class_ids(s, (0, 1, 1))
+    assert not relation_properties(s, rho).congruence
+    monkeypatch.setattr(
+        congruence,
+        "relation_properties",
+        lambda s, rho: RelationProperties(True, True, True, True, True, {}),
+    )
+    result = decompose(s, rho)
+    assert result.quotient_table == ((0, 0), (0, 1))
+    products = result.condition_verdicts[2]
+    assert products.label == "S_a * S_b inside S_{ab}"
+    assert not products.holds and products.detail == (1, 1, 1, 2)
+    assert all(c.holds for i, c in enumerate(result.condition_verdicts) if i != 2)
 
 
 def test_structure_theorem_examples():
@@ -155,7 +175,7 @@ def test_quotient_is_a_semilattice():
     for name, s in all_ordered_fixtures():
         if s.size > 5:
             continue
-        result = decompose(s, least_csc(s), classify_classes=False)
+        result = decompose(s, least_csc(s))
         table = result.quotient_table
         k = result.quotient_size
         for a in range(k):

@@ -20,10 +20,12 @@ from ordsgp.enumeration import (
     all_posets,
     all_semigroup_tables,
     ordered_offsets,
+    resume_position,
+    resume_token,
     sample_ordered_semigroups,
 )
 from ordsgp.errors import NotAssociative, NotCompatible, SizeLimit
-from ordsgp.sweep import parallel_sweep, split_positions, sweep
+from ordsgp.sweep import split_positions, sweep, sweep_order
 
 from conftest import make_lz2_sg, make_t1
 
@@ -133,45 +135,40 @@ def test_stream_determinism():
     assert transcript_hash(docs1) == transcript_hash(docs2)
 
 
-def _resume_splits(enumerate_fn, n, cuts):
-    """(head, tail, full) for a stream cut after each count in ``cuts``."""
-    full = list(enumerate_fn(n))
-    for cut in cuts:
-        stream = enumerate_fn(n)
-        head = [next(stream) for _ in range(cut)]
-        yield head, list(enumerate_fn(n, resume=stream.resume_token)), full
-
-
-def test_resume_semigroups():
-    for head, tail, full in _resume_splits(enumerate_semigroups, 3, [40]):
-        assert len(head) + len(tail) == 113
-        assert head + tail == full
-    # every position at order 2, the last one included
-    for head, tail, full in _resume_splits(enumerate_semigroups, 2, range(1, 9)):
-        assert head + tail == full
+# SHA-256 of the tokens of every 997th order-4 position, one per line
+TOKENS_4_SHA = "5b71c2cf260134e3787e9f89c89ca65bc755821616f52542787e4f46cb00d587"
 
 
 def test_resume_ordered():
-    for head, tail, full in _resume_splits(enumerate_ordered_semigroups, 3, [137]):
-        assert head + tail == full
-    # every position at order 2: each resumes inside or at the end of a table
-    for head, tail, full in _resume_splits(enumerate_ordered_semigroups, 2, range(1, 21)):
-        assert head + tail == full
+    # every position at order <= 3: the token resumes at the next position
+    for n in (1, 2, 3):
+        total = ordered_offsets(n)[-1]
+        for p in range(total):
+            assert resume_position(n, resume_token(n, p)) == p + 1
+    # the tail after a resumed token is the tail of the full stream
+    full = list(enumerate_ordered_semigroups(3))
+    start = resume_position(3, resume_token(3, 136))
+    assert list(enumerate_ordered_semigroups(3, positions=(start, 971))) == full[137:]
+    assert resume_token(3, 970) == "o3:222222222:18"
+    positions = range(0, ordered_offsets(4)[-1], 997)
+    tokens = [resume_token(4, p) for p in positions]
+    assert [resume_position(4, token) for token in tokens] == [p + 1 for p in positions]
+    assert hashlib.sha256("\n".join(tokens).encode()).hexdigest() == TOKENS_4_SHA
 
 
 def test_resume_token_rejects_garbage():
-    with pytest.raises(ValueError):
-        list(enumerate_semigroups(2, resume="bogus"))
-    with pytest.raises(ValueError):
-        list(enumerate_ordered_semigroups(2, resume="o2:xx:0"))
-    # an order index past the table's compatible orders
-    with pytest.raises(ValueError):
-        list(enumerate_ordered_semigroups(2, resume="o2:0000:99"))
-    # tables that are not associative
-    with pytest.raises(ValueError):
-        list(enumerate_ordered_semigroups(2, resume="o2:1000:0"))
-    with pytest.raises(ValueError):
-        list(enumerate_semigroups(2, resume="s2:1000"))
+    for token in [
+        "bogus",
+        "o2:xx:0",
+        # an order index past the table's compatible orders
+        "o2:0000:99",
+        # tables that are not associative
+        "o2:1000:0",
+        # semigroup streams take no token
+        "s2:1000",
+    ]:
+        with pytest.raises(ValueError):
+            resume_position(2, token)
 
 
 def _streams(n):
@@ -218,12 +215,10 @@ def test_stream_checks_each_table_once(monkeypatch):
 
 
 def test_positions_slice_the_stream():
-    stream = enumerate_ordered_semigroups(2)
-    full, tokens = zip(*((s, stream.resume_token) for s in stream))
+    full = list(enumerate_ordered_semigroups(2))
     # each table's first order (token suffix ":0") starts at its offset
-    starts = [p for p, token in enumerate(tokens) if token.endswith(":0")]
+    starts = [p for p in range(20) if resume_token(2, p).endswith(":0")]
     assert ordered_offsets(2) == starts + [20] == [0, 3, 6, 9, 12, 13, 16, 17, 20]
-    full = list(full)
     for lo in range(21):
         for hi in range(lo, 21):
             assert list(enumerate_ordered_semigroups(2, positions=(lo, hi))) == full[lo:hi]
@@ -251,6 +246,13 @@ def test_position_split_balances_work():
         sizes = [hi - lo for lo, hi in chunks]
         assert sum(sizes) == 107688
         assert max(sizes) - min(sizes) <= 1, sizes
+        # a resumed sweep splits only the positions after the token
+        chunks = split_positions(4, workers, start=50_001)
+        assert chunks[0][0] == 50_001 and chunks[-1][1] == 107688
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        sizes = [hi - lo for lo, hi in chunks]
+        assert len(sizes) == workers and max(sizes) - min(sizes) <= 1, sizes
+    assert split_positions(2, 3, start=20) == []
     # more workers than structures: one range per structure, none empty
     chunks = split_positions(2, 100)
     assert chunks == [(p, p + 1) for p in range(20)]
@@ -276,9 +278,9 @@ def test_parallel_sweep_caps_processes_at_cpu_count(monkeypatch):
 
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", SerialPool)
-    report = parallel_sweep(3, 1000, bundle_ids=(), theorem_ids=())
+    report = sweep_order(3, 1000, check_ids=())
     assert started == [2]
-    serial = sweep(enumerate_ordered_semigroups(3), bundle_ids=(), theorem_ids=())
+    serial = sweep(enumerate_ordered_semigroups(3), check_ids=())
     assert report.total == serial.total == 971
     assert report.transcripts == serial.transcripts
 
