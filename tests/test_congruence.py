@@ -141,6 +141,36 @@ def test_decompose_checks_class_products(monkeypatch):
     assert all(c.holds for i, c in enumerate(result.condition_verdicts) if i != 2)
 
 
+@pytest.mark.parametrize(
+    "size, table, pairs, ids, verdicts, details",
+    [
+        # product-closed classes {0} and {1, 2}: every product in {1, 2} is
+        # 1, so 2 <= x*1 has no x there and no h gives 2 <= 2h2
+        (
+            3,
+            [[0, 0, 0], [0, 1, 1], [0, 1, 1]],
+            [(1, 0), (2, 0)],
+            (0, 1, 1),
+            [True, True, False, False],
+            [None, None, (1, 2), (2,)],
+        ),
+        # one class {0, 1} of a discrete semilattice: 1 <= x*0 has no x,
+        # but h = 0 serves 0 and h = 1 serves 1
+        (2, [[0, 0], [0, 1]], [], (0, 0), [True, True, False, True], [None, None, (0, 1), None]),
+    ],
+)
+def test_cr_hclass_gl_checks_shared_h(monkeypatch, size, table, pairs, ids, verdicts, details):
+    # with H forced to a partition of product-closed classes, the last two
+    # conditions are decided by the classes alone
+    s = validate_structure(size, table, pairs)
+    h = EquivalenceRelation.from_class_ids(s, ids)
+    monkeypatch.setattr(congruence, "green_relation", lambda s, kind: h)
+    result = structure_theorem_check(s, "CR-HCLASS-GL")
+    assert [c.holds for c in result.conditions] == verdicts
+    assert [c.detail for c in result.conditions] == details
+    assert not result.agree
+
+
 def test_structure_theorem_examples():
     lz2 = make_lz2()
     result = structure_theorem_check(lz2, "CR-LEASTCSC")

@@ -224,3 +224,76 @@ def test_dual_structure_reverses_products():
     # the dual of a left-zero band is the right-zero band
     assert d.table == ((0, 1), (0, 1))
     assert dual_structure(d) == lz2
+
+
+def _structures_up_to_3():
+    from ordsgp import enumerate_ordered_semigroups
+
+    for n in (1, 2, 3):
+        yield from enumerate_ordered_semigroups(n)
+
+
+def _as_mask(members):
+    return sum(1 << m for m in set(members))
+
+
+def test_setwise_products_against_set_oracles():
+    """Every product-based primitive against a set comprehension over the
+    table and the order, on every structure of order <= 3 and every
+    nonempty sub-carrier mask."""
+    from ordsgp.classification import _closed
+    from ordsgp.core import left_multiples, right_multiples, sandwich_mask
+    from ordsgp.ideals import Side, _principal_mask_in, principal_filter
+
+    count = 0
+    for s in _structures_up_to_3():
+        n, tb, leq = s.size, s.table, s.leq
+        carrier = range(n)
+
+        def down(xs):
+            return {u for u in carrier for v in xs if leq[u][v]}
+
+        for a in carrier:
+            assert left_multiples(s, a) == _as_mask(tb[x][a] for x in carrier)
+            assert right_multiples(s, a) == _as_mask(tb[a][x] for x in carrier)
+            for b in carrier:
+                assert sandwich_mask(s, a, b) == _as_mask(tb[tb[a][x]][b] for x in carrier)
+
+        for t in range(1, 1 << n):
+            ts = [x for x in carrier if (t >> x) & 1]
+            closed = all((t >> tb[x][y]) & 1 for x in ts for y in ts)
+            assert bool(_closed(s, t)) == closed
+            for a in ts:
+                ta = {tb[x][a] for x in ts}
+                at = {tb[a][x] for x in ts}
+                tat = {tb[tb[x][a]][y] for x in ts for y in ts}
+                seeds = {
+                    Side.LEFT: {a} | ta,
+                    Side.RIGHT: {a} | at,
+                    Side.TWO_SIDED: {a} | ta | at | tat,
+                }
+                for side, seed in seeds.items():
+                    expected = _as_mask(down(seed) & set(ts))
+                    assert _principal_mask_in(s, t, a, side) == expected, (s, t, a, side)
+
+        def is_filter(f):
+            members = [x for x in carrier if (f >> x) & 1]
+            return (
+                all((f >> tb[x][y]) & 1 for x in members for y in members)
+                and all(
+                    (f >> x) & 1 and (f >> y) & 1
+                    for x in carrier
+                    for y in carrier
+                    if (f >> tb[x][y]) & 1
+                )
+                and all((f >> y) & 1 for x in members for y in carrier if leq[x][y])
+            )
+
+        filters = [f for f in range(1, 1 << n) if is_filter(f)]
+        for a in carrier:
+            containing = [f for f in filters if (f >> a) & 1]
+            least = min(containing, key=int.bit_count)
+            assert all(least & ~f == 0 for f in containing)
+            assert principal_filter(s, a).mask == least
+        count += 1
+    assert count == 1 + 20 + 971

@@ -107,3 +107,29 @@ def test_round_trip_every_fixture():
         doc = serialize_document(s)
         assert parse_document(doc) == s, name
         assert serialize_document(parse_document(doc)) == doc, name
+
+
+def _canonical_text(s):
+    """Canonical document text, written from the structure's fields."""
+    ordered = isinstance(s, OrderedSemigroup)
+    lines = [f"kind: {'osg' if ordered else 'sgp'}", f"elements: {s.size}", "table:"]
+    lines += [" ".join(str(v) for v in row) for row in s.table]
+    if ordered:
+        lines.append("order:")
+        lines += [
+            f"{a} {b}" for a in range(s.size) for b in range(s.size) if a != b and s.leq[a][b]
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def test_round_trip_every_structure_up_to_order_3():
+    from ordsgp import enumerate_ordered_semigroups, enumerate_semigroups
+
+    count = 0
+    for n in (1, 2, 3):
+        for s in (*enumerate_semigroups(n), *enumerate_ordered_semigroups(n)):
+            text = _canonical_text(s)
+            assert parse_document(serialize_document(s)) == s
+            assert serialize_document(parse_document(text)) == text
+            count += 1
+    assert count == (1 + 8 + 113) + (1 + 20 + 971)
