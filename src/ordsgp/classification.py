@@ -41,6 +41,7 @@ from .core import (
     down_mask,
     full_mask,
     left_multiples,
+    product_mask,
     right_multiples,
     sandwich_mask,
 )
@@ -109,13 +110,7 @@ def _conjunction(*parts):
 
 
 def _closed(s, mask: int) -> bool:
-    table = s.table
-    for a in bits(mask):
-        row = table[a]
-        for b in bits(mask):
-            if not (mask >> row[b]) & 1:
-                return False
-    return True
+    return not product_mask(s, mask, mask) & ~mask
 
 
 def _group_like_subsemigroup(s, mask: int) -> bool:

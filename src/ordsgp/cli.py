@@ -7,7 +7,8 @@ Exit codes: 0 = success / all checks agree, 1 = a disagreement was found
 ``enumerate --order`` below 1 or above the size guard, a malformed
 ``--resume`` token, a token whose order index is out of range or whose
 table is not associative, ``--workers`` below 1, a ``--sweep`` list that
-names no check, and a malformed ``ORDSGP_LIMITS`` value.
+names no check, and an ``ORDSGP_LIMITS`` entry that is malformed or names
+no guard.
 
 ``enumerate`` sweeps the stream positions from the start (or from the
 position after a ``--resume`` token) to the end, and prints the token of
@@ -82,7 +83,7 @@ def _structure_json(s) -> dict:
     if s.names:
         data["names"] = list(s.names)
     if isinstance(s, OrderedSemigroup):
-        data["order"] = [list(p) for p in sorted(s.order_pairs())]
+        data["order"] = [list(p) for p in s.order_pairs()]
     return data
 
 
@@ -186,7 +187,7 @@ def cmd_decompose(args) -> int:
         _print_json(
             {
                 "structure": _structure_json(structure),
-                "rho": args.rho,
+                "rho": "least-csc",
                 "classes": [sorted(c) for c in result.rho.classes],
                 "quotient_table": [list(r) for r in result.quotient_table],
                 "quotient_order": [
@@ -314,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="complete semilattice decomposition")
     p.add_argument("file")
-    p.add_argument("--rho", default="least-csc", choices=["least-csc"])
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_decompose)
 

@@ -14,7 +14,14 @@ carrier are ElementSet values; downward closure
     (H] = {t : t <= h for some h in H}
 
 and the setwise product A*B = {a*b : a in A, b in B} are the primitives
-every higher-level computation is built from.
+every higher-level computation is built from.  ``product_mask`` is the one
+A*B: aS, Sa, xSy, the principal ideals, the filters, product-closedness
+and the power structure's table are all computed through it.  Pair loops
+remain only where a pair is the answer: ``induced_substructure``,
+``ideals.is_ideal`` and the decomposition's product condition report the
+least failing pair, and the unordered deciders of ``power`` stay
+definition-level so that a power correspondence keeps two independent
+sides.
 
 Element indices are the canonical identity; display names are cosmetic.
 All values are immutable after validation and safe to share.  Subsets are
@@ -84,12 +91,7 @@ class OrderedSemigroup(FiniteSemigroup):
 
     def order_pairs(self) -> list[tuple[int, int]]:
         """All non-reflexive pairs (a, b) with a <= b, sorted."""
-        return [
-            (a, b)
-            for a in range(self.size)
-            for b in range(self.size)
-            if a != b and self.leq[a][b]
-        ]
+        return leq_pairs(self.leq)
 
 
 @dataclass(frozen=True)
@@ -138,6 +140,12 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def leq_pairs(leq: LeqMatrix) -> list[tuple[int, int]]:
+    """The non-reflexive pairs (a, b) with a <= b of an order, sorted."""
+    n = len(leq)
+    return [(a, b) for a in range(n) for b in range(n) if a != b and leq[a][b]]
 
 
 def mask_of(members: Iterable[int]) -> int:
@@ -331,7 +339,8 @@ def up_mask(s: OrderedSemigroup, mask: int) -> int:
     return out
 
 
-def product_mask(s: OrderedSemigroup, amask: int, bmask: int) -> int:
+def product_mask(s: FiniteSemigroup, amask: int, bmask: int) -> int:
+    """Mask of A*B = {a*b : a in A, b in B}."""
     table = s.table
     out = 0
     a = amask
@@ -349,28 +358,18 @@ def product_mask(s: OrderedSemigroup, amask: int, bmask: int) -> int:
 
 def left_multiples(s: OrderedSemigroup, a: int) -> int:
     """Mask of S*a."""
-
-    def build():
-        n = s.size
-        table = s.table
-        return tuple(
-            mask_of(table[x][e] for x in range(n)) for e in range(n)
-        )
-
-    return _cached(s, "left_multiples", build)[a]
+    full = full_mask(s)
+    return _cached(
+        s, "left_multiples", lambda: tuple(product_mask(s, full, 1 << e) for e in range(s.size))
+    )[a]
 
 
 def right_multiples(s: OrderedSemigroup, a: int) -> int:
     """Mask of a*S."""
-
-    def build():
-        n = s.size
-        table = s.table
-        return tuple(
-            mask_of(table[e][x] for x in range(n)) for e in range(n)
-        )
-
-    return _cached(s, "right_multiples", build)[a]
+    full = full_mask(s)
+    return _cached(
+        s, "right_multiples", lambda: tuple(product_mask(s, 1 << e, full) for e in range(s.size))
+    )[a]
 
 
 def sandwich_mask(s: OrderedSemigroup, x: int, y: int) -> int:
@@ -379,12 +378,7 @@ def sandwich_mask(s: OrderedSemigroup, x: int, y: int) -> int:
     key = (x, y)
     value = store.get(key)
     if value is None:
-        table = s.table
-        row = table[x]
-        value = 0
-        for t in range(s.size):
-            value |= 1 << table[row[t]][y]
-        store[key] = value
+        value = store[key] = product_mask(s, right_multiples(s, x), 1 << y)
     return value
 
 

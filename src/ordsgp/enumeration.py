@@ -46,6 +46,7 @@ from .core import (
     OrderedSemigroup,
     _check_associative,
     _order_on,
+    leq_pairs,
     validate_semigroup,
 )
 from .errors import BadEnumeration, NotAssociative
@@ -247,11 +248,6 @@ def ordered_offsets(n: int) -> list[int]:
     return list(accumulate(counts, initial=0))
 
 
-def _leq_pairs(leq) -> list[tuple[int, int]]:
-    n = len(leq)
-    return [(a, b) for a in range(n) for b in range(n) if a != b and leq[a][b]]
-
-
 def resume_token(n: int, position: int) -> str:
     """The token ``o{n}:<table>:<k>`` of a stream position: order k of that
     table's compatible orders."""
@@ -300,7 +296,7 @@ def enumerate_ordered_semigroups(
         lo, hi = positions or (0, offsets[-1])
         if not 0 <= lo <= hi <= offsets[-1]:
             raise BadEnumeration(f"positions {lo}..{hi} outside 0..{offsets[-1]}")
-        order_pairs = [_leq_pairs(leq) for leq in all_posets(n)]
+        order_pairs = [leq_pairs(leq) for leq in all_posets(n)]
         # the tables holding some position in lo .. hi-1
         for t in range(bisect_right(offsets, lo) - 1, bisect_left(offsets, hi)):
             flat = tables[t]
@@ -322,7 +318,7 @@ def sample_ordered_semigroups(
         flat = tables[rng.randrange(len(tables))]
         orders = _compatible_orders_flat(n, flat)
         leq = all_posets(n)[orders[rng.randrange(len(orders))]]
-        yield _order_on(validate_semigroup(n, _flat_to_rows(n, flat)), _leq_pairs(leq))
+        yield _order_on(validate_semigroup(n, _flat_to_rows(n, flat)), leq_pairs(leq))
 
 
 def canonical_form(structure) -> tuple:

@@ -16,45 +16,18 @@ reflexive pairs are implied.  An unordered semigroup (.sgp) is the same
 document with ``kind: sgp`` and no order block.  '#' starts a comment,
 blank lines are ignored.
 
-Canonical serialization uses single spaces, sorted order pairs, and a
-trailing newline, so parse(serialize(S)) = S and serialize(parse(text))
+Parsing reads the lines straight into the validators of ``core``, so a
+document either becomes a validated structure or raises; serialization
+writes straight from the structure.  Canonical text uses single spaces,
+the order pairs in ascending order and a trailing newline, and has no
+comments, so parse(serialize(S)) = S and serialize(parse(text))
 reproduces canonical text byte for byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import OrderedSemigroup, validate_semigroup, validate_structure
 from .errors import ParseError
-
-
-@dataclass(frozen=True)
-class StructureDocument:
-    """The document model: header, table rows, order pairs.
-
-    Comments are discarded at parse time; canonical text has none, so
-    canonical documents round-trip bit-exactly.
-    """
-
-    kind: str
-    size: int
-    names: tuple[str, ...] | None
-    table: tuple[tuple[int, ...], ...]
-    order_pairs: tuple[tuple[int, int], ...]
-
-    def to_text(self) -> str:
-        out = [f"kind: {self.kind}", f"elements: {self.size}"]
-        if self.names is not None:
-            out.append("names: " + " ".join(self.names))
-        out.append("table:")
-        for row in self.table:
-            out.append(" ".join(str(v) for v in row))
-        if self.kind == "osg":
-            out.append("order:")
-            for a, b in sorted(self.order_pairs):
-                out.append(f"{a} {b}")
-        return "\n".join(out) + "\n"
 
 
 def _logical_lines(text: str):
@@ -88,8 +61,9 @@ def _int_in_range(lineno: int, token: str, bound: int, what: str) -> int:
     return value
 
 
-def document_from_text(text: str) -> StructureDocument:
-    """Parse document text; syntax errors carry the offending line number."""
+def parse_document(text: str, close_order: bool = False):
+    """Parse a .osg or .sgp document into a validated structure; syntax
+    errors carry the offending line number."""
     lines = _logical_lines(text)
 
     lineno, line = _take(lines, "'kind:'")
@@ -129,7 +103,7 @@ def document_from_text(text: str) -> StructureDocument:
         leftover = next(lines, None)
         if leftover is not None:
             raise ParseError(leftover[0], f"unexpected content: {leftover[1]!r}")
-        return StructureDocument("sgp", size, names, tuple(table), ())
+        return validate_semigroup(size, table, names)
 
     lineno, line = _take(lines, "'order:'")
     if line != "order:":
@@ -145,31 +119,18 @@ def document_from_text(text: str) -> StructureDocument:
                 _int_in_range(lineno, tokens[1], size, "order element"),
             )
         )
-    return StructureDocument("osg", size, names, tuple(table), tuple(pairs))
-
-
-def parse_document(text: str, close_order: bool = False):
-    """Parse a .osg or .sgp document into a validated structure."""
-    doc = document_from_text(text)
-    if doc.kind == "sgp":
-        return validate_semigroup(doc.size, doc.table, doc.names)
-    return validate_structure(
-        doc.size, doc.table, doc.order_pairs, doc.names, close_order=close_order
-    )
-
-
-def document_of(structure) -> StructureDocument:
-    if isinstance(structure, OrderedSemigroup):
-        return StructureDocument(
-            "osg",
-            structure.size,
-            structure.names,
-            structure.table,
-            tuple(sorted(structure.order_pairs())),
-        )
-    return StructureDocument("sgp", structure.size, structure.names, structure.table, ())
+    return validate_structure(size, table, pairs, names, close_order=close_order)
 
 
 def serialize_document(structure) -> str:
     """Canonical text for a structure; parse(serialize(S)) = S."""
-    return document_of(structure).to_text()
+    ordered = isinstance(structure, OrderedSemigroup)
+    out = [f"kind: {'osg' if ordered else 'sgp'}", f"elements: {structure.size}"]
+    if structure.names is not None:
+        out.append("names: " + " ".join(structure.names))
+    out.append("table:")
+    out.extend(" ".join(map(str, row)) for row in structure.table)
+    if ordered:
+        out.append("order:")
+        out.extend(f"{a} {b}" for a, b in structure.order_pairs())
+    return "\n".join(out) + "\n"

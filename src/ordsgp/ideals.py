@@ -28,6 +28,7 @@ from .core import (
     full_mask,
     left_multiples,
     mask_of,
+    product_mask,
     right_multiples,
     sandwich_mask,
     up_mask,
@@ -53,6 +54,8 @@ class EquivalenceRelation:
 
     @classmethod
     def from_class_ids(cls, s: OrderedSemigroup, ids) -> "EquivalenceRelation":
+        """Partition by equality of per-element ids, which may be any
+        hashable values; classes are numbered by first appearance."""
         ids = tuple(ids)
         if len(ids) != s.size:
             raise ValueError("one class id per element required")
@@ -67,17 +70,6 @@ class EquivalenceRelation:
             masks[cid] |= 1 << elem
         classes = tuple(ElementSet(s, m) for m in masks)
         return cls(s, tuple(canon), classes)
-
-    @classmethod
-    def from_keys(cls, s: OrderedSemigroup, keys) -> "EquivalenceRelation":
-        """Partition by equality of per-element keys."""
-        seen: dict = {}
-        ids = []
-        for key in keys:
-            if key not in seen:
-                seen[key] = len(seen)
-            ids.append(seen[key])
-        return cls.from_class_ids(s, ids)
 
     def same(self, a: int, b: int) -> bool:
         return self.class_ids[a] == self.class_ids[b]
@@ -116,21 +108,11 @@ def _principal_mask_in(s: OrderedSemigroup, t: int, a: int, side: Side) -> int:
     left: ({a} u Ta]   right: ({a} u aT]   two-sided: ({a} u Ta u aT u TaT],
     each intersected with T; with T the carrier, the principal ideal of S.
     """
-    table = s.table
     seed = 1 << a
-    if side in (Side.LEFT, Side.TWO_SIDED):
-        for x in bits(t):
-            seed |= 1 << table[x][a]
-    if side in (Side.RIGHT, Side.TWO_SIDED):
-        row = table[a]
-        for x in bits(t):
-            seed |= 1 << row[x]
-    if side is Side.TWO_SIDED:
-        for x in bits(t):
-            row = table[table[x][a]]
-            for y in bits(t):
-                seed |= 1 << row[y]
-    return down_mask(s, seed) & t
+    ta = product_mask(s, t, seed) if side in (Side.LEFT, Side.TWO_SIDED) else 0
+    at = product_mask(s, seed, t) if side in (Side.RIGHT, Side.TWO_SIDED) else 0
+    tat = product_mask(s, ta, t) if side is Side.TWO_SIDED else 0
+    return down_mask(s, seed | ta | at | tat) & t
 
 
 def _principal_masks(s: OrderedSemigroup, side: Side) -> tuple[int, ...]:
@@ -202,13 +184,11 @@ def green_relation(s: OrderedSemigroup, kind: str) -> EquivalenceRelation:
         return rel
     if kind in _GREEN_SIDES:
         masks = _principal_masks(s, _GREEN_SIDES[kind])
-        rel = EquivalenceRelation.from_keys(s, masks)
+        rel = EquivalenceRelation.from_class_ids(s, masks)
     elif kind == "H":
         lrel = green_relation(s, "L")
         rrel = green_relation(s, "R")
-        rel = EquivalenceRelation.from_keys(
-            s, zip(lrel.class_ids, rrel.class_ids)
-        )
+        rel = EquivalenceRelation.from_class_ids(s, zip(lrel.class_ids, rrel.class_ids))
     else:
         raise ValueError(f"unknown Green relation kind: {kind!r}")
     store[kind] = rel
@@ -227,10 +207,7 @@ def _filter_masks(s: OrderedSemigroup) -> tuple[int, ...]:
                 # upward closure
                 new |= up_mask(s, new)
                 # subsemigroup: products of members stay inside
-                for x in bits(mask):
-                    row = table[x]
-                    for y in bits(mask):
-                        new |= 1 << row[y]
+                new |= product_mask(s, mask, mask)
                 # prime: a product inside pulls both factors inside
                 for x in range(n):
                     row = table[x]
@@ -257,7 +234,7 @@ def n_relation(s: OrderedSemigroup) -> EquivalenceRelation:
     """Partition by equality of principal filters."""
 
     def build():
-        return EquivalenceRelation.from_keys(s, _filter_masks(s))
+        return EquivalenceRelation.from_class_ids(s, _filter_masks(s))
 
     return _cached(s, "n_relation", build)
 
@@ -282,7 +259,7 @@ def idempotent_ideal_identities(s: OrderedSemigroup, e: int, f: int):
     if not (idem >> f) & 1:
         raise NotIdempotent(f)
 
-    table, n = s.table, s.size
+    n = s.size
     eS = down_mask(s, right_multiples(s, e))
     Se = down_mask(s, left_multiples(s, e))
     Sf = down_mask(s, left_multiples(s, f))
@@ -291,7 +268,7 @@ def idempotent_ideal_identities(s: OrderedSemigroup, e: int, f: int):
         # (image of I] = I n other for every ideal I of the side; a failure
         # is I and the least element of the difference
         diff = {
-            tuple(ideal): down_mask(s, mask_of(map(image, ideal))) ^ (ideal.mask & other)
+            tuple(ideal): down_mask(s, image(ideal.mask)) ^ (ideal.mask & other)
             for ideal in enumerate_ideals(s, side)
         }
         return first_failure(product(diff, range(n)), lambda i, x: not (diff[i] >> x) & 1)
@@ -302,11 +279,11 @@ def idempotent_ideal_identities(s: OrderedSemigroup, e: int, f: int):
         (
             _cond(
                 "(eL] = L n (eS] for every left ideal L",
-                identity(Side.LEFT, lambda x: table[e][x], eS),
+                identity(Side.LEFT, lambda m: product_mask(s, 1 << e, m), eS),
             ),
             _cond(
                 "(Re] = R n (Se] for every right ideal R",
-                identity(Side.RIGHT, lambda x: table[x][e], Se),
+                identity(Side.RIGHT, lambda m: product_mask(s, m, 1 << e), Se),
             ),
             _cond(
                 "(Sf] n (eS] = (eSf]",

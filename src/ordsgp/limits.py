@@ -3,8 +3,9 @@
 ORDSGP_LIMITS is a comma-separated list of key=value pairs, e.g.
 ``ORDSGP_LIMITS="ideals=14,partitions=10"``.  Raising a guard is an
 expert-only move: the guarded scans are exponential (2^n subsets, Bell(n)
-partitions, n^(n*n) tables).  A value that is not an integer raises
-``BadLimit`` when its guard is read, so the CLI exits 2.
+partitions, n^(n*n) tables).  Reading any guard checks every entry: an
+entry without ``=``, a key that names no guard or a value that is not an
+integer raises ``BadLimit`` naming the entry, so the CLI exits 2.
 """
 
 from __future__ import annotations
@@ -28,19 +29,20 @@ DEFAULTS = {
 
 
 def get(guard: str) -> int:
-    value = DEFAULTS[guard]
-    raw = os.environ.get("ORDSGP_LIMITS", "")
-    for item in raw.split(","):
+    bounds = dict(DEFAULTS)
+    for item in os.environ.get("ORDSGP_LIMITS", "").split(","):
         item = item.strip()
         if not item:
             continue
         key, _, val = item.partition("=")
-        if key.strip() == guard:
-            try:
-                value = int(val)
-            except ValueError:
-                raise BadLimit(f"bad ORDSGP_LIMITS entry: {item!r}") from None
-    return value
+        key = key.strip()
+        try:
+            if key not in bounds:
+                raise ValueError(f"no guard named {key!r}")
+            bounds[key] = int(val)  # an entry without "=" has val ""
+        except ValueError:
+            raise BadLimit(f"bad ORDSGP_LIMITS entry: {item!r}") from None
+    return bounds[guard]
 
 
 def check(guard: str, requested: int) -> None:

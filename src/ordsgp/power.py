@@ -27,6 +27,8 @@ from .core import (
     OrderedSemigroup,
     above_masks,
     bits,
+    mask_of,
+    product_mask,
     validate_structure,
 )
 from .elements import forall_exists
@@ -66,36 +68,28 @@ def semigroup_morphism(source, target, mapping) -> SemigroupMorphism:
     return SemigroupMorphism(source, target, mapping)
 
 
-def _subset_carrier(n: int) -> list[tuple[int, ...]]:
-    """Nonempty subsets of 0..n-1, sorted by size then lexicographically."""
-    out = []
-    for k in range(1, n + 1):
-        out.extend(combinations(range(n), k))
-    return out
+def _subset_carrier(n: int) -> list[int]:
+    """Masks of the nonempty subsets of 0..n-1, sorted by size then
+    lexicographically."""
+    return [mask_of(c) for k in range(1, n + 1) for c in combinations(range(n), k)]
 
 
 def power_ordered_semigroup(f: FiniteSemigroup) -> OrderedSemigroup:
     """All nonempty subsets of F under setwise product and inclusion."""
     limits.check("power", f.size)
     subsets = _subset_carrier(f.size)
-    index = {c: i for i, c in enumerate(subsets)}
-    table = []
-    for a in subsets:
-        row = []
-        for b in subsets:
-            prod = sorted({f.table[x][y] for x in a for y in b})
-            row.append(index[tuple(prod)])
-        table.append(tuple(row))
-    pairs = []
-    sets = [frozenset(c) for c in subsets]
-    for i, si in enumerate(sets):
-        for j, sj in enumerate(sets):
-            if i != j and si < sj:
-                pairs.append((i, j))
+    index = {m: i for i, m in enumerate(subsets)}
+    table = tuple(tuple(index[product_mask(f, a, b)] for b in subsets) for a in subsets)
+    pairs = [
+        (i, j)
+        for i, a in enumerate(subsets)
+        for j, b in enumerate(subsets)
+        if i != j and a & ~b == 0
+    ]
     names = tuple(
-        "{" + ",".join(f.name_of(x) for x in c) + "}" for c in subsets
+        "{" + ",".join(f.name_of(x) for x in bits(c)) + "}" for c in subsets
     )
-    return validate_structure(len(subsets), tuple(table), pairs, names)
+    return validate_structure(len(subsets), table, pairs, names)
 
 
 def join(s: OrderedSemigroup, a: int, b: int) -> int:
@@ -138,7 +132,7 @@ def universal_extension(
     power = power_ordered_semigroup(f_sg)
     subsets = _subset_carrier(f_sg.size)
     phi = tuple(
-        join_all(s, (f.mapping[x] for x in c)) for c in subsets
+        join_all(s, (f.mapping[x] for x in bits(c))) for c in subsets
     )
     extension = semigroup_morphism(power, s, phi)
     # singletons are the first |F| carrier members, so phi({x}) = phi[x]

@@ -245,12 +245,16 @@ def test_enumerate_bad_input_exits_2(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
 
 
-def test_malformed_limits_exit_2(monkeypatch, capsys):
-    monkeypatch.setenv("ORDSGP_LIMITS", "semigroups=x")
+@pytest.mark.parametrize("limits", ["semigroups=x", "semigroup=5", "foo", "ideals=3,semigroup=5"])
+def test_malformed_limits_exit_2(monkeypatch, capsys, limits):
+    # the last entry is the bad one: a non-integer value, a key naming no
+    # guard, no "=", and a bad entry after a good one
+    entry = limits.split(",")[-1]
+    monkeypatch.setenv("ORDSGP_LIMITS", limits)
     assert main(["enumerate", "--order", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: bad ORDSGP_LIMITS entry: 'semigroups=x'\n"
+    assert captured.err == f"error: bad ORDSGP_LIMITS entry: {entry!r}\n"
 
 
 def test_enumerate_runs_table_search_once(monkeypatch, capsys):
