@@ -11,12 +11,17 @@ B2        five-element combinatorial inverse semigroup, discrete order
 Z2/Z3     cyclic groups (unordered)
 PZ2       power structure of Z2
 PLZ2      power structure of the left-zero band
+
+``differential_structures`` streams the structures that differential tests
+compare fast paths and brute-force oracles on.
 """
 
 import pytest
 
 from ordsgp import (
+    enumerate_ordered_semigroups,
     power_ordered_semigroup,
+    sample_ordered_semigroups,
     validate_semigroup,
     validate_structure,
 )
@@ -112,6 +117,14 @@ JOIN_CLOSED = ("T1", "SL2", "CH3", "PZ2", "PLZ2")
 
 def all_ordered_fixtures():
     return [(name, build()) for name, build in ORDERED_FIXTURES.items()]
+
+
+def differential_structures():
+    """Every ordered semigroup of order <= 3, then a 1,000-structure sample
+    of order 4."""
+    for n in (1, 2, 3):
+        yield from enumerate_ordered_semigroups(n)
+    yield from sample_ordered_semigroups(4, 1000, 20260810)
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from ordsgp import (
     least_csc,
     n_relation,
     relation_properties,
+    serialize_document,
     structure_theorem_check,
     validate_structure,
 )
@@ -25,7 +26,8 @@ from ordsgp.errors import (
     UnknownTheorem,
 )
 
-from conftest import all_ordered_fixtures, make_lz2, make_sl2, make_t1
+from conftest import all_ordered_fixtures, differential_structures, make_lz2, make_sl2, make_t1
+from order4_oracles import csc_oracle
 
 
 def identity_rel(s):
@@ -76,6 +78,17 @@ def test_least_csc_is_least_on_fixtures():
         assert least.class_ids in [rel.class_ids for rel in found], name
         for rel in found:
             assert least.refines(rel), name
+
+
+def test_cscs_match_partition_scan():
+    """The complete semilattice congruences, order included, against a scan
+    of every partition of the carrier."""
+    count = 0
+    for s in differential_structures():
+        found = [rel.class_ids for rel in complete_semilattice_congruences(s)]
+        assert found == csc_oracle(s), serialize_document(s)
+        count += 1
+    assert count == 1 + 20 + 971 + 1000
 
 
 def test_enumerate_partitions_counts_and_order():

@@ -12,11 +12,21 @@ from ordsgp import (
     n_relation,
     principal_filter,
     principal_ideal,
+    serialize_document,
     set_product,
 )
 from ordsgp.errors import EmptySet, NotIdempotent, NotRegular, SizeLimit
 
-from conftest import all_ordered_fixtures, make_ch3, make_lz2, make_n2, make_sl2, make_t1
+from conftest import (
+    all_ordered_fixtures,
+    differential_structures,
+    make_ch3,
+    make_lz2,
+    make_n2,
+    make_sl2,
+    make_t1,
+)
+from order4_oracles import ideal_oracle
 
 
 def classes(rel):
@@ -69,6 +79,18 @@ def test_enumerate_ideals_examples():
     assert [sorted(i) for i in enumerate_ideals(t1, Side.LEFT)] == [[0]]
     lz2 = make_lz2()
     assert [sorted(i) for i in enumerate_ideals(lz2, Side.LEFT)] == [[0, 1]]
+
+
+def test_enumerate_ideals_matches_subset_scan():
+    """Every one-sided and two-sided ideal, order included, against a scan
+    of every subset of the carrier."""
+    count = 0
+    for s in differential_structures():
+        for side in Side:
+            found = [ideal.mask for ideal in enumerate_ideals(s, side)]
+            assert found == ideal_oracle(s, side), (side, serialize_document(s))
+        count += 1
+    assert count == 1 + 20 + 971 + 1000
 
 
 def test_enumerate_ideals_size_guard(monkeypatch):
