@@ -144,13 +144,61 @@ def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec([0], 1) if n else iter(())
 
 
+def _generated_congruence_ids(s: OrderedSemigroup) -> tuple[int, ...]:
+    """Class ids, by first appearance, of the congruence G generated by the
+    pairs (a, a*a), (a*b, b*a) and (a, a*b) for a <= b.
+
+    Every complete semilattice congruence contains these pairs, so it is a
+    coarsening of G.  G is computed from the table and the order alone:
+    merge the classes of each pair, then merge (c*x, c*r) and (x*c, r*c)
+    for every x whose class has the least element r until nothing changes.
+    """
+    n = s.size
+    table, leq = s.table, s.leq
+    least = list(range(n))  # the least element of each element's class
+
+    def merge(x, y):
+        x, y = least[x], least[y]
+        if x == y:
+            return False
+        lo, hi = min(x, y), max(x, y)
+        least[:] = [lo if v == hi else v for v in least]
+        return True
+
+    for a in range(n):
+        for b in range(n):
+            if a == b or leq[a][b]:
+                merge(a, table[a][b])
+            if a < b:
+                merge(table[a][b], table[b][a])
+    changed = True
+    while changed:
+        changed = False
+        for x in range(n):
+            r = least[x]
+            if r != x:
+                for c in range(n):
+                    changed |= merge(table[c][x], table[c][r]) | merge(table[x][c], table[r][c])
+    relabel: dict[int, int] = {}
+    return tuple(relabel.setdefault(r, len(relabel)) for r in least)
+
+
 def complete_semilattice_congruences(s: OrderedSemigroup) -> list[EquivalenceRelation]:
-    """Every complete semilattice congruence, by exhaustive partition scan."""
+    """Every complete semilattice congruence, in lexicographic
+    restricted-growth order.
+
+    The candidates are the coarsenings of the generated congruence G
+    (``_generated_congruence_ids``), one per partition of its k classes;
+    each goes through ``relation_properties``.  G's classes are numbered
+    by their least elements, so the candidates come in the order of a scan
+    of every partition of the carrier.  The ``partitions`` guard bounds k.
+    """
 
     def build():
+        g = _generated_congruence_ids(s)
         found = []
-        for rgs in enumerate_partitions(s.size):
-            rel = EquivalenceRelation.from_class_ids(s, rgs)
+        for rgs in enumerate_partitions(max(g) + 1):
+            rel = EquivalenceRelation.from_class_ids(s, [rgs[c] for c in g])
             if relation_properties(s, rel).complete_semilattice:
                 found.append(rel)
         return found

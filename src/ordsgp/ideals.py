@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, product
+from itertools import product
 
 from . import limits
 from .core import (
@@ -27,7 +27,6 @@ from .core import (
     down_mask,
     full_mask,
     left_multiples,
-    mask_of,
     product_mask,
     right_multiples,
     sandwich_mask,
@@ -162,15 +161,17 @@ def is_ideal(s: OrderedSemigroup, iset: ElementSet, side: Side) -> IdealCheck:
 
 
 def enumerate_ideals(s: OrderedSemigroup, side: Side) -> list[ElementSet]:
-    """All nonempty ideals of the given side, ascending by size then members."""
+    """All nonempty ideals of the given side, ascending by size then members.
+
+    Every nonempty ideal is the union of the principal ideals of its
+    members, and every union of ideals is an ideal, so the ideals are the
+    union-closure of the n principal ideals.
+    """
     limits.check("ideals", s.size)
-    found = []
-    for k in range(1, s.size + 1):
-        for combo in combinations(range(s.size), k):
-            candidate = ElementSet(s, mask_of(combo))
-            if is_ideal(s, candidate, side):
-                found.append(candidate)
-    return found
+    found: set[int] = set()
+    for p in _principal_masks(s, side):
+        found |= {p} | {m | p for m in found}
+    return [ElementSet(s, m) for m in sorted(found, key=lambda m: (m.bit_count(), tuple(bits(m))))]
 
 
 _GREEN_SIDES = {"L": Side.LEFT, "R": Side.RIGHT, "J": Side.TWO_SIDED}
@@ -198,7 +199,11 @@ def green_relation(s: OrderedSemigroup, kind: str) -> EquivalenceRelation:
 def _filter_masks(s: OrderedSemigroup) -> tuple[int, ...]:
     def build():
         n = s.size
-        table = s.table
+        # factors[z]: every x and y with x*y = z
+        factors = [0] * n
+        for x in range(n):
+            for y, z in enumerate(s.table[x]):
+                factors[z] |= (1 << x) | (1 << y)
         out = []
         for a in range(n):
             mask = 1 << a
@@ -209,11 +214,8 @@ def _filter_masks(s: OrderedSemigroup) -> tuple[int, ...]:
                 # subsemigroup: products of members stay inside
                 new |= product_mask(s, mask, mask)
                 # prime: a product inside pulls both factors inside
-                for x in range(n):
-                    row = table[x]
-                    for y in range(n):
-                        if (new >> row[y]) & 1:
-                            new |= (1 << x) | (1 << y)
+                for z in bits(new):
+                    new |= factors[z]
                 if new == mask:
                     break
                 mask = new

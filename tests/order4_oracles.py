@@ -4,7 +4,8 @@
 ``ideal_oracle`` all 2^n subsets, each through the package's definition
 checks.  The tier-1 tests compare the package with them on small orders.
 Run as a script, this file compares them on every ordered semigroup of
-order 4 (about half a minute):
+order 4, and checks there that the congruence generated by the complete
+semilattice axioms equals N, the filter-equality relation:
 
     PYTHONPATH=src python -X dev -W error tests/order4_oracles.py
 
@@ -26,9 +27,11 @@ from ordsgp import (
     enumerate_ordered_semigroups,
     enumerate_partitions,
     is_ideal,
+    n_relation,
     relation_properties,
     serialize_document,
 )
+from ordsgp.congruence import _generated_congruence_ids
 from ordsgp.core import mask_of
 
 
@@ -56,6 +59,8 @@ def mismatches(s):
     found = []
     if [rel.class_ids for rel in complete_semilattice_congruences(s)] != csc_oracle(s):
         found.append("complete semilattice congruences")
+    if _generated_congruence_ids(s) != n_relation(s).class_ids:
+        found.append("generated congruence against N")
     for side in Side:
         if [ideal.mask for ideal in enumerate_ideals(s, side)] != ideal_oracle(s, side):
             found.append(f"{side.value} ideals")

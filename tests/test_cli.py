@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from ordsgp import enumeration, parse_document, resume_token, serialize_document
+from ordsgp import (
+    enumeration,
+    parse_document,
+    resume_token,
+    serialize_document,
+    validate_structure,
+)
 from ordsgp import sweep as sweep_module
 from ordsgp.cli import main
 from ordsgp.report import ConditionResult, make_bundle
@@ -157,6 +163,32 @@ def test_check_theorem(sl2_file, capsys):
     assert main(["check", sl2_file, "--theorem", "CL-DECOMP"]) == 0
     out = capsys.readouterr().out
     assert "CL-DECOMP: agree" in out
+
+
+@pytest.mark.parametrize(
+    "table, pairs, code",
+    [
+        # left-zero band: the generated congruence has one class
+        ([[i] * 10 for i in range(10)], [], 0),
+        # ten-chain min-semilattice: the generated congruence has ten classes
+        (
+            [[min(i, j) for j in range(10)] for i in range(10)],
+            [(i, j) for i in range(10) for j in range(i + 1, 10)],
+            2,
+        ),
+    ],
+)
+def test_partitions_guard_bounds_generated_classes(tmp_path, capsys, table, pairs, code):
+    path = tmp_path / "ten.osg"
+    path.write_text(serialize_document(validate_structure(10, table, pairs)))
+    assert main(["check", str(path), "--theorem", "CR-CSDECOMP"]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert "CR-CSDECOMP: agree" in captured.out
+    else:
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1, captured
+        assert lines[0].startswith("error: size 10 exceeds the 'partitions' guard (9)"), lines
 
 
 def test_enumerate_with_sweep(capsys):

@@ -91,6 +91,15 @@ def test_cscs_match_partition_scan():
     assert count == 1 + 20 + 971 + 1000
 
 
+def test_generated_congruence_is_n():
+    """The congruence generated by the axiom pairs, computed from the table
+    and the order, equals N, computed from the principal filters: both are
+    the least complete semilattice congruence."""
+    for s in differential_structures():
+        g = congruence._generated_congruence_ids(s)
+        assert g == n_relation(s).class_ids, serialize_document(s)
+
+
 def test_enumerate_partitions_counts_and_order():
     bell = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
     for n, count in bell.items():
