@@ -190,8 +190,9 @@ def complete_semilattice_congruences(s: OrderedSemigroup) -> list[EquivalenceRel
     The candidates are the coarsenings of the generated congruence G
     (``_generated_congruence_ids``), one per partition of its k classes;
     each goes through ``relation_properties``.  G's classes are numbered
-    by their least elements, so the candidates come in the order of a scan
-    of every partition of the carrier.  The ``partitions`` guard bounds k.
+    in the order of their least elements, so the candidates come in the
+    order of a scan of every partition of the carrier.  The ``partitions``
+    guard bounds k.
     """
 
     def build():

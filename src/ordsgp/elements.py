@@ -19,10 +19,10 @@ inequalities at once (the z of ``group_component``, CR-INV's ordered
 inverse, the h of CR-HCLASS-GL) the search is an ``any`` over the
 candidates, inside a ``first_failure`` predicate when it is a condition.
 The principal-ideal comparisons of ``classification`` and the congruence
-flags of ``congruence.relation_properties``, which runs on every partition
-of the carrier, keep short loops of their own that return the same triple
-or flags in the same ascending order.  A condition shares no result with
-any other condition.
+flags of ``congruence.relation_properties``, which runs on every candidate
+complete semilattice congruence, keep short loops of their own that return
+the same triple or flags in the same ascending order.  A condition shares
+no result with any other condition.
 """
 
 from __future__ import annotations

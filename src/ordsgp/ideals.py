@@ -171,7 +171,8 @@ def enumerate_ideals(s: OrderedSemigroup, side: Side) -> list[ElementSet]:
     found: set[int] = set()
     for p in _principal_masks(s, side):
         found |= {p} | {m | p for m in found}
-    return [ElementSet(s, m) for m in sorted(found, key=lambda m: (m.bit_count(), tuple(bits(m))))]
+    ordered = sorted(found, key=lambda m: (m.bit_count(), tuple(bits(m))))
+    return [ElementSet(s, m) for m in ordered]
 
 
 _GREEN_SIDES = {"L": Side.LEFT, "R": Side.RIGHT, "J": Side.TWO_SIDED}

@@ -2,10 +2,13 @@
 
 ORDSGP_LIMITS is a comma-separated list of key=value pairs, e.g.
 ``ORDSGP_LIMITS="ideals=14,partitions=10"``.  Raising a guard is an
-expert-only move: the guarded scans are exponential (2^n subsets, Bell(n)
-partitions, n^(n*n) tables).  Reading any guard checks every entry: an
-entry without ``=``, a key that names no guard or a value that is not an
-integer raises ``BadLimit`` naming the entry, so the CLI exits 2.
+expert-only move: the guarded work is exponential (2^n subsets or ideals,
+Bell(k) partitions, n^(n*n) tables).  The ``partitions`` guard bounds k,
+the number of classes of the congruence that the complete semilattice
+axioms generate (``congruence.complete_semilattice_congruences``), not the
+carrier size.  Reading any guard checks every entry: an entry without
+``=``, a key that names no guard or a value that is not an integer raises
+``BadLimit`` naming the entry, so the CLI exits 2.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ import os
 from .errors import BadLimit, SizeLimit
 
 DEFAULTS = {
-    # carrier bound for 2^n subset scans (ideal enumeration, subset covers)
+    # carrier bound for 2^n subset scans (subset covers) and for ideal
+    # enumeration, whose output can hold 2^n - 1 ideals
     "ideals": 12,
-    # carrier bound for Bell(n) partition scans
+    # class bound for the Bell(k) scan over the generated congruence's classes
     "partitions": 9,
     # order bound for exhaustive semigroup / ordered-semigroup enumeration
     "semigroups": 4,
