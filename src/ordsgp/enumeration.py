@@ -32,7 +32,6 @@ logical coverage.  ``canonical_form`` provides an optional dedup key
 
 from __future__ import annotations
 
-import hashlib
 import random
 import re
 from bisect import bisect_left, bisect_right
@@ -360,6 +359,10 @@ def transcript_hash(docs: Iterable[str], sort: bool = False) -> str:
     docs = list(docs)
     if sort:
         docs.sort()
+    # imported here, not at module level: hashlib loads OpenSSL, which costs
+    # every `import ordsgp` a few MB of RSS that only hashing callers need
+    import hashlib
+
     digest = hashlib.sha256()
     for doc in docs:
         digest.update(doc.encode("utf-8"))

@@ -9,6 +9,10 @@ embedding recovers f.  The extension's morphism laws are verified, not
 assumed: joins in an arbitrary target need not distribute over products,
 and a failure raises NotMorphism.
 
+P(F) is built and validated once per F: a one-entry memo returns it again
+while calls ask about the same F in a row, and the size guard runs on
+every call.
+
 Unordered properties of F (group, left group, completely regular) are
 decided by definition-level brute force, never by reusing the ordered
 machinery, so each power-correspondence check keeps its two sides
@@ -18,6 +22,7 @@ independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from . import limits
@@ -77,6 +82,14 @@ def _subset_carrier(n: int) -> list[int]:
 def power_ordered_semigroup(f: FiniteSemigroup) -> OrderedSemigroup:
     """All nonempty subsets of F under setwise product and inclusion."""
     limits.check("power", f.size)
+    return _power_structure(f)
+
+
+# One entry, keyed by F: the three correspondences of one F share a build,
+# but a long run over many F never holds more than one P(F) and its caches.
+# The guard above stays outside, so it is checked on a hit too.
+@lru_cache(maxsize=1)
+def _power_structure(f: FiniteSemigroup) -> OrderedSemigroup:
     subsets = _subset_carrier(f.size)
     index = {m: i for i, m in enumerate(subsets)}
     table = tuple(tuple(index[product_mask(f, a, b)] for b in subsets) for a in subsets)

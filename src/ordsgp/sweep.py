@@ -18,7 +18,6 @@ serial sequence.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .classification import BUNDLE_ORDER, equivalence_bundle
@@ -117,5 +116,8 @@ def sweep_order(n: int, workers: int = 1, check_ids=CHECK_IDS, start: int = 0) -
     args = [(n, chunk, check_ids) for chunk in chunks]
     if len(args) < 2:
         return _merge(map(_sweep_chunk, args))
+    # imported here so a serial run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=len(args)) as pool:
         return _merge(pool.map(_sweep_chunk, args))

@@ -183,7 +183,7 @@ def test_criterion_4_power_correspondences():
     started = time.time()
     checked = 0
     failures = []
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         for sg in enumerate_semigroups(n):
             for prop in ("t_simple", "left_group_like", "completely_regular"):
                 result = power_correspondence_check(sg, prop)
@@ -214,7 +214,7 @@ def test_criterion_4_power_correspondences():
     _report(
         4,
         not failures,
-        f"{checked} power correspondences over all semigroups with |F| <= 3 "
+        f"{checked} power correspondences over all semigroups with |F| <= 4 "
         f"and {hom_checked} universal extensions agree "
         f"[{time.time() - started:.1f}s]",
     )

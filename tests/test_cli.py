@@ -1,9 +1,15 @@
 """Command-line surface: commands, reports, exit codes."""
 
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ordsgp
 from ordsgp import (
     enumeration,
     parse_document,
@@ -308,9 +314,24 @@ def test_serial_enumerate_starts_no_pool(monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         raise AssertionError("a serial run started a process pool")
 
-    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert main(["enumerate", "--order", "2", "--workers", "1", "--sweep", "all"]) == 0
     assert "all checks agree" in capsys.readouterr().out
+
+
+def test_import_loads_no_hashing_or_pool_modules():
+    # hashlib loads OpenSSL and multiprocessing its own machinery: a few MB of
+    # RSS each, which only hashing callers and pooled sweeps need
+    code = (
+        "import sys, ordsgp, ordsgp.cli, ordsgp.sweep; "
+        "print(sorted(m for m in ('hashlib', '_hashlib', 'multiprocessing') if m in sys.modules))"
+    )
+    src = str(Path(ordsgp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_enumerate_resume_with_workers(capsys):

@@ -1,5 +1,6 @@
 """Exhaustive generation: counts, determinism, resume, canonical forms."""
 
+import concurrent.futures
 import hashlib
 import itertools
 
@@ -277,7 +278,7 @@ def test_parallel_sweep_caps_processes_at_cpu_count(monkeypatch):
             return map(fn, args)
 
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     report = sweep_order(3, 1000, check_ids=())
     assert started == [2]
     serial = sweep(enumerate_ordered_semigroups(3), check_ids=())

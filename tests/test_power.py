@@ -16,6 +16,7 @@ from ordsgp import (
     validate_structure,
 )
 from ordsgp.errors import NoJoin, NotMorphism, SizeLimit, UnknownPredicate
+from ordsgp.power import _power_structure
 
 from conftest import (
     JOIN_CLOSED,
@@ -62,6 +63,27 @@ def test_power_size_guard(monkeypatch):
     monkeypatch.setenv("ORDSGP_LIMITS", "power=2")
     with pytest.raises(SizeLimit):
         power_ordered_semigroup(make_z3())
+
+
+def test_power_size_guard_holds_on_memo_hit(monkeypatch):
+    power_ordered_semigroup(make_z3())
+    monkeypatch.setenv("ORDSGP_LIMITS", "power=2")
+    with pytest.raises(SizeLimit):
+        power_ordered_semigroup(make_z3())
+
+
+def test_power_memo_key():
+    z3 = make_z3()
+    first = power_ordered_semigroup(z3)
+    assert power_ordered_semigroup(make_z3()) is first
+    renamed = validate_semigroup(3, z3.table, names=("a", "b", "c"))
+    assert power_ordered_semigroup(renamed).names != first.names
+    # same table under other names, a different table, then the first F again
+    for f in (renamed, make_lz2_sg(), z3):
+        p = power_ordered_semigroup(f)
+        fresh = _power_structure.__wrapped__(f)
+        assert p == fresh and p.names == fresh.names
+    assert power_ordered_semigroup(z3) == first
 
 
 def test_join_examples():
