@@ -9,9 +9,8 @@ embedding recovers f.  The extension's morphism laws are verified, not
 assumed: joins in an arbitrary target need not distribute over products,
 and a failure raises NotMorphism.
 
-P(F) is built and validated once per F: a one-entry memo returns it again
-while calls ask about the same F in a row, and the size guard runs on
-every call.
+Consecutive calls on one F share a single build and validation of P(F),
+while the size guard runs on every call.
 
 Unordered properties of F (group, left group, completely regular) are
 decided by definition-level brute force, never by reusing the ordered
@@ -87,7 +86,9 @@ def power_ordered_semigroup(f: FiniteSemigroup) -> OrderedSemigroup:
 
 # One entry, keyed by F: the three correspondences of one F share a build,
 # but a long run over many F never holds more than one P(F) and its caches.
-# The guard above stays outside, so it is checked on a hit too.
+# Callers share the result, which is safe: it is frozen and its _cache holds
+# only values derived from it.  The guard above stays outside, so it is
+# checked on a hit too.
 @lru_cache(maxsize=1)
 def _power_structure(f: FiniteSemigroup) -> OrderedSemigroup:
     subsets = _subset_carrier(f.size)
