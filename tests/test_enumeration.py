@@ -3,6 +3,8 @@
 import concurrent.futures
 import hashlib
 import itertools
+import sys
+import tracemalloc
 
 import pytest
 
@@ -284,6 +286,21 @@ def test_parallel_sweep_caps_processes_at_cpu_count(monkeypatch):
     serial = sweep(enumerate_ordered_semigroups(3), check_ids=())
     assert report.total == serial.total == 971
     assert report.transcripts == serial.transcripts
+
+
+def test_sweep_order_memory_does_not_grow_with_the_stream():
+    docs = sweep(enumerate_ordered_semigroups(3), check_ids=()).transcripts
+    stream_bytes = sum(sys.getsizeof(doc) for doc in docs)
+    assert len(docs) == 971
+    del docs
+    sweep_order(3, 1, ())  # fills the enumeration caches and loads hashlib
+    tracemalloc.start()
+    try:
+        sweep_order(3, 1, ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stream_bytes / 4, (peak, stream_bytes)
 
 
 def test_sampling_is_deterministic():
