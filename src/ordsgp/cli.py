@@ -13,7 +13,9 @@ no guard.
 ``enumerate`` sweeps the stream positions from the start (or from the
 position after a ``--resume`` token) to the end, and prints the token of
 the last position it swept.  ``--workers N`` prints the same lines as a
-serial run, resume token included.
+serial run, resume token included.  Both hashes are folded one table (or
+one pool range) at a time, so its memory does not grow with the number
+of structures in the stream.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 from .classification import BUNDLE_ORDER, classify, equivalence_bundle
 from .congruence import THEOREM_ORDER, decompose, least_csc, structure_theorem_check
 from .core import OrderedSemigroup, induced_substructure
-from .enumeration import all_semigroup_tables, resume_position, resume_token, transcript_hash
+from .enumeration import all_semigroup_tables, resume_position, resume_token
 from .errors import NotApplicable, OrdsgpError
 from .fileformat import parse_document, serialize_document
 from .ideals import green_relation
@@ -269,8 +271,8 @@ def cmd_enumerate(args) -> int:
 
     report = sweep_order(n, args.workers, check_ids, start)
     print(f"ordered-semigroups: {report.total}")
-    print(f"sequence-hash: {transcript_hash(report.transcripts)}")
-    print(f"sorted-hash: {transcript_hash(report.transcripts, sort=True)}")
+    print(f"sequence-hash: {report.sequence_hash}")
+    print(f"sorted-hash: {report.sorted_hash}")
     if report.total:
         print(f"resume-token: {resume_token(n, start + report.total - 1)}")
 

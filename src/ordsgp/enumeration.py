@@ -356,9 +356,8 @@ def _inv_order(perm: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 def transcript_hash(docs: Iterable[str], sort: bool = False) -> str:
     """SHA-256 over a sequence of serialized structure documents."""
-    docs = list(docs)
     if sort:
-        docs.sort()
+        docs = sorted(docs)
     # imported here, not at module level: hashlib loads OpenSSL, which costs
     # every `import ordsgp` a few MB of RSS that only hashing callers need
     import hashlib

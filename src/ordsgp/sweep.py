@@ -8,23 +8,42 @@ the serialized structure and every condition with its counterexample
 detail, so a counterexample is reproducible from the report alone.
 
 ``sweep_order`` sweeps the ordered-semigroup stream of one order from a
-start position to its end.  It splits that range into contiguous ranges
-of equal size, one per worker and at most one per CPU.  A single range
-runs in the calling process; several run in a process pool, and their
-results are merged in range order, so the merged transcripts are the
-serial sequence.
+start position to its end without keeping the stream's documents.  The
+positions are cut into blocks at table boundaries (the first block may
+start at a resume position).  Each block is swept, its documents are fed
+in stream order to a running SHA-256 sequence digest, then sorted and fed
+to a running sorted digest, and dropped.
+
+Sorting every block on its own and taking the blocks in stream order gives
+the global sort of all documents.  Tables come in lexicographic order of
+their flat tables, and for n <= 10 every table entry is one digit, so a
+document's table text sorts in the order of its flat table.  The fold
+checks this at every seam: a block's least document must not sort below
+the previous block's greatest, or it raises ``InvariantViolation`` and no
+sorted hash is reported.
+
+One worker sweeps the whole range in the calling process, as one stream
+read one table at a time, with no pool and no fork.  Several workers sweep
+table-aligned ranges in a process pool, each of about 1/(16 × workers)
+of the positions to sweep and at most about 4,096.  The parent folds the
+ranges in stream order and keeps at most two per worker in flight, so it
+holds about an eighth of the stream at most, and a fixed number of
+documents on long streams.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 from .classification import BUNDLE_ORDER, equivalence_bundle
 from .congruence import THEOREM_ORDER, structure_theorem_check
 from .core import OrderedSemigroup
 from .enumeration import enumerate_ordered_semigroups, ordered_offsets
-from .errors import NotApplicable
+from .errors import InvariantViolation, NotApplicable
 from .fileformat import serialize_document
 from .report import ConditionResult
 
@@ -75,16 +94,37 @@ def sweep(structures, check_ids=CHECK_IDS) -> SweepReport:
     return SweepReport(total, disagreements, transcripts)
 
 
-def split_positions(n: int, workers: int, start: int = 0) -> list[tuple[int, int]]:
-    """Contiguous position ranges covering start .. the end of the order-n
-    stream, whose sizes differ by at most 1.
+@dataclass(frozen=True)
+class StreamReport:
+    """A swept stream range: how many structures, their disagreements in
+    stream order, and the SHA-256 of their documents in stream order and in
+    sorted order (``transcript_hash`` without and with ``sort``)."""
 
-    With more workers than structures, equal bounds are merged, so there
-    are fewer ranges than ``workers`` but none is empty.
+    total: int
+    disagreements: list[Disagreement]
+    sequence_hash: str
+    sorted_hash: str
+
+
+# positions in one pool range, at most: bounds what the parent holds on a
+# long stream (order 5 has 22.8M positions)
+_MAX_RANGE = 4096
+
+
+def table_ranges(n: int, size: int, start: int = 0):
+    """Contiguous position ranges covering start .. the end of the order-n
+    stream, each ending at a table boundary.
+
+    A range ends at the first table boundary at least ``size`` positions
+    past its start, or at the end of the stream.  With ``size`` 1 each
+    range is one table, the first from ``start`` to its table's end.
     """
-    total = ordered_offsets(n)[-1]
-    bounds = sorted({start + w * (total - start) // workers for w in range(workers + 1)})
-    return list(zip(bounds, bounds[1:]))
+    offsets = ordered_offsets(n)
+    lo = start
+    for end in offsets[bisect_right(offsets, start) :]:
+        if end - lo >= size or end == offsets[-1]:
+            yield lo, end
+            lo = end
 
 
 def _sweep_chunk(args) -> SweepReport:
@@ -92,32 +132,66 @@ def _sweep_chunk(args) -> SweepReport:
     return sweep(enumerate_ordered_semigroups(n, positions=chunk), check_ids)
 
 
-def _merge(reports) -> SweepReport:
-    """The reports concatenated in order, extending the first in place."""
-    merged = next(reports, SweepReport(0, [], []))
-    for report in reports:
-        merged.total += report.total
-        merged.disagreements.extend(report.disagreements)
-        merged.transcripts.extend(report.transcripts)
-    return merged
+def _in_order(pool, args, in_flight: int):
+    """``_sweep_chunk`` over args in the pool, yielded in order, with at
+    most ``in_flight`` results submitted and not yet consumed."""
+    pending = deque()
+    for arg in args:
+        if len(pending) == in_flight:
+            yield pending.popleft().result()
+        pending.append(pool.submit(_sweep_chunk, arg))
+    while pending:
+        yield pending.popleft().result()
 
 
-def sweep_order(n: int, workers: int = 1, check_ids=CHECK_IDS, start: int = 0) -> SweepReport:
+def _fold(blocks) -> StreamReport:
+    """One report over nonempty block reports given in stream order.
+
+    Each block's transcripts are hashed in order, then sorted in place and
+    hashed again; a block whose least document sorts below the previous
+    block's greatest raises ``InvariantViolation``.
+    """
+    # imported here, as in transcript_hash: only hashing callers load OpenSSL
+    import hashlib
+
+    sequence, ordered = hashlib.sha256(), hashlib.sha256()
+    total, disagreements, greatest = 0, [], ""
+    for block in blocks:
+        docs = block.transcripts
+        sequence.update("".join(docs).encode("utf-8"))
+        docs.sort()
+        if docs[0] < greatest:
+            raise InvariantViolation(
+                f"the block after {total} structures sorts below the block before it: "
+                "sorting one block at a time would not give the global sort"
+            )
+        ordered.update("".join(docs).encode("utf-8"))
+        greatest = docs[-1]
+        total += block.total
+        disagreements.extend(block.disagreements)
+    return StreamReport(total, disagreements, sequence.hexdigest(), ordered.hexdigest())
+
+
+def sweep_order(n: int, workers: int = 1, check_ids=CHECK_IDS, start: int = 0) -> StreamReport:
     """Sweep the order-n stream from position ``start`` to its end.
 
-    At most ``os.cpu_count()`` ranges.  One range runs here, with no pool
-    and no fork; more run in a process pool, and ``pool.map`` returns them
-    in order, so the merged report lists structures and disagreements in
-    the serial order.
+    At most ``os.cpu_count()`` workers.  One runs here, with no pool and no
+    fork; more sweep ranges in a process pool, folded in stream order, so
+    the report lists disagreements in the serial order and its hashes are
+    the serial ones.
     """
-    # the split builds the table list and every table's compatible orders
-    # before any pool starts, so forked workers inherit both caches
-    chunks = split_positions(n, min(workers, os.cpu_count() or 1), start)
-    args = [(n, chunk, check_ids) for chunk in chunks]
-    if len(args) < 2:
-        return _merge(map(_sweep_chunk, args))
+    # builds the table list and every table's compatible orders before any
+    # pool starts, so forked workers inherit both caches
+    total = ordered_offsets(n)[-1]
+    workers = min(workers, os.cpu_count() or 1)
+    if workers < 2:
+        stream = enumerate_ordered_semigroups(n, positions=(start, total))
+        blocks = table_ranges(n, 1, start)
+        return _fold(sweep(islice(stream, hi - lo), check_ids) for lo, hi in blocks)
     # imported here so a serial run never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=len(args)) as pool:
-        return _merge(pool.map(_sweep_chunk, args))
+    size = min(_MAX_RANGE, (total - start) // (16 * workers) + 1)
+    args = ((n, chunk, check_ids) for chunk in table_ranges(n, size, start))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return _fold(_in_order(pool, args, 2 * workers))

@@ -17,7 +17,7 @@ from ordsgp import (
     transcript_hash,
     validate_semigroup,
 )
-from ordsgp import core, enumeration
+from ordsgp import cli, core, enumeration
 from ordsgp import sweep as sweep_module
 from ordsgp.enumeration import (
     all_posets,
@@ -27,8 +27,8 @@ from ordsgp.enumeration import (
     resume_token,
     sample_ordered_semigroups,
 )
-from ordsgp.errors import NotAssociative, NotCompatible, SizeLimit
-from ordsgp.sweep import split_positions, sweep, sweep_order
+from ordsgp.errors import InvariantViolation, NotAssociative, NotCompatible, SizeLimit
+from ordsgp.sweep import CHECK_IDS, sweep, sweep_order, table_ranges
 
 from conftest import make_lz2_sg, make_t1
 
@@ -211,7 +211,8 @@ def test_stream_checks_each_table_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 113
     # a chunk checks only the tables that hold one of its positions
     offsets = ordered_offsets(3)
-    for lo, hi in split_positions(3, 4):
+    bounds = [w * 971 // 4 for w in range(5)]
+    for lo, hi in zip(bounds, bounds[1:]):
         calls.clear()
         list(enumerate_ordered_semigroups(3, positions=(lo, hi)))
         assert len(calls) == sum(offsets[t] < hi and lo < offsets[t + 1] for t in range(113))
@@ -230,45 +231,54 @@ def test_positions_slice_the_stream():
             list(enumerate_ordered_semigroups(2, positions=bad))
 
 
-def test_position_split_covers_everything():
-    chunks = split_positions(3, 4)
-    assert chunks[0][0] == 0 and chunks[-1][1] == 971
-    merged = []
-    for chunk in chunks:
-        merged.extend(enumerate_ordered_semigroups(3, positions=chunk))
+def test_table_ranges_cover_everything():
+    offsets = ordered_offsets(3)
     full = list(enumerate_ordered_semigroups(3))
-    assert merged == full  # contiguous ranges preserve the global order
-
-
-def test_position_split_balances_work():
-    for workers in (2, 3, 4):
-        chunks = split_positions(4, workers)
-        assert len(chunks) == workers
-        assert chunks[0][0] == 0
+    for size in (1, 31, 500, 10_000):
+        chunks = list(table_ranges(3, size))
+        assert chunks[0][0] == 0 and chunks[-1][1] == 971
         assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-        sizes = [hi - lo for lo, hi in chunks]
-        assert sum(sizes) == 107688
-        assert max(sizes) - min(sizes) <= 1, sizes
-        # a resumed sweep splits only the positions after the token
-        chunks = split_positions(4, workers, start=50_001)
-        assert chunks[0][0] == 50_001 and chunks[-1][1] == 107688
-        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-        sizes = [hi - lo for lo, hi in chunks]
-        assert len(sizes) == workers and max(sizes) - min(sizes) <= 1, sizes
-    assert split_positions(2, 3, start=20) == []
-    # more workers than structures: one range per structure, none empty
-    chunks = split_positions(2, 100)
-    assert chunks == [(p, p + 1) for p in range(20)]
+        assert all(hi in offsets for _, hi in chunks)
+        merged = []
+        for chunk in chunks:
+            merged.extend(enumerate_ordered_semigroups(3, positions=chunk))
+        assert merged == full  # contiguous ranges preserve the global order
+    # size 1: one range per table
+    assert list(table_ranges(3, 1)) == list(zip(offsets, offsets[1:]))
 
 
-def test_parallel_sweep_caps_processes_at_cpu_count(monkeypatch):
-    started = []
+def test_table_ranges_end_at_the_first_boundary_past_size():
+    offsets = ordered_offsets(4)
+    for size in (1, 1000, 4096):
+        # a resumed range starts at the position after the token, mid-table
+        for start in (0, 50_001):
+            chunks = list(table_ranges(4, size, start))
+            assert chunks[0][0] == start and chunks[-1][1] == 107688
+            assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+            for lo, hi in chunks[:-1]:
+                assert hi == min(b for b in offsets if b >= lo + size)
+    assert list(table_ranges(2, 1, start=4)) == [(4, 6), (6, 9), (9, 12), (12, 13), (13, 16), (16, 17), (17, 20)]
+    assert list(table_ranges(2, 1, start=20)) == []
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Two CPUs and a stand-in for ProcessPoolExecutor that runs each task
+    when it is submitted and starts nothing.  Records each pool's
+    max_workers and the most results submitted and not yet read."""
+    log = {"started": [], "in_flight": 0, "most_in_flight": 0}
+
+    class Done:
+        def __init__(self, value):
+            self.value = value
+
+        def result(self):
+            log["in_flight"] -= 1
+            return self.value
 
     class SerialPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
-
         def __init__(self, max_workers):
-            started.append(max_workers)
+            log["started"].append(max_workers)
 
         def __enter__(self):
             return self
@@ -276,16 +286,61 @@ def test_parallel_sweep_caps_processes_at_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, args):
-            return map(fn, args)
+        def submit(self, fn, *args):
+            log["in_flight"] += 1
+            log["most_in_flight"] = max(log["most_in_flight"], log["in_flight"])
+            return Done(fn(*args))
 
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return log
+
+
+def test_parallel_sweep_caps_processes_at_cpu_count(serial_pool):
     report = sweep_order(3, 1000, check_ids=())
-    assert started == [2]
+    assert serial_pool["started"] == [2]
     serial = sweep(enumerate_ordered_semigroups(3), check_ids=())
     assert report.total == serial.total == 971
-    assert report.transcripts == serial.transcripts
+    assert report.sequence_hash == transcript_hash(serial.transcripts)
+    assert report.sorted_hash == transcript_hash(serial.transcripts, sort=True)
+    # two ranges per worker in flight, of about 31 positions each at order 3
+    assert serial_pool["most_in_flight"] == 4
+
+
+def _assert_streamed_digests(n, workers, check_ids, start):
+    report = sweep_order(n, workers, check_ids, start)
+    oracle = sweep(enumerate_ordered_semigroups(n, positions=(start, ordered_offsets(n)[-1])), check_ids)
+    assert report.total == oracle.total
+    assert report.disagreements == oracle.disagreements
+    assert report.sequence_hash == transcript_hash(oracle.transcripts)
+    assert report.sorted_hash == transcript_hash(oracle.transcripts, sort=True)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_streamed_digests_match_transcript_hash(serial_pool, workers):
+    for check_ids in ((), CHECK_IDS):
+        for start in range(21):
+            _assert_streamed_digests(2, workers, check_ids, start)
+    # the stream's start, a mid-table resume position, its last position
+    mid = resume_position(3, "o3:012111012:1")
+    assert resume_token(3, mid).endswith(":2")
+    for start in (0, mid, 970):
+        _assert_streamed_digests(3, workers, (), start)
+    assert serial_pool["started"] == ([2] * (2 * 21 + 3) if workers == 2 else [])
+
+
+def test_fold_refuses_blocks_out_of_sort_order(monkeypatch, serial_pool, capsys):
+    tables = all_semigroup_tables(2)
+    larger, smaller = tables[-1], tables[0]
+    monkeypatch.setattr(enumeration, "_TABLE_LISTS", {2: (larger, smaller)})
+    for workers in (1, 2):
+        with pytest.raises(InvariantViolation):
+            sweep_order(2, workers)
+    # the command exits with an error line and prints no hash
+    assert cli.main(["enumerate", "--order", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "hash" not in captured.out
+    assert captured.err.startswith("error: the block after 3 structures sorts below")
 
 
 def test_sweep_order_memory_does_not_grow_with_the_stream():
