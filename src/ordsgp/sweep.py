@@ -182,16 +182,16 @@ def sweep_order(n: int, workers: int = 1, check_ids=CHECK_IDS, start: int = 0) -
     """
     # builds the table list and every table's compatible orders before any
     # pool starts, so forked workers inherit both caches
-    total = ordered_offsets(n)[-1]
+    end = ordered_offsets(n)[-1]
     workers = min(workers, os.cpu_count() or 1)
     if workers < 2:
-        stream = enumerate_ordered_semigroups(n, positions=(start, total))
+        stream = enumerate_ordered_semigroups(n, positions=(start, end))
         blocks = table_ranges(n, 1, start)
         return _fold(sweep(islice(stream, hi - lo), check_ids) for lo, hi in blocks)
     # imported here so a serial run never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    size = min(_MAX_RANGE, (total - start) // (16 * workers) + 1)
+    size = min(_MAX_RANGE, (end - start) // (16 * workers) + 1)
     args = ((n, chunk, check_ids) for chunk in table_ranges(n, size, start))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return _fold(_in_order(pool, args, 2 * workers))
