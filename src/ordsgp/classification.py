@@ -1,12 +1,14 @@
-"""Structure-level predicates and the executable equivalence bundles.
+"""Structure-level predicates, and the table of the 19 executable checks.
 
 A predicate is a named property of a whole structure (regular, completely
-regular, group like, Clifford, ...).  A bundle groups together conditions
-that a characterization theorem asserts to be equivalent; evaluating a
-bundle computes every condition independently, from its own definition,
-and reports whether they all agree.  A bundle whose conditions disagree on
-any finite structure falsifies the theorem it encodes, so the enumeration
-sweeps treat a failed ``agree`` flag as a build-stopping finding.
+regular, group like, Clifford, ...).  A check groups the conditions of one
+theorem: 13 equivalence bundles for the characterizations, 6 structure
+theorems for the decompositions.  It computes every condition on its own
+and reports whether they agree as the theorem says; a disagreement on any
+finite structure falsifies the theorem, so the enumeration sweeps treat a
+failed ``agree`` flag as a build-stopping finding.  ``CHECKS`` maps each
+id to its check; a check behind one of the ``PREMISES`` raises
+NotApplicable, with the premise's note, on a structure outside it.
 
 Nearly every definition reads "for all args there is x with
 lhs <= left*x*right", and each such condition is a terms function for the
@@ -19,22 +21,23 @@ order: ``elements.first_failure`` for Green's relations and inverses, and
 short loops for the principal-ideal and class comparisons.  No condition
 is computed from another condition's result: conditions share terms,
 helpers and the regularity premise, never a verdict, so the sides of a
-bundle stay independent.
+check stay independent.
 
 Predicates with a regularity premise (left/right group like, Clifford,
 left Clifford, inverse) raise NotApplicable on non-regular structures
-rather than returning a vacuous boolean.  Bundles evaluated on structures
+rather than returning a vacuous boolean.  Checks evaluated on structures
 outside such premises use the total forms (regular AND the condition) so
 that equivalences remain meaningful on every input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, product
 from typing import Callable
 
 from . import limits
+from .congruence import complete_semilattice_congruences, least_csc, relation_properties
 from .core import (
     OrderedSemigroup,
     bits,
@@ -57,12 +60,20 @@ from .elements import (
     is_regular_structure,
     witness_scan,
 )
-from .errors import InvariantViolation, NotApplicable, SizeLimit, UnknownBundle, UnknownPredicate
+from .errors import (
+    InvariantViolation,
+    NotApplicable,
+    SizeLimit,
+    UnknownBundle,
+    UnknownPredicate,
+    UnknownTheorem,
+)
 from .ideals import Side, _principal_mask_in, green_relation
 from .report import (
     BundleResult,
     ClassificationReport,
     ConditionGroup,
+    ConditionResult,
     PredicateResult,
     _cond,
     make_bundle,
@@ -219,12 +230,6 @@ def predicate(s: OrderedSemigroup, name: str) -> PredicateResult:
 
 # ---------------------------------------------------------------------------
 # equivalence bundles
-
-
-@dataclass(frozen=True)
-class _Bundle:
-    premise: str | None
-    build: Callable
 
 
 def _build_cr_eq5(s) -> BundleResult:
@@ -500,35 +505,244 @@ def _build_lcl_eq2(s) -> BundleResult:
     )
 
 
-BUNDLES: dict[str, _Bundle] = {
-    "CR-EQ5": _Bundle(None, _build_cr_eq5),
-    "GL-CHAR": _Bundle(None, _build_gl_char),
-    "GL-HREL": _Bundle("regular", _build_gl_hrel),
-    "INV-COMM": _Bundle("regular", _build_inv_comm),
-    "CR-HCOMM": _Bundle("h_commutative", _build_cr_hcomm),
-    "CR-INV": _Bundle(None, _build_cr_inv),
-    "CR-HCLASS": _Bundle(None, _build_cr_hclass),
-    "CL-EQ": _Bundle("regular", _build_cl_eq),
-    "CL-HCOMM": _Bundle("regular", _build_cl_hcomm),
-    "CL-CRESEF": _Bundle(None, _build_cl_cresef),
-    "CL-CRINV": _Bundle(None, _build_cl_crinv),
-    "LCL-EQ5": _Bundle("regular", _build_lcl_eq5),
-    "LCL-EQ2": _Bundle(None, _build_lcl_eq2),
+# ---------------------------------------------------------------------------
+# structure theorems
+
+
+def _exists_csc_with_classes(s, check):
+    """Some complete semilattice congruence has only classes passing check;
+    the detail is the first such congruence's class ids."""
+    for rel in complete_semilattice_congruences(s):
+        if all(check(cls_set.mask) for cls_set in rel.classes):
+            return True, tuple(rel.class_ids), {}
+    return False, None, {}
+
+
+def _is_left_group_like_class(s):
+    return lambda mask: (
+        _closed(s, mask)
+        and forall_exists(s, *REGULAR, mask)[0]
+        and forall_exists(s, *LEFT_GROUP_LIKE, mask)[0]
+    )
+
+
+def _is_completely_simple_class(s):
+    return lambda mask: (
+        _closed(s, mask)
+        and _simple(s, Side.TWO_SIDED, mask)[0]
+        and forall_exists(s, *COMPLETELY_REGULAR, mask)[0]
+    )
+
+
+def _check_cr_leastcsc(s) -> BundleResult:
+    j = green_relation(s, "J")
+    props = relation_properties(s, j)
+    return make_bundle(
+        "CR-LEASTCSC",
+        (
+            _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
+            ConditionResult(
+                "J equals the least complete semilattice congruence",
+                j.class_ids == least_csc(s).class_ids,
+            ),
+            ConditionResult(
+                "J is a complete semilattice congruence",
+                props.complete_semilattice,
+                props.counterexamples.get("complete_semilattice"),
+            ),
+        ),
+        (ConditionGroup("implication", (0, 1, 2)),),
+    )
+
+
+def _check_cr_csdecomp(s) -> BundleResult:
+    return make_bundle(
+        "CR-CSDECOMP",
+        (
+            _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
+            _cond(
+                "some complete semilattice congruence has completely simple classes",
+                _exists_csc_with_classes(s, _is_completely_simple_class(s)),
+            ),
+        ),
+    )
+
+
+def _check_cr_hclass_gl(s) -> BundleResult:
+    h = green_relation(s, "H")
+    closed = _classes_all(h, lambda m: _closed(s, m))
+    table, leq = s.table, s.leq
+
+    def has_h(a):  # one h in a's H-class with a <= aha, a <= a^2 h, a <= h a^2
+        aa, la = table[a][a], leq[a]
+        return any(
+            la[table[table[a][x]][a]] and la[table[aa][x]] and la[table[x][aa]]
+            for x in h.classes[h.class_ids[a]]
+        )
+
+    return make_bundle(
+        "CR-HCLASS-GL",
+        (
+            _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
+            _cond("every H-class is product-closed", closed),
+            _cond(
+                "every H-class is a group like ordered subsemigroup",
+                _classes_all(h, lambda m: _group_like_subsemigroup(s, m)),
+            ),
+            _cond(
+                "every a has h in its H-class with a <= aha, a <= a^2 h, a <= h a^2",
+                _then(
+                    closed,
+                    first_failure,
+                    ((a,) for cls_set in h.classes for a in cls_set),
+                    has_h,
+                ),
+            ),
+        ),
+        (ConditionGroup("implication", (0, 1, 2, 3)),),
+    )
+
+
+def _check_cl_decomp(s) -> BundleResult:
+    return make_bundle(
+        "CL-DECOMP",
+        (
+            _cond("regular with the clifford condition", _regular_then(s, _clifford)),
+            _cond(
+                "every least-congruence class is group like",
+                _classes_all(least_csc(s), lambda m: _group_like_subsemigroup(s, m)),
+            ),
+            _cond(
+                "some complete semilattice congruence has group like classes",
+                _exists_csc_with_classes(s, lambda m: _group_like_subsemigroup(s, m)),
+            ),
+            ConditionResult(
+                "J = H",
+                green_relation(s, "J").class_ids == green_relation(s, "H").class_ids,
+            ),
+        ),
+        (
+            ConditionGroup("equivalence", (0, 1, 2)),
+            ConditionGroup("implication", (0, 3)),
+        ),
+    )
+
+
+def _check_lcl_leastcsc(s) -> BundleResult:
+    # "L is the least csc" alone does not force regularity (the order can
+    # make every principal left ideal full on a non-regular structure), so
+    # the ambient regularity of the left clifford notion is conjoined to
+    # both sides.
+    def l_is_least():
+        lrel = green_relation(s, "L")
+        props = relation_properties(s, lrel)
+        holds = props.complete_semilattice and lrel.class_ids == least_csc(s).class_ids
+        return holds, None if holds else props.counterexamples.get("complete_semilattice"), {}
+
+    return make_bundle(
+        "LCL-LEASTCSC",
+        (
+            _cond(
+                "regular with the left clifford condition",
+                _regular_then(s, _left_clifford),
+            ),
+            _cond(
+                "regular, and L is the least complete semilattice congruence",
+                _then(forall_exists(s, *REGULAR), l_is_least),
+            ),
+        ),
+    )
+
+
+def _check_lcl_decomp(s) -> BundleResult:
+    return make_bundle(
+        "LCL-DECOMP",
+        (
+            _cond(
+                "regular with the left clifford condition",
+                _regular_then(s, _left_clifford),
+            ),
+            _cond(
+                "some complete semilattice congruence has left group like classes",
+                _exists_csc_with_classes(s, _is_left_group_like_class(s)),
+            ),
+            _cond(
+                "every least-congruence class is left group like",
+                _classes_all(least_csc(s), _is_left_group_like_class(s)),
+            ),
+        ),
+        (
+            ConditionGroup("equivalence", (0, 1)),
+            ConditionGroup("implication", (0, 2)),
+        ),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the table of checks
+
+
+PREMISES: dict[str, tuple[Callable, str]] = {
+    "regular": (is_regular_structure, "requires a regular structure"),
+    "h_commutative": (
+        lambda s: forall_exists(s, *H_COMMUTATIVE)[0],
+        "requires an h-commutative structure",
+    ),
 }
 
-BUNDLE_ORDER = tuple(BUNDLES)
+
+def _run(check_id: str, premise: str | None, build: Callable, s) -> BundleResult:
+    """``build(s)``, or NotApplicable where the named premise fails on s."""
+    if premise is not None:
+        holds, note = PREMISES[premise]
+        if not holds(s):
+            raise NotApplicable(check_id, note)
+    return build(s)
+
+
+# id -> (structure -> BundleResult): the 13 bundles, then the 6 theorems
+CHECKS: dict[str, Callable[[OrderedSemigroup], BundleResult]] = {
+    check_id: partial(_run, check_id, premise, build)
+    for check_id, premise, build in (
+        ("CR-EQ5", None, _build_cr_eq5),
+        ("GL-CHAR", None, _build_gl_char),
+        ("GL-HREL", "regular", _build_gl_hrel),
+        ("INV-COMM", "regular", _build_inv_comm),
+        ("CR-HCOMM", "h_commutative", _build_cr_hcomm),
+        ("CR-INV", None, _build_cr_inv),
+        ("CR-HCLASS", None, _build_cr_hclass),
+        ("CL-EQ", "regular", _build_cl_eq),
+        ("CL-HCOMM", "regular", _build_cl_hcomm),
+        ("CL-CRESEF", None, _build_cl_cresef),
+        ("CL-CRINV", None, _build_cl_crinv),
+        ("LCL-EQ5", "regular", _build_lcl_eq5),
+        ("LCL-EQ2", None, _build_lcl_eq2),
+        ("CR-LEASTCSC", None, _check_cr_leastcsc),
+        ("CR-CSDECOMP", None, _check_cr_csdecomp),
+        ("CR-HCLASS-GL", None, _check_cr_hclass_gl),
+        ("CL-DECOMP", None, _check_cl_decomp),
+        ("LCL-LEASTCSC", None, _check_lcl_leastcsc),
+        ("LCL-DECOMP", None, _check_lcl_decomp),
+    )
+}
+
+CHECK_IDS = tuple(CHECKS)
+BUNDLE_ORDER = CHECK_IDS[: CHECK_IDS.index("CR-LEASTCSC")]
+THEOREM_ORDER = CHECK_IDS[len(BUNDLE_ORDER) :]
 
 
 def equivalence_bundle(s: OrderedSemigroup, bundle_id: str) -> BundleResult:
     """Evaluate one characterization bundle; every condition independently."""
-    spec = BUNDLES.get(bundle_id)
-    if spec is None:
+    if bundle_id not in BUNDLE_ORDER:
         raise UnknownBundle(bundle_id)
-    if spec.premise == "regular" and not is_regular_structure(s):
-        raise NotApplicable(bundle_id, "requires a regular structure")
-    if spec.premise == "h_commutative" and not forall_exists(s, *H_COMMUTATIVE)[0]:
-        raise NotApplicable(bundle_id, "requires an h-commutative structure")
-    return spec.build(s)
+    return CHECKS[bundle_id](s)
+
+
+def structure_theorem_check(s: OrderedSemigroup, theorem_id: str) -> BundleResult:
+    """Evaluate one structure theorem; both sides computed independently."""
+    if theorem_id not in THEOREM_ORDER:
+        raise UnknownTheorem(theorem_id)
+    return CHECKS[theorem_id](s)
 
 
 # ---------------------------------------------------------------------------

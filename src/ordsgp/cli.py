@@ -25,8 +25,8 @@ import json
 import sys
 from pathlib import Path
 
-from .classification import BUNDLE_ORDER, classify, equivalence_bundle
-from .congruence import THEOREM_ORDER, decompose, least_csc, structure_theorem_check
+from .classification import BUNDLE_ORDER, CHECK_IDS, CHECKS, THEOREM_ORDER, classify
+from .congruence import decompose, least_csc
 from .core import OrderedSemigroup, induced_substructure
 from .enumeration import all_semigroup_tables, resume_position, resume_token
 from .errors import NotApplicable, OrdsgpError
@@ -34,7 +34,7 @@ from .fileformat import parse_document, serialize_document
 from .ideals import green_relation
 from .power import power_ordered_semigroup
 from .report import BundleResult, ClassificationReport
-from .sweep import CHECK_IDS, CHECKS, sweep_order
+from .sweep import sweep_order
 
 
 def _read_structure(path: str, close_order: bool = False):
@@ -229,10 +229,7 @@ def cmd_check(args) -> int:
     structure = _require_ordered(_read_structure(args.file), "check")
     name = args.bundle or args.theorem
     try:
-        if args.bundle:
-            result = equivalence_bundle(structure, args.bundle)
-        else:
-            result = structure_theorem_check(structure, args.theorem)
+        result = CHECKS[name](structure)
     except NotApplicable as exc:
         if args.json:
             _print_json({"id": name, "applicable": False, "reason": exc.reason})

@@ -7,9 +7,6 @@ produces a semilattice Y of classes ordered by beta <= alpha iff
 beta*alpha = beta in Y, and four conditions are verified verbatim:
 disjointness, cover, S_alpha * S_beta inside S_{alpha beta}, and the
 linkage S_beta meets (S_alpha] only when beta <= alpha.
-
-The `structure_theorem_check` registry turns each decomposition theorem
-into an executable agreement check over independently computed sides.
 """
 
 from __future__ import annotations
@@ -19,33 +16,11 @@ from itertools import combinations, product
 from typing import Iterator
 
 from . import limits
-from .classification import (
-    COMPLETELY_REGULAR,
-    LEFT_GROUP_LIKE,
-    _classes_all,
-    _clifford,
-    _closed,
-    _group_like_subsemigroup,
-    _left_clifford,
-    _regular_then,
-    _simple,
-)
 from .core import OrderedSemigroup, _cached, bits, down_mask
-from .elements import REGULAR, _then, first_failure, forall_exists
-from .errors import (
-    InvariantViolation,
-    NotCompleteSemilattice,
-    NotPartition,
-    UnknownTheorem,
-)
-from .ideals import EquivalenceRelation, Side, green_relation, n_relation
-from .report import (
-    BundleResult,
-    ConditionGroup,
-    ConditionResult,
-    _cond,
-    make_bundle,
-)
+from .elements import first_failure
+from .errors import InvariantViolation, NotCompleteSemilattice, NotPartition
+from .ideals import EquivalenceRelation, n_relation
+from .report import ConditionResult, _cond
 
 
 @dataclass(frozen=True)
@@ -290,200 +265,3 @@ def decompose(s: OrderedSemigroup, rho: EquivalenceRelation) -> Decomposition:
     )
 
     return Decomposition(rho, k, qtable, qorder, conditions)
-
-
-# ---------------------------------------------------------------------------
-# structure theorems
-
-
-def _exists_csc_with_classes(s, check):
-    """Some complete semilattice congruence has only classes passing check;
-    the detail is the first such congruence's class ids."""
-    for rel in complete_semilattice_congruences(s):
-        if all(check(cls_set.mask) for cls_set in rel.classes):
-            return True, tuple(rel.class_ids), {}
-    return False, None, {}
-
-
-def _is_group_like_class(s):
-    return lambda mask: _group_like_subsemigroup(s, mask)
-
-
-def _is_left_group_like_class(s):
-    return lambda mask: (
-        _closed(s, mask)
-        and forall_exists(s, *REGULAR, mask)[0]
-        and forall_exists(s, *LEFT_GROUP_LIKE, mask)[0]
-    )
-
-
-def _is_completely_simple_class(s):
-    return lambda mask: (
-        _closed(s, mask)
-        and _simple(s, Side.TWO_SIDED, mask)[0]
-        and forall_exists(s, *COMPLETELY_REGULAR, mask)[0]
-    )
-
-
-def _check_cr_leastcsc(s) -> BundleResult:
-    j = green_relation(s, "J")
-    props = relation_properties(s, j)
-    return make_bundle(
-        "CR-LEASTCSC",
-        (
-            _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
-            ConditionResult(
-                "J equals the least complete semilattice congruence",
-                j.class_ids == least_csc(s).class_ids,
-            ),
-            ConditionResult(
-                "J is a complete semilattice congruence",
-                props.complete_semilattice,
-                props.counterexamples.get("complete_semilattice"),
-            ),
-        ),
-        (ConditionGroup("implication", (0, 1, 2)),),
-    )
-
-
-def _check_cr_csdecomp(s) -> BundleResult:
-    return make_bundle(
-        "CR-CSDECOMP",
-        (
-            _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
-            _cond(
-                "some complete semilattice congruence has completely simple classes",
-                _exists_csc_with_classes(s, _is_completely_simple_class(s)),
-            ),
-        ),
-    )
-
-
-def _check_cr_hclass_gl(s) -> BundleResult:
-    h = green_relation(s, "H")
-    closed = _classes_all(h, lambda m: _closed(s, m))
-    table, leq = s.table, s.leq
-
-    def has_h(a):  # one h in a's H-class with a <= aha, a <= a^2 h, a <= h a^2
-        aa, la = table[a][a], leq[a]
-        return any(
-            la[table[table[a][x]][a]] and la[table[aa][x]] and la[table[x][aa]]
-            for x in h.classes[h.class_ids[a]]
-        )
-
-    return make_bundle(
-        "CR-HCLASS-GL",
-        (
-            _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
-            _cond("every H-class is product-closed", closed),
-            _cond(
-                "every H-class is a group like ordered subsemigroup",
-                _classes_all(h, _is_group_like_class(s)),
-            ),
-            _cond(
-                "every a has h in its H-class with a <= aha, a <= a^2 h, a <= h a^2",
-                _then(
-                    closed,
-                    first_failure,
-                    ((a,) for cls_set in h.classes for a in cls_set),
-                    has_h,
-                ),
-            ),
-        ),
-        (ConditionGroup("implication", (0, 1, 2, 3)),),
-    )
-
-
-def _check_cl_decomp(s) -> BundleResult:
-    return make_bundle(
-        "CL-DECOMP",
-        (
-            _cond("regular with the clifford condition", _regular_then(s, _clifford)),
-            _cond(
-                "every least-congruence class is group like",
-                _classes_all(least_csc(s), _is_group_like_class(s)),
-            ),
-            _cond(
-                "some complete semilattice congruence has group like classes",
-                _exists_csc_with_classes(s, _is_group_like_class(s)),
-            ),
-            ConditionResult(
-                "J = H",
-                green_relation(s, "J").class_ids == green_relation(s, "H").class_ids,
-            ),
-        ),
-        (
-            ConditionGroup("equivalence", (0, 1, 2)),
-            ConditionGroup("implication", (0, 3)),
-        ),
-    )
-
-
-def _check_lcl_leastcsc(s) -> BundleResult:
-    # "L is the least csc" alone does not force regularity (the order can
-    # make every principal left ideal full on a non-regular structure), so
-    # the ambient regularity of the left clifford notion is conjoined to
-    # both sides.
-    def l_is_least():
-        lrel = green_relation(s, "L")
-        props = relation_properties(s, lrel)
-        holds = props.complete_semilattice and lrel.class_ids == least_csc(s).class_ids
-        return holds, None if holds else props.counterexamples.get("complete_semilattice"), {}
-
-    return make_bundle(
-        "LCL-LEASTCSC",
-        (
-            _cond(
-                "regular with the left clifford condition",
-                _regular_then(s, _left_clifford),
-            ),
-            _cond(
-                "regular, and L is the least complete semilattice congruence",
-                _then(forall_exists(s, *REGULAR), l_is_least),
-            ),
-        ),
-    )
-
-
-def _check_lcl_decomp(s) -> BundleResult:
-    return make_bundle(
-        "LCL-DECOMP",
-        (
-            _cond(
-                "regular with the left clifford condition",
-                _regular_then(s, _left_clifford),
-            ),
-            _cond(
-                "some complete semilattice congruence has left group like classes",
-                _exists_csc_with_classes(s, _is_left_group_like_class(s)),
-            ),
-            _cond(
-                "every least-congruence class is left group like",
-                _classes_all(least_csc(s), _is_left_group_like_class(s)),
-            ),
-        ),
-        (
-            ConditionGroup("equivalence", (0, 1)),
-            ConditionGroup("implication", (0, 2)),
-        ),
-    )
-
-
-THEOREMS = {
-    "CR-LEASTCSC": _check_cr_leastcsc,
-    "CR-CSDECOMP": _check_cr_csdecomp,
-    "CR-HCLASS-GL": _check_cr_hclass_gl,
-    "CL-DECOMP": _check_cl_decomp,
-    "LCL-LEASTCSC": _check_lcl_leastcsc,
-    "LCL-DECOMP": _check_lcl_decomp,
-}
-
-THEOREM_ORDER = tuple(THEOREMS)
-
-
-def structure_theorem_check(s: OrderedSemigroup, theorem_id: str) -> BundleResult:
-    """Evaluate one structure theorem; both sides computed independently."""
-    fn = THEOREMS.get(theorem_id)
-    if fn is None:
-        raise UnknownTheorem(theorem_id)
-    return fn(s)

@@ -32,6 +32,7 @@ the rest of the package cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -155,6 +156,17 @@ def mask_of(members: Iterable[int]) -> int:
     return mask
 
 
+def integers(values, what: str) -> tuple[int, ...]:
+    """The entries as ints; an entry that ``operator.index`` refuses, such as
+    a float or a string that ``int`` would truncate or parse, is a ValueError."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        k = next(k for k, v in enumerate(values) if not hasattr(v, "__index__"))
+        raise ValueError(f"{what} entry {k} is not an integer: {values[k]!r}") from None
+
+
 def _check_table(size: int, table) -> Table:
     if size < 1:
         raise ValueError("size must be a positive integer")
@@ -162,7 +174,7 @@ def _check_table(size: int, table) -> Table:
     if len(table) != size:
         raise ValueError(f"table must have {size} rows")
     for i, row in enumerate(table):
-        r = tuple(int(v) for v in row)
+        r = integers(row, f"table row {i}")
         if len(r) != size:
             raise ValueError(f"table row {i} must have {size} entries")
         for j, v in enumerate(r):
@@ -233,7 +245,10 @@ def _order_on(
     for i in range(size):
         leq[i][i] = True
     for a, b in leq_pairs:
-        a, b = int(a), int(b)
+        try:
+            a, b = index(a), index(b)
+        except TypeError:
+            raise ValueError(f"order pair ({a!r},{b!r}) is not a pair of integers") from None
         if not (0 <= a < size and 0 <= b < size):
             raise ValueError(f"order pair ({a},{b}) out of range")
         leq[a][b] = True

@@ -31,6 +31,7 @@ from .core import (
     OrderedSemigroup,
     above_masks,
     bits,
+    integers,
     mask_of,
     product_mask,
     validate_structure,
@@ -54,7 +55,7 @@ class SemigroupMorphism:
 
 
 def semigroup_morphism(source, target, mapping) -> SemigroupMorphism:
-    mapping = tuple(int(v) for v in mapping)
+    mapping = integers(mapping, "mapping")
     if len(mapping) != source.size:
         raise ValueError("mapping must cover the whole source")
     for v in mapping:
@@ -201,36 +202,35 @@ def is_completely_regular_semigroup(f: FiniteSemigroup) -> bool:
     )
 
 
-_UNORDERED = {
-    "t_simple": (is_group, "F is a group"),
-    "left_group_like": (is_left_group, "F is a left group"),
+# property -> (decider on F, its label, decider on P(F))
+_CORRESPONDENCES = {
+    "t_simple": (
+        is_group,
+        "F is a group",
+        lambda p: (_simple(p, Side.LEFT)[0] and _simple(p, Side.RIGHT)[0], None, {}),
+    ),
+    "left_group_like": (
+        is_left_group,
+        "F is a left group",
+        lambda p: _regular_then(p, forall_exists, *LEFT_GROUP_LIKE),
+    ),
     "completely_regular": (
         is_completely_regular_semigroup,
         "F is a completely regular semigroup",
+        lambda p: forall_exists(p, *COMPLETELY_REGULAR),
     ),
 }
 
 
 def power_correspondence_check(f: FiniteSemigroup, property_name: str):
     """Compare an unordered property of F with its ordered counterpart on P(F)."""
-    entry = _UNORDERED.get(property_name)
-    if entry is None:
+    if property_name not in _CORRESPONDENCES:
         raise UnknownPredicate(property_name)
-    decider, label = entry
-    unordered = decider(f)
-
-    p = power_ordered_semigroup(f)
-    if property_name == "t_simple":
-        ordered = (_simple(p, Side.LEFT)[0] and _simple(p, Side.RIGHT)[0], None, {})
-    elif property_name == "left_group_like":
-        ordered = _regular_then(p, forall_exists, *LEFT_GROUP_LIKE)
-    else:
-        ordered = forall_exists(p, *COMPLETELY_REGULAR)
-
+    unordered, label, ordered = _CORRESPONDENCES[property_name]
     return make_bundle(
         f"POWER-{property_name}",
         (
-            ConditionResult(label, unordered),
-            _cond(f"the power structure is {property_name}", ordered),
+            ConditionResult(label, unordered(f)),
+            _cond(f"the power structure is {property_name}", ordered(power_ordered_semigroup(f))),
         ),
     )

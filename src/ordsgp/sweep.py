@@ -1,11 +1,11 @@
 """Sweep machinery: run every registered check over enumerated structures.
 
-``CHECKS`` maps each check id to its evaluator: the equivalence bundles
-first, then the structure theorems.  A sweep evaluates the checks it is
-given in that order, skipping a bundle whose premise a structure does not
-meet; any ``agree = False`` result is collected as a Disagreement carrying
-the serialized structure and every condition with its counterexample
-detail, so a counterexample is reproducible from the report alone.
+The checks are ``classification.CHECKS``: the equivalence bundles first,
+then the structure theorems.  A sweep evaluates the checks it is given in
+that order, skipping a check whose premise a structure does not meet;
+any ``agree = False`` result is collected as a Disagreement carrying the
+serialized structure and every condition with its counterexample detail,
+so a counterexample is reproducible from the report alone.
 
 ``sweep_order`` sweeps the ordered-semigroup stream of one order from a
 start position to its end without keeping the stream's documents.  The
@@ -39,19 +39,12 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
-from .classification import BUNDLE_ORDER, equivalence_bundle
-from .congruence import THEOREM_ORDER, structure_theorem_check
+from .classification import CHECK_IDS, CHECKS
 from .core import OrderedSemigroup
 from .enumeration import enumerate_ordered_semigroups, ordered_offsets
 from .errors import InvariantViolation, NotApplicable
 from .fileformat import serialize_document
 from .report import ConditionResult
-
-CHECKS = {
-    **{b: (lambda s, b=b: equivalence_bundle(s, b)) for b in BUNDLE_ORDER},
-    **{t: (lambda s, t=t: structure_theorem_check(s, t)) for t in THEOREM_ORDER},
-}
-CHECK_IDS = tuple(CHECKS)
 
 
 @dataclass(frozen=True)

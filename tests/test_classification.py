@@ -5,6 +5,7 @@ import pytest
 from ordsgp import (
     BUNDLE_ORDER,
     PREDICATE_ORDER,
+    BundleResult,
     classify,
     equivalence_bundle,
     induced_substructure,
@@ -159,6 +160,23 @@ def test_classify_reports():
     assert report.verdicts["clifford"].holds is None
     report = classify(make_t1())
     assert all(r.holds for r in report.verdicts.values())
+
+
+def test_classify_reports_a_size_guard_as_not_applicable(monkeypatch):
+    unguarded = classify(make_n2()).bundle_results
+    monkeypatch.setenv("ORDSGP_LIMITS", "ideals=1")
+    guarded = classify(make_n2()).bundle_results
+    changed = [(a, b) for a, b in zip(unguarded, guarded) if a != b]
+    assert len(changed) == 1
+    assert changed[0][1] == BundleResult(
+        "CR-HCLASS",
+        (),
+        (),
+        True,
+        applicable=False,
+        note="size 2 exceeds the 'ideals' guard (1); set ORDSGP_LIMITS to override",
+    )
+    assert changed[0][0].applicable
 
 
 def test_restricted_scans_match_induced_substructures():

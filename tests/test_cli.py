@@ -165,6 +165,45 @@ def test_check_not_applicable(tmp_path, capsys):
     assert "not applicable" in capsys.readouterr().out
 
 
+N2_DOC = "kind: osg\nelements: 2\ntable:\n0 0\n0 0\norder:\n"
+
+
+@pytest.fixture
+def n2_file(tmp_path):
+    path = tmp_path / "n2.osg"
+    path.write_text(N2_DOC)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify"], ["green", "--kind", "J"], ["decompose"], ["check", "--bundle", "CR-EQ5"]],
+    ids=lambda argv: argv[0],
+)
+def test_ordered_commands_refuse_an_unordered_semigroup(z2_file, capsys, argv):
+    assert main([argv[0], z2_file, *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: '{argv[0]}' needs an ordered semigroup (kind: osg)\n"
+
+
+def test_check_json_not_applicable(n2_file, capsys):
+    assert main(["check", n2_file, "--json", "--bundle", "CL-EQ"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "applicable": False,
+        "id": "CL-EQ",
+        "reason": "requires a regular structure",
+    }
+
+
+def test_classify_text_on_a_non_regular_structure(n2_file, capsys):
+    assert main(["classify", n2_file]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "note: structure is not regular" in lines
+    assert "left_group_like: not applicable (structure is not regular)" in lines
+    assert "GL-HREL: not applicable (requires a regular structure)" in lines
+
+
 def test_check_theorem(sl2_file, capsys):
     assert main(["check", sl2_file, "--theorem", "CL-DECOMP"]) == 0
     out = capsys.readouterr().out
@@ -214,13 +253,13 @@ def test_enumerate_sweep_subset(capsys):
 
 def test_enumerate_sweep_repeated_id(monkeypatch, capsys):
     calls = []
-    bundle = sweep_module.equivalence_bundle
+    check = sweep_module.CHECKS["CR-EQ5"]
 
-    def counting_bundle(s, bundle_id):
-        calls.append(bundle_id)
-        return bundle(s, bundle_id)
+    def counting_check(s):
+        calls.append("CR-EQ5")
+        return check(s)
 
-    monkeypatch.setattr(sweep_module, "equivalence_bundle", counting_bundle)
+    monkeypatch.setitem(sweep_module.CHECKS, "CR-EQ5", counting_check)
     assert main(["enumerate", "--order", "2", "--sweep", "CR-EQ5,CR-EQ5,CR-EQ5"]) == 0
     assert "checks: 1 per structure" in capsys.readouterr().out
     assert calls == ["CR-EQ5"] * 20

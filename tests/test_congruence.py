@@ -18,7 +18,7 @@ from ordsgp import (
     structure_theorem_check,
     validate_structure,
 )
-from ordsgp import congruence
+from ordsgp import classification, congruence
 from ordsgp.errors import (
     NotCompleteSemilattice,
     NotPartition,
@@ -186,7 +186,7 @@ def test_cr_hclass_gl_checks_shared_h(monkeypatch, size, table, pairs, ids, verd
     # conditions are decided by the classes alone
     s = validate_structure(size, table, pairs)
     h = EquivalenceRelation.from_class_ids(s, ids)
-    monkeypatch.setattr(congruence, "green_relation", lambda s, kind: h)
+    monkeypatch.setattr(classification, "green_relation", lambda s, kind: h)
     result = structure_theorem_check(s, "CR-HCLASS-GL")
     assert [c.holds for c in result.conditions] == verdicts
     assert [c.detail for c in result.conditions] == details

@@ -9,6 +9,7 @@ from ordsgp import (
     dual_structure,
     induced_substructure,
     set_product,
+    validate_semigroup,
     validate_structure,
 )
 from ordsgp.errors import (
@@ -129,6 +130,20 @@ def test_input_shape_errors():
         validate_structure(2, [[0, 0], [0, 1]], [(0, 5)])
     with pytest.raises(ValueError):
         validate_structure(2, [[0, 0], [0, 1]], names=["only-one"])
+
+
+def test_table_entries_must_be_integers():
+    # int() would truncate 0.9 and 1.7 to the table ((0, 0), (0, 1))
+    with pytest.raises(ValueError, match=r"table row 0 entry 1 is not an integer: 0\.9"):
+        validate_semigroup(2, [[0, 0.9], [0, 1.7]])
+    with pytest.raises(ValueError, match="table row 1 entry 0 is not an integer: '0'"):
+        validate_semigroup(2, [[0, 0], ["0", 1]])
+
+
+def test_order_pairs_must_be_integers():
+    # int() would read (0.5, 1.2) as the pair 0 <= 1
+    with pytest.raises(ValueError, match=r"order pair \(0\.5,1\.2\) is not a pair of integers"):
+        validate_structure(2, [[0, 0], [0, 1]], [(0.5, 1.2)])
 
 
 def test_fault_precedence():

@@ -17,6 +17,7 @@ from itertools import product
 import pytest
 
 from ordsgp import (
+    THEOREM_ORDER,
     classify,
     complete_semilattice_congruences,
     decompose,
@@ -30,7 +31,6 @@ from ordsgp import (
     transcript_hash,
 )
 from ordsgp.cli import _bundle_json, _classification_json, main
-from ordsgp.congruence import THEOREM_ORDER
 from ordsgp.errors import NotIdempotent, NotRegular
 
 from conftest import ORDERED_FIXTURES

@@ -105,6 +105,13 @@ def test_morphism_validation():
         semigroup_morphism(z2, p, [0])
 
 
+def test_morphism_values_must_be_integers():
+    z2 = make_z2()
+    p = power_ordered_semigroup(z2)
+    with pytest.raises(ValueError, match="mapping entry 1 is not an integer: 1.0"):
+        semigroup_morphism(z2, p, [0, 1.0])
+
+
 def test_universal_extension_identity_on_power():
     z2 = make_z2()
     p = power_ordered_semigroup(z2)
