@@ -157,8 +157,9 @@ def mask_of(members: Iterable[int]) -> int:
 
 
 def integers(values, what: str) -> tuple[int, ...]:
-    """The entries as ints; an entry that ``operator.index`` refuses, such as
-    a float or a string that ``int`` would truncate or parse, is a ValueError."""
+    """The entries as ints.  An entry that ``operator.index`` refuses (a
+    float, which ``int`` would truncate, or a string, which it would parse)
+    is a ValueError naming it."""
     values = tuple(values)
     try:
         return tuple(map(index, values))
