@@ -23,6 +23,13 @@ least failing pair, and the unordered deciders of ``power`` stay
 definition-level so that a power correspondence keeps two independent
 sides.
 
+Validation keeps one memo.  ``_partial_order`` is keyed by the normalized
+order input (size, the in-range integer pairs as given, close_order): it
+builds the leq matrix, takes the closure if asked, and proves antisymmetry
+and transitivity once per distinct key per process; a key that is not a
+partial order is not cached and raises again on every call.  Compatibility
+depends on the table as well, so it is checked on every call.
+
 Element indices are the canonical identity; display names are cosmetic.
 All values are immutable after validation and safe to share.  Subsets are
 stored as bitmasks over the carrier, which keeps the exhaustive scans in
@@ -32,6 +39,7 @@ the rest of the package cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import index
 from typing import Iterable, Iterator
 
@@ -242,9 +250,7 @@ def _order_on(
     """Check the order axioms of ``leq_pairs`` on F's validated table, then
     the names, and build the ordered semigroup."""
     size, tbl = f.size, f.table
-    leq = [[False] * size for _ in range(size)]
-    for i in range(size):
-        leq[i][i] = True
+    pairs = []
     for a, b in leq_pairs:
         try:
             a, b = index(a), index(b)
@@ -252,6 +258,36 @@ def _order_on(
             raise ValueError(f"order pair ({a!r},{b!r}) is not a pair of integers") from None
         if not (0 <= a < size and 0 <= b < size):
             raise ValueError(f"order pair ({a},{b}) out of range")
+        pairs.append((a, b))
+    leq, strict = _partial_order(size, tuple(pairs), close_order)
+
+    for a, b in strict:
+        row_a, row_b = tbl[a], tbl[b]
+        for c in range(size):
+            tc = tbl[c]
+            if not leq[tc[a]][tc[b]]:
+                raise NotCompatible(a, b, c, "left")
+            if not leq[row_a[c]][row_b[c]]:
+                raise NotCompatible(a, b, c, "right")
+
+    return OrderedSemigroup(size, tbl, _check_names(size, names), leq=leq)
+
+
+# Keyed by the exact normalized input, so a hit returns the verdict for that
+# input.  lru_cache keeps no exception: a pair list that is not a partial
+# order raises again on every call.  The bound holds every order of a
+# stream up to order 5 (4,231 posets).
+@lru_cache(maxsize=8192)
+def _partial_order(
+    size: int, pairs: tuple[tuple[int, int], ...], close_order: bool
+) -> tuple[LeqMatrix, tuple[tuple[int, int], ...]]:
+    """The leq matrix of in-range ``pairs`` plus the diagonal, closed
+    transitively if ``close_order``, and its strict pairs row-major;
+    raises unless it is a partial order."""
+    leq = [[False] * size for _ in range(size)]
+    for i in range(size):
+        leq[i][i] = True
+    for a, b in pairs:
         leq[a][b] = True
 
     if close_order:
@@ -276,21 +312,8 @@ def _order_on(
                 for k in range(size):
                     if lj[k] and not li[k]:
                         raise NotTransitive(i, j, k)
-
-    for a in range(size):
-        la = leq[a]
-        for b in range(size):
-            if a != b and la[b]:
-                for c in range(size):
-                    tc = tbl[c]
-                    if not leq[tc[a]][tc[b]]:
-                        raise NotCompatible(a, b, c, "left")
-                    if not leq[tbl[a][c]][tbl[b][c]]:
-                        raise NotCompatible(a, b, c, "right")
-
-    return OrderedSemigroup(
-        size, tbl, _check_names(size, names), leq=tuple(tuple(row) for row in leq)
-    )
+    rows = tuple(tuple(row) for row in leq)
+    return rows, tuple(leq_pairs(rows))
 
 
 # ---------------------------------------------------------------------------

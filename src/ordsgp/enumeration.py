@@ -284,8 +284,10 @@ def enumerate_ordered_semigroups(
     """Stream of all OrderedSemigroups on n labeled elements.
 
     ``positions=(lo, hi)`` yields stream positions lo .. hi-1 only.  Each
-    table is validated once and the order axioms once per yielded
-    structure, so every structure passes full validation.
+    table is validated once, compatibility once per yielded structure, and
+    the order axioms once per distinct normalized order per process (the
+    ``core._partial_order`` memo), so every structure passes full
+    validation.
     """
     _check_order(n)
 

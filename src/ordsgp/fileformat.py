@@ -22,11 +22,20 @@ writes straight from the structure.  Canonical text uses single spaces,
 the order pairs in ascending order and a trailing newline, and has no
 comments, so parse(serialize(S)) = S and serialize(parse(text))
 reproduces canonical text byte for byte.
+
+A document is written as a head (kind, elements, names, table) and, for an
+ordered structure, an order tail.  Each comes from a memo: the head from a
+one-entry memo keyed by (ordered, size, names, table), the tail from one
+keyed by the leq matrix.  A stream yields each table's orders together and
+repeats a few orders across all its tables, so most documents are two
+lookups and one concatenation.
 """
 
 from __future__ import annotations
 
-from .core import OrderedSemigroup, validate_semigroup, validate_structure
+from functools import lru_cache
+
+from .core import OrderedSemigroup, leq_pairs, validate_semigroup, validate_structure
 from .errors import ParseError
 
 
@@ -125,12 +134,27 @@ def parse_document(text: str, close_order: bool = False):
 def serialize_document(structure) -> str:
     """Canonical text for a structure; parse(serialize(S)) = S."""
     ordered = isinstance(structure, OrderedSemigroup)
-    out = [f"kind: {'osg' if ordered else 'sgp'}", f"elements: {structure.size}"]
-    if structure.names is not None:
-        out.append("names: " + " ".join(structure.names))
+    head = _head_text(ordered, structure.size, structure.names, structure.table)
+    return head + _order_text(structure.leq) if ordered else head
+
+
+# One entry: a stream yields a table's structures together, so its head is
+# written once per run of equal tables, and a long stream holds one head.
+@lru_cache(maxsize=1)
+def _head_text(ordered: bool, size: int, names, table) -> str:
+    """The lines up to and including the table, each ending in a newline."""
+    out = [f"kind: {'osg' if ordered else 'sgp'}", f"elements: {size}"]
+    if names is not None:
+        out.append("names: " + " ".join(names))
     out.append("table:")
-    out.extend(" ".join(map(str, row)) for row in structure.table)
-    if ordered:
-        out.append("order:")
-        out.extend(f"{a} {b}" for a, b in structure.order_pairs())
+    out.extend(" ".join(map(str, row)) for row in table)
     return "\n".join(out) + "\n"
+
+
+# Keyed by the leq matrix; the bound holds every order of a stream up to
+# order 5 (4,231 posets).
+@lru_cache(maxsize=8192)
+def _order_text(leq) -> str:
+    """The order block: ``order:`` and the strict pairs, each line ending in
+    a newline."""
+    return "order:\n" + "".join(f"{a} {b}\n" for a, b in leq_pairs(leq))

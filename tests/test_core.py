@@ -5,6 +5,7 @@ import random
 import pytest
 
 from ordsgp import (
+    OrderedSemigroup,
     down_closure,
     dual_structure,
     induced_substructure,
@@ -144,6 +145,57 @@ def test_order_pairs_must_be_integers():
     # int() would read (0.5, 1.2) as the pair 0 <= 1
     with pytest.raises(ValueError, match=r"order pair \(0\.5,1\.2\) is not a pair of integers"):
         validate_structure(2, [[0, 0], [0, 1]], [(0.5, 1.2)])
+
+
+def _outcome(call):
+    """A validator call's result, or its exception type and witness."""
+    try:
+        return call()
+    except (NotAntisymmetric, NotTransitive, NotCompatible) as exc:
+        return type(exc), vars(exc)
+
+
+def test_validator_against_brute_force_on_every_pair_up_to_order_3():
+    """Every (table, poset) pair of order <= 3, compatible or not, through
+    validate_structure twice: the verdict is brute_valid's, and the second
+    call (a hit in the order memo) gives the first call's result."""
+    from ordsgp import enumerate_semigroups
+    from ordsgp.core import _partial_order, leq_pairs
+    from ordsgp.enumeration import all_posets
+
+    _partial_order.cache_clear()
+    counts = {True: 0, False: 0}
+    for n in (1, 2, 3):
+        orders = [leq_pairs(leq) for leq in all_posets(n)]
+        for f in enumerate_semigroups(n):
+            for pairs in orders:
+                first = _outcome(lambda: validate_structure(n, f.table, pairs))
+                again = _outcome(lambda: validate_structure(n, f.table, pairs))
+                assert first == again, (f.table, pairs)
+                valid = isinstance(first, OrderedSemigroup)
+                assert valid == brute_valid(n, f.table, pairs), (f.table, pairs)
+                assert not valid or first.order_pairs() == pairs
+                counts[valid] += 1
+    assert counts == {True: 1 + 20 + 971, False: 0 + 4 + 113 * 19 - 971}
+    # one miss per distinct order: the memo key is the normalized input
+    assert _partial_order.cache_info().misses == 1 + 3 + 19
+
+    sl2 = [[0, 0], [0, 1]]
+    ch3 = [[min(i, j) for j in range(3)] for i in range(3)]
+    for _ in range(2):
+        assert _outcome(lambda: validate_structure(2, sl2, [(0, 1), (1, 0)])) == (
+            NotAntisymmetric,
+            {"pair": (0, 1)},
+        )
+        assert _outcome(lambda: validate_structure(3, ch3, [(0, 1), (1, 2)])) == (
+            NotTransitive,
+            {"triple": (0, 1, 2)},
+        )
+        closed = validate_structure(3, ch3, [(0, 1), (1, 2)], close_order=True)
+        assert closed.order_pairs() == [(0, 1), (0, 2), (1, 2)]
+    assert not brute_valid(2, sl2, [(0, 1), (1, 0)])
+    assert not brute_valid(3, ch3, [(0, 1), (1, 2)])
+    assert brute_valid(3, ch3, closed.order_pairs())
 
 
 def test_fault_precedence():

@@ -112,7 +112,10 @@ def test_round_trip_every_fixture():
 def _canonical_text(s):
     """Canonical document text, written from the structure's fields."""
     ordered = isinstance(s, OrderedSemigroup)
-    lines = [f"kind: {'osg' if ordered else 'sgp'}", f"elements: {s.size}", "table:"]
+    lines = [f"kind: {'osg' if ordered else 'sgp'}", f"elements: {s.size}"]
+    if s.names is not None:
+        lines.append("names: " + " ".join(s.names))
+    lines.append("table:")
     lines += [" ".join(str(v) for v in row) for row in s.table]
     if ordered:
         lines.append("order:")
@@ -123,13 +126,37 @@ def _canonical_text(s):
 
 
 def test_round_trip_every_structure_up_to_order_3():
-    from ordsgp import enumerate_ordered_semigroups, enumerate_semigroups
+    from ordsgp import (
+        enumerate_ordered_semigroups,
+        enumerate_semigroups,
+        validate_semigroup,
+        validate_structure,
+    )
 
+    structures = [
+        s for n in (1, 2, 3) for s in (*enumerate_semigroups(n), *enumerate_ordered_semigroups(n))
+    ]
+    # alternately from both ends, so that no two neighbours share a table
+    # and every first serialization misses the one-entry head memo
+    half = (len(structures) + 1) // 2
+    front, back = structures[:half], structures[half:][::-1]
+    interleaved = [s for pair in zip(front, back) for s in pair] + front[len(back) :]
+    # one table as sgp and as osg, with and without names
+    table = ((0, 0, 0), (0, 1, 1), (0, 1, 2))
+    names = ("z", "e", "one")
+    variants = [
+        validate_semigroup(3, table),
+        validate_structure(3, table, [(0, 1)]),
+        validate_semigroup(3, table, names),
+        validate_structure(3, table, [(0, 1)], names),
+        validate_structure(3, table),
+    ]
     count = 0
-    for n in (1, 2, 3):
-        for s in (*enumerate_semigroups(n), *enumerate_ordered_semigroups(n)):
-            text = _canonical_text(s)
-            assert parse_document(serialize_document(s)) == s
-            assert serialize_document(parse_document(text)) == text
-            count += 1
-    assert count == (1 + 8 + 113) + (1 + 20 + 971)
+    for s in interleaved + variants + variants[::-1]:
+        text = _canonical_text(s)
+        assert serialize_document(s) == text
+        assert parse_document(text) == s
+        assert serialize_document(parse_document(text)) == text
+        count += 1
+    assert len({serialize_document(s) for s in variants}) == len(variants)
+    assert count == (1 + 8 + 113) + (1 + 20 + 971) + 2 * len(variants)
