@@ -273,10 +273,9 @@ def _order_on(
     return OrderedSemigroup(size, tbl, _check_names(size, names), leq=leq)
 
 
-# Keyed by the exact normalized input, so a hit returns the verdict for that
-# input.  lru_cache keeps no exception: a pair list that is not a partial
-# order raises again on every call.  The bound holds every order of a
-# stream up to order 5 (4,231 posets).
+# lru_cache keeps no exception, so a pair list that is not a partial order
+# raises again on every call.  The bound holds every order of a stream up to
+# order 5 (4,231 posets).
 @lru_cache(maxsize=8192)
 def _partial_order(
     size: int, pairs: tuple[tuple[int, int], ...], close_order: bool
