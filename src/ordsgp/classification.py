@@ -1,4 +1,4 @@
-"""Structure-level predicates, and the table of the 19 executable checks.
+"""Structure-level predicates, and the 19 executable checks.
 
 A predicate is a named property of a whole structure (regular, completely
 regular, group like, Clifford, ...).  A check groups the conditions of one
@@ -6,9 +6,14 @@ theorem: 13 equivalence bundles for the characterizations, 6 structure
 theorems for the decompositions.  It computes every condition on its own
 and reports whether they agree as the theorem says; a disagreement on any
 finite structure falsifies the theorem, so the enumeration sweeps treat a
-failed ``agree`` flag as a build-stopping finding.  ``CHECKS`` maps each
-id to its check; a check behind one of the ``PREMISES`` raises
-NotApplicable, with the premise's note, on a structure outside it.
+failed ``agree`` flag as a build-stopping finding.
+
+Each check is stated once, at its builder: ``@_check(id, premise, groups)``
+registers the builder, which returns the tuple of conditions, in
+``CHECKS`` (id -> check) in definition order, bundles first.  The
+registered check raises NotApplicable, with the premise's note, on a
+structure outside the named one of the ``PREMISES``, and otherwise bundles
+the conditions under the groups (default: all equivalent).
 
 Nearly every definition reads "for all args there is x with
 lhs <= left*x*right", and each such condition is a terms function for the
@@ -32,7 +37,6 @@ that equivalences remain meaningful on every input.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import combinations, product
 from typing import Callable
 
@@ -128,10 +132,10 @@ def _group_like_subsemigroup(s, mask: int) -> bool:
     return _closed(s, mask) and forall_exists(s, *GROUP_LIKE, mask)[0]
 
 
-def _classes_all(rel, check):
-    """Every class of rel passes check; the counterexample is the first failing class."""
+def _classes_all(s, rel, test):
+    """Every class of rel passes test; the counterexample is the first failing class."""
     for cls_set in rel.classes:
-        if not check(cls_set.mask):
+        if not test(s, cls_set.mask):
             return False, tuple(cls_set), {}
     return True, None, {}
 
@@ -229,107 +233,134 @@ def predicate(s: OrderedSemigroup, name: str) -> PredicateResult:
 
 
 # ---------------------------------------------------------------------------
+# check registration
+
+
+PREMISES: dict[str, tuple[Callable, str]] = {
+    "regular": (is_regular_structure, "requires a regular structure"),
+    "h_commutative": (
+        lambda s: forall_exists(s, *H_COMMUTATIVE)[0],
+        "requires an h-commutative structure",
+    ),
+}
+
+# id -> (structure -> BundleResult), filled by ``_check`` in definition order
+CHECKS: dict[str, Callable[[OrderedSemigroup], BundleResult]] = {}
+
+
+def _check(check_id: str, premise: str | None = None, groups=None):
+    """Register a builder of the conditions of check_id as ``CHECKS[check_id]``.
+
+    The registered check raises NotApplicable, with the premise's note, where
+    the named premise fails on s, and otherwise bundles ``build(s)`` under
+    groups (default: one equivalence of all conditions)."""
+
+    def register(build):
+        def run(s) -> BundleResult:
+            if premise is not None:
+                holds, note = PREMISES[premise]
+                if not holds(s):
+                    raise NotApplicable(check_id, note)
+            return make_bundle(check_id, build(s), groups)
+
+        CHECKS[check_id] = run
+        return build
+
+    return register
+
+
+# ---------------------------------------------------------------------------
 # equivalence bundles
 
 
-def _build_cr_eq5(s) -> BundleResult:
-    return make_bundle(
-        "CR-EQ5",
-        (
-            _cond("a in (a^2 S a^2] for all a", forall_exists(s, *COMPLETELY_REGULAR)),
-            _cond(
-                "a in (a^2 S a] and a in (a S a^2] for all a",
-                forall_exists(s, 1, lambda tb, a: ((a, tb[a][a], a), (a, a, tb[a][a]))),
-            ),
-            _cond(
-                "a in (a^2 S a] and a in (S a^2] for all a",
-                forall_exists(s, 1, lambda tb, a: ((a, tb[a][a], a), (a, None, tb[a][a]))),
-            ),
-            _cond(
-                "a in (a S a^2] and a in (a^2 S] for all a",
-                forall_exists(s, 1, lambda tb, a: ((a, a, tb[a][a]), (a, tb[a][a], None))),
-            ),
-            _cond(
-                "regular, and a in (a^2 S] and a in (S a^2] for all a",
-                _then(forall_exists(s, *REGULAR), forall_exists, s, 1, lambda tb, a: ((a, tb[a][a], None), (a, None, tb[a][a]))),
-            ),
+@_check("CR-EQ5")
+def _cr_eq5(s):
+    return (
+        _cond("a in (a^2 S a^2] for all a", forall_exists(s, *COMPLETELY_REGULAR)),
+        _cond(
+            "a in (a^2 S a] and a in (a S a^2] for all a",
+            forall_exists(s, 1, lambda tb, a: ((a, tb[a][a], a), (a, a, tb[a][a]))),
+        ),
+        _cond(
+            "a in (a^2 S a] and a in (S a^2] for all a",
+            forall_exists(s, 1, lambda tb, a: ((a, tb[a][a], a), (a, None, tb[a][a]))),
+        ),
+        _cond(
+            "a in (a S a^2] and a in (a^2 S] for all a",
+            forall_exists(s, 1, lambda tb, a: ((a, a, tb[a][a]), (a, tb[a][a], None))),
+        ),
+        _cond(
+            "regular, and a in (a^2 S] and a in (S a^2] for all a",
+            _then(forall_exists(s, *REGULAR), forall_exists, s, 1, lambda tb, a: ((a, tb[a][a], None), (a, None, tb[a][a]))),
         ),
     )
 
 
-def _build_gl_char(s) -> BundleResult:
-    return make_bundle(
-        "GL-CHAR",
-        (
-            _cond(
-                "group like: a <= xb and a <= by solvable for all a, b",
-                forall_exists(s, *GROUP_LIKE),
-            ),
-            _cond(
-                "a in (b S b] for all a, b",
-                forall_exists(s, 2, lambda tb, a, b: ((a, b, b),)),
-            ),
-            _cond(
-                "left group like: regular and a <= xb solvable for all a, b",
-                _regular_then(s, forall_exists, *LEFT_GROUP_LIKE),
-            ),
-            _cond(
-                "a in (a S b] for all a, b",
-                forall_exists(s, 2, lambda tb, a, b: ((a, a, b),)),
-            ),
+@_check(
+    "GL-CHAR",
+    groups=(ConditionGroup("equivalence", (0, 1)), ConditionGroup("equivalence", (2, 3))),
+)
+def _gl_char(s):
+    return (
+        _cond(
+            "group like: a <= xb and a <= by solvable for all a, b",
+            forall_exists(s, *GROUP_LIKE),
         ),
-        (
-            ConditionGroup("equivalence", (0, 1)),
-            ConditionGroup("equivalence", (2, 3)),
+        _cond(
+            "a in (b S b] for all a, b",
+            forall_exists(s, 2, lambda tb, a, b: ((a, b, b),)),
+        ),
+        _cond(
+            "left group like: regular and a <= xb solvable for all a, b",
+            _regular_then(s, forall_exists, *LEFT_GROUP_LIKE),
+        ),
+        _cond(
+            "a in (a S b] for all a, b",
+            forall_exists(s, 2, lambda tb, a, b: ((a, a, b),)),
         ),
     )
 
 
-def _build_gl_hrel(s) -> BundleResult:
+@_check("GL-HREL", "regular")
+def _gl_hrel(s):
     ids = green_relation(s, "H").class_ids
-    return make_bundle(
-        "GL-HREL",
-        (
-            _cond("group like", forall_exists(s, *GROUP_LIKE)),
-            _cond(
-                "all ordered idempotents lie in one H-class",
-                first_failure(
-                    combinations(bits(idempotent_mask(s)), 2),
-                    lambda e, f: ids[e] == ids[f],
-                ),
+    return (
+        _cond("group like", forall_exists(s, *GROUP_LIKE)),
+        _cond(
+            "all ordered idempotents lie in one H-class",
+            first_failure(
+                combinations(bits(idempotent_mask(s)), 2),
+                lambda e, f: ids[e] == ids[f],
             ),
         ),
     )
 
 
-def _build_inv_comm(s) -> BundleResult:
-    return make_bundle(
-        "INV-COMM",
-        (
-            _cond("ordered inverses of each element are H-related", _inverse(s)),
-            _cond(
-                "ef <= f x e solvable for all ordered idempotents e, f",
-                witness_scan(
-                    s,
-                    product(bits(idempotent_mask(s)), repeat=2),
-                    lambda tb, e, f: ((tb[e][f], f, e),),
-                ),
+@_check("INV-COMM", "regular")
+def _inv_comm(s):
+    return (
+        _cond("ordered inverses of each element are H-related", _inverse(s)),
+        _cond(
+            "ef <= f x e solvable for all ordered idempotents e, f",
+            witness_scan(
+                s,
+                product(bits(idempotent_mask(s)), repeat=2),
+                lambda tb, e, f: ((tb[e][f], f, e),),
             ),
         ),
     )
 
 
-def _build_cr_hcomm(s) -> BundleResult:
-    return make_bundle(
-        "CR-HCOMM",
-        (
-            _cond("regular", forall_exists(s, *REGULAR)),
-            _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
-        ),
+@_check("CR-HCOMM", "h_commutative")
+def _cr_hcomm(s):
+    return (
+        _cond("regular", forall_exists(s, *REGULAR)),
+        _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
     )
 
 
-def _build_cr_inv(s) -> BundleResult:
+@_check("CR-INV")
+def _cr_inv(s):
     def good_inverse(tb, a, ap):  # aa' <= a'ua and a'a <= ava'
         return (tb[a][ap], ap, a), (tb[ap][a], a, ap)
 
@@ -338,14 +369,11 @@ def _build_cr_inv(s) -> BundleResult:
             witness_scan(s, ((a, ap),), good_inverse)[0] for ap in bits(inverse_mask(s, a))
         )
 
-    return make_bundle(
-        "CR-INV",
-        (
-            _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
-            _cond(
-                "each a has an ordered inverse a' with aa' <= a'ua and a'a <= ava'",
-                first_failure(((a,) for a in range(s.size)), has_inverse),
-            ),
+    return (
+        _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
+        _cond(
+            "each a has an ordered inverse a' with aa' <= a'ua and a'a <= ava'",
+            first_failure(((a,) for a in range(s.size)), has_inverse),
         ),
     )
 
@@ -365,141 +393,126 @@ def _union_of_group_like(s):
     return False, (next(bits(full & ~covered)),), {}
 
 
-def _build_cr_hclass(s) -> BundleResult:
-    h = green_relation(s, "H")
-    return make_bundle(
-        "CR-HCLASS",
-        (
-            _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
-            _cond(
-                "every H-class is a group like ordered subsemigroup",
-                _classes_all(h, lambda m: _group_like_subsemigroup(s, m)),
-            ),
-            _cond(
-                "carrier is a union of group like ordered subsemigroups",
-                _union_of_group_like(s),
-            ),
+@_check("CR-HCLASS")
+def _cr_hclass(s):
+    return (
+        _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
+        _cond(
+            "every H-class is a group like ordered subsemigroup",
+            _classes_all(s, green_relation(s, "H"), _group_like_subsemigroup),
+        ),
+        _cond(
+            "carrier is a union of group like ordered subsemigroups",
+            _union_of_group_like(s),
         ),
     )
 
 
-def _build_cl_eq(s) -> BundleResult:
+@_check("CL-EQ", "regular")
+def _cl_eq(s):
     lrel = green_relation(s, "L")
     rrel = green_relation(s, "R")
-    return make_bundle(
-        "CL-EQ",
-        (
-            _cond("clifford: ae <= eua and ea <= ave solvable", _clifford(s)),
-            _cond(
-                "L = R",
-                _relation_pairs(s, lambda a, b: lrel.same(a, b) == rrel.same(a, b)),
-            ),
-            _cond("(aS] = (Sa] for all a", _compare_aS_Sa(s, range(s.size), True)),
-            _cond(
-                "(eS] = (Se] for all ordered idempotents e",
-                _compare_aS_Sa(s, bits(idempotent_mask(s)), True),
-            ),
+    return (
+        _cond("clifford: ae <= eua and ea <= ave solvable", _clifford(s)),
+        _cond(
+            "L = R",
+            _relation_pairs(s, lambda a, b: lrel.same(a, b) == rrel.same(a, b)),
+        ),
+        _cond("(aS] = (Sa] for all a", _compare_aS_Sa(s, range(s.size), True)),
+        _cond(
+            "(eS] = (Se] for all ordered idempotents e",
+            _compare_aS_Sa(s, bits(idempotent_mask(s)), True),
         ),
     )
 
 
-def _build_cl_hcomm(s) -> BundleResult:
-    return make_bundle(
-        "CL-HCOMM",
-        (
-            _cond("clifford: ae <= eua and ea <= ave solvable", _clifford(s)),
-            _cond(
-                "h-commutative: ab <= bxa solvable for all a, b",
-                forall_exists(s, *H_COMMUTATIVE),
-            ),
+@_check("CL-HCOMM", "regular")
+def _cl_hcomm(s):
+    return (
+        _cond("clifford: ae <= eua and ea <= ave solvable", _clifford(s)),
+        _cond(
+            "h-commutative: ab <= bxa solvable for all a, b",
+            forall_exists(s, *H_COMMUTATIVE),
         ),
     )
 
 
-def _build_cl_cresef(s) -> BundleResult:
+@_check("CL-CRESEF")
+def _cl_cresef(s):
     idem = list(bits(idempotent_mask(s)))
     # every m in eSf must lie in (fSe]
     e_s_f = ((e, f, m) for e in idem for f in idem for m in bits(sandwich_mask(s, e, f)))
-    return make_bundle(
-        "CL-CRESEF",
-        (
-            _cond("regular with the clifford condition", _regular_then(s, _clifford)),
-            _cond(
-                "completely regular, and eSf inside (f S e] for all ordered idempotents",
-                _then(
-                    forall_exists(s, *COMPLETELY_REGULAR),
-                    witness_scan,
-                    s,
-                    e_s_f,
-                    lambda tb, e, f, m: ((m, f, e),),
-                ),
+    return (
+        _cond("regular with the clifford condition", _regular_then(s, _clifford)),
+        _cond(
+            "completely regular, and eSf inside (f S e] for all ordered idempotents",
+            _then(
+                forall_exists(s, *COMPLETELY_REGULAR),
+                witness_scan,
+                s,
+                e_s_f,
+                lambda tb, e, f, m: ((m, f, e),),
             ),
         ),
     )
 
 
-def _build_cl_crinv(s) -> BundleResult:
-    return make_bundle(
-        "CL-CRINV",
-        (
-            _cond("regular with the clifford condition", _regular_then(s, _clifford)),
-            _cond(
-                "completely regular and inverse",
-                _then(forall_exists(s, *COMPLETELY_REGULAR), _inverse, s),
-            ),
+@_check("CL-CRINV")
+def _cl_crinv(s):
+    return (
+        _cond("regular with the clifford condition", _regular_then(s, _clifford)),
+        _cond(
+            "completely regular and inverse",
+            _then(forall_exists(s, *COMPLETELY_REGULAR), _inverse, s),
         ),
     )
 
 
-def _build_lcl_eq5(s) -> BundleResult:
+@_check("LCL-EQ5", "regular")
+def _lcl_eq5(s):
     idem = idempotent_mask(s)
     rrel = green_relation(s, "R")
     lrel = green_relation(s, "L")
-    return make_bundle(
-        "LCL-EQ5",
-        (
-            _cond("left clifford: (aS] inside (Sa] for all a", _left_clifford(s)),
-            _cond(
-                "(eS] inside (Se] for all ordered idempotents e",
-                _compare_aS_Sa(s, bits(idem), False),
+    return (
+        _cond("left clifford: (aS] inside (Sa] for all a", _left_clifford(s)),
+        _cond(
+            "(eS] inside (Se] for all ordered idempotents e",
+            _compare_aS_Sa(s, bits(idem), False),
+        ),
+        _cond(
+            "ea <= xe solvable for all a and ordered idempotents e",
+            witness_scan(
+                s,
+                product(range(s.size), bits(idem)),
+                lambda tb, a, e: ((tb[e][a], None, e),),
             ),
-            _cond(
-                "ea <= xe solvable for all a and ordered idempotents e",
-                witness_scan(
-                    s,
-                    product(range(s.size), bits(idem)),
-                    lambda tb, a, e: ((tb[e][a], None, e),),
-                ),
-            ),
-            _cond(
-                "ab <= xa solvable for all a, b",
-                forall_exists(s, 2, lambda tb, a, b: ((tb[a][b], None, a),)),
-            ),
-            _cond(
-                "R inside L",
-                _relation_pairs(s, lambda a, b: lrel.same(a, b) or not rrel.same(a, b)),
-            ),
+        ),
+        _cond(
+            "ab <= xa solvable for all a, b",
+            forall_exists(s, 2, lambda tb, a, b: ((tb[a][b], None, a),)),
+        ),
+        _cond(
+            "R inside L",
+            _relation_pairs(s, lambda a, b: lrel.same(a, b) or not rrel.same(a, b)),
         ),
     )
 
 
-def _build_lcl_eq2(s) -> BundleResult:
-    return make_bundle(
-        "LCL-EQ2",
-        (
-            _cond(
-                "regular with the left clifford condition",
-                _regular_then(s, _left_clifford),
-            ),
-            _cond(
-                "a in (a S a^2] for all a, and ef in (ef S fe] for ordered idempotents",
-                _then(
-                    forall_exists(s, 1, lambda tb, a: ((a, a, tb[a][a]),)),
-                    witness_scan,
-                    s,
-                    product(bits(idempotent_mask(s)), repeat=2),
-                    lambda tb, e, f: ((tb[e][f], tb[e][f], tb[f][e]),),
-                ),
+@_check("LCL-EQ2")
+def _lcl_eq2(s):
+    return (
+        _cond(
+            "regular with the left clifford condition",
+            _regular_then(s, _left_clifford),
+        ),
+        _cond(
+            "a in (a S a^2] for all a, and ef in (ef S fe] for ordered idempotents",
+            _then(
+                forall_exists(s, 1, lambda tb, a: ((a, a, tb[a][a]),)),
+                witness_scan,
+                s,
+                product(bits(idempotent_mask(s)), repeat=2),
+                lambda tb, e, f: ((tb[e][f], tb[e][f], tb[f][e]),),
             ),
         ),
     )
@@ -509,68 +522,64 @@ def _build_lcl_eq2(s) -> BundleResult:
 # structure theorems
 
 
-def _exists_csc_with_classes(s, check):
-    """Some complete semilattice congruence has only classes passing check;
+def _exists_csc_with_classes(s, test):
+    """Some complete semilattice congruence has only classes passing test;
     the detail is the first such congruence's class ids."""
     for rel in complete_semilattice_congruences(s):
-        if all(check(cls_set.mask) for cls_set in rel.classes):
+        if all(test(s, cls_set.mask) for cls_set in rel.classes):
             return True, tuple(rel.class_ids), {}
     return False, None, {}
 
 
-def _is_left_group_like_class(s):
-    return lambda mask: (
+def _left_group_like_class(s, mask: int) -> bool:
+    return (
         _closed(s, mask)
         and forall_exists(s, *REGULAR, mask)[0]
         and forall_exists(s, *LEFT_GROUP_LIKE, mask)[0]
     )
 
 
-def _is_completely_simple_class(s):
-    return lambda mask: (
+def _completely_simple_class(s, mask: int) -> bool:
+    return (
         _closed(s, mask)
         and _simple(s, Side.TWO_SIDED, mask)[0]
         and forall_exists(s, *COMPLETELY_REGULAR, mask)[0]
     )
 
 
-def _check_cr_leastcsc(s) -> BundleResult:
+@_check("CR-LEASTCSC", groups=(ConditionGroup("implication", (0, 1, 2)),))
+def _cr_leastcsc(s):
     j = green_relation(s, "J")
     props = relation_properties(s, j)
-    return make_bundle(
-        "CR-LEASTCSC",
-        (
-            _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
-            ConditionResult(
-                "J equals the least complete semilattice congruence",
-                j.class_ids == least_csc(s).class_ids,
-            ),
-            ConditionResult(
-                "J is a complete semilattice congruence",
-                props.complete_semilattice,
-                props.counterexamples.get("complete_semilattice"),
-            ),
+    return (
+        _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
+        ConditionResult(
+            "J equals the least complete semilattice congruence",
+            j.class_ids == least_csc(s).class_ids,
         ),
-        (ConditionGroup("implication", (0, 1, 2)),),
-    )
-
-
-def _check_cr_csdecomp(s) -> BundleResult:
-    return make_bundle(
-        "CR-CSDECOMP",
-        (
-            _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
-            _cond(
-                "some complete semilattice congruence has completely simple classes",
-                _exists_csc_with_classes(s, _is_completely_simple_class(s)),
-            ),
+        ConditionResult(
+            "J is a complete semilattice congruence",
+            props.complete_semilattice,
+            props.counterexamples.get("complete_semilattice"),
         ),
     )
 
 
-def _check_cr_hclass_gl(s) -> BundleResult:
+@_check("CR-CSDECOMP")
+def _cr_csdecomp(s):
+    return (
+        _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
+        _cond(
+            "some complete semilattice congruence has completely simple classes",
+            _exists_csc_with_classes(s, _completely_simple_class),
+        ),
+    )
+
+
+@_check("CR-HCLASS-GL", groups=(ConditionGroup("implication", (0, 1, 2, 3)),))
+def _cr_hclass_gl(s):
     h = green_relation(s, "H")
-    closed = _classes_all(h, lambda m: _closed(s, m))
+    closed = _classes_all(s, h, _closed)
     table, leq = s.table, s.leq
 
     def has_h(a):  # one h in a's H-class with a <= aha, a <= a^2 h, a <= h a^2
@@ -580,55 +589,49 @@ def _check_cr_hclass_gl(s) -> BundleResult:
             for x in h.classes[h.class_ids[a]]
         )
 
-    return make_bundle(
-        "CR-HCLASS-GL",
-        (
-            _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
-            _cond("every H-class is product-closed", closed),
-            _cond(
-                "every H-class is a group like ordered subsemigroup",
-                _classes_all(h, lambda m: _group_like_subsemigroup(s, m)),
-            ),
-            _cond(
-                "every a has h in its H-class with a <= aha, a <= a^2 h, a <= h a^2",
-                _then(
-                    closed,
-                    first_failure,
-                    ((a,) for cls_set in h.classes for a in cls_set),
-                    has_h,
-                ),
-            ),
+    return (
+        _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
+        _cond("every H-class is product-closed", closed),
+        _cond(
+            "every H-class is a group like ordered subsemigroup",
+            _classes_all(s, h, _group_like_subsemigroup),
         ),
-        (ConditionGroup("implication", (0, 1, 2, 3)),),
-    )
-
-
-def _check_cl_decomp(s) -> BundleResult:
-    return make_bundle(
-        "CL-DECOMP",
-        (
-            _cond("regular with the clifford condition", _regular_then(s, _clifford)),
-            _cond(
-                "every least-congruence class is group like",
-                _classes_all(least_csc(s), lambda m: _group_like_subsemigroup(s, m)),
+        _cond(
+            "every a has h in its H-class with a <= aha, a <= a^2 h, a <= h a^2",
+            _then(
+                closed,
+                first_failure,
+                ((a,) for cls_set in h.classes for a in cls_set),
+                has_h,
             ),
-            _cond(
-                "some complete semilattice congruence has group like classes",
-                _exists_csc_with_classes(s, lambda m: _group_like_subsemigroup(s, m)),
-            ),
-            ConditionResult(
-                "J = H",
-                green_relation(s, "J").class_ids == green_relation(s, "H").class_ids,
-            ),
-        ),
-        (
-            ConditionGroup("equivalence", (0, 1, 2)),
-            ConditionGroup("implication", (0, 3)),
         ),
     )
 
 
-def _check_lcl_leastcsc(s) -> BundleResult:
+@_check(
+    "CL-DECOMP",
+    groups=(ConditionGroup("equivalence", (0, 1, 2)), ConditionGroup("implication", (0, 3))),
+)
+def _cl_decomp(s):
+    return (
+        _cond("regular with the clifford condition", _regular_then(s, _clifford)),
+        _cond(
+            "every least-congruence class is group like",
+            _classes_all(s, least_csc(s), _group_like_subsemigroup),
+        ),
+        _cond(
+            "some complete semilattice congruence has group like classes",
+            _exists_csc_with_classes(s, _group_like_subsemigroup),
+        ),
+        ConditionResult(
+            "J = H",
+            green_relation(s, "J").class_ids == green_relation(s, "H").class_ids,
+        ),
+    )
+
+
+@_check("LCL-LEASTCSC")
+def _lcl_leastcsc(s):
     # "L is the least csc" alone does not force regularity (the order can
     # make every principal left ideal full on a non-regular structure), so
     # the ambient regularity of the left clifford notion is conjoined to
@@ -639,92 +642,38 @@ def _check_lcl_leastcsc(s) -> BundleResult:
         holds = props.complete_semilattice and lrel.class_ids == least_csc(s).class_ids
         return holds, None if holds else props.counterexamples.get("complete_semilattice"), {}
 
-    return make_bundle(
-        "LCL-LEASTCSC",
-        (
-            _cond(
-                "regular with the left clifford condition",
-                _regular_then(s, _left_clifford),
-            ),
-            _cond(
-                "regular, and L is the least complete semilattice congruence",
-                _then(forall_exists(s, *REGULAR), l_is_least),
-            ),
+    return (
+        _cond(
+            "regular with the left clifford condition",
+            _regular_then(s, _left_clifford),
+        ),
+        _cond(
+            "regular, and L is the least complete semilattice congruence",
+            _then(forall_exists(s, *REGULAR), l_is_least),
         ),
     )
 
 
-def _check_lcl_decomp(s) -> BundleResult:
-    return make_bundle(
-        "LCL-DECOMP",
-        (
-            _cond(
-                "regular with the left clifford condition",
-                _regular_then(s, _left_clifford),
-            ),
-            _cond(
-                "some complete semilattice congruence has left group like classes",
-                _exists_csc_with_classes(s, _is_left_group_like_class(s)),
-            ),
-            _cond(
-                "every least-congruence class is left group like",
-                _classes_all(least_csc(s), _is_left_group_like_class(s)),
-            ),
+@_check(
+    "LCL-DECOMP",
+    groups=(ConditionGroup("equivalence", (0, 1)), ConditionGroup("implication", (0, 2))),
+)
+def _lcl_decomp(s):
+    return (
+        _cond(
+            "regular with the left clifford condition",
+            _regular_then(s, _left_clifford),
         ),
-        (
-            ConditionGroup("equivalence", (0, 1)),
-            ConditionGroup("implication", (0, 2)),
+        _cond(
+            "some complete semilattice congruence has left group like classes",
+            _exists_csc_with_classes(s, _left_group_like_class),
+        ),
+        _cond(
+            "every least-congruence class is left group like",
+            _classes_all(s, least_csc(s), _left_group_like_class),
         ),
     )
 
-
-# ---------------------------------------------------------------------------
-# the table of checks
-
-
-PREMISES: dict[str, tuple[Callable, str]] = {
-    "regular": (is_regular_structure, "requires a regular structure"),
-    "h_commutative": (
-        lambda s: forall_exists(s, *H_COMMUTATIVE)[0],
-        "requires an h-commutative structure",
-    ),
-}
-
-
-def _run(check_id: str, premise: str | None, build: Callable, s) -> BundleResult:
-    """``build(s)``, or NotApplicable where the named premise fails on s."""
-    if premise is not None:
-        holds, note = PREMISES[premise]
-        if not holds(s):
-            raise NotApplicable(check_id, note)
-    return build(s)
-
-
-# id -> (structure -> BundleResult): the 13 bundles, then the 6 theorems
-CHECKS: dict[str, Callable[[OrderedSemigroup], BundleResult]] = {
-    check_id: partial(_run, check_id, premise, build)
-    for check_id, premise, build in (
-        ("CR-EQ5", None, _build_cr_eq5),
-        ("GL-CHAR", None, _build_gl_char),
-        ("GL-HREL", "regular", _build_gl_hrel),
-        ("INV-COMM", "regular", _build_inv_comm),
-        ("CR-HCOMM", "h_commutative", _build_cr_hcomm),
-        ("CR-INV", None, _build_cr_inv),
-        ("CR-HCLASS", None, _build_cr_hclass),
-        ("CL-EQ", "regular", _build_cl_eq),
-        ("CL-HCOMM", "regular", _build_cl_hcomm),
-        ("CL-CRESEF", None, _build_cl_cresef),
-        ("CL-CRINV", None, _build_cl_crinv),
-        ("LCL-EQ5", "regular", _build_lcl_eq5),
-        ("LCL-EQ2", None, _build_lcl_eq2),
-        ("CR-LEASTCSC", None, _check_cr_leastcsc),
-        ("CR-CSDECOMP", None, _check_cr_csdecomp),
-        ("CR-HCLASS-GL", None, _check_cr_hclass_gl),
-        ("CL-DECOMP", None, _check_cl_decomp),
-        ("LCL-LEASTCSC", None, _check_lcl_leastcsc),
-        ("LCL-DECOMP", None, _check_lcl_decomp),
-    )
-}
 
 CHECK_IDS = tuple(CHECKS)
 BUNDLE_ORDER = CHECK_IDS[: CHECK_IDS.index("CR-LEASTCSC")]
