@@ -29,8 +29,8 @@ helpers and the regularity premise, never a verdict, so the sides of a
 check stay independent.
 
 Predicates with a regularity premise (left/right group like, Clifford,
-left Clifford, inverse) raise NotApplicable on non-regular structures
-rather than returning a vacuous boolean.  Checks evaluated on structures
+left Clifford, inverse) raise NotApplicable through the checks' premise
+gate on non-regular structures rather than returning a vacuous boolean.  Checks evaluated on structures
 outside such premises use the total forms (regular AND the condition) so
 that equivalences remain meaningful on every input.
 """
@@ -186,6 +186,26 @@ def _relation_pairs(s, ok):
 
 
 # ---------------------------------------------------------------------------
+# premises
+
+
+PREMISES: dict[str, tuple[Callable, str]] = {
+    "regular": (is_regular_structure, "requires a regular structure"),
+    "h_commutative": (
+        lambda s: forall_exists(s, *H_COMMUTATIVE)[0],
+        "requires an h-commutative structure",
+    ),
+}
+
+
+def _require(premise: str, name: str, s) -> None:
+    """Raise NotApplicable for name, with the premise's note, where the premise fails on s."""
+    holds, note = PREMISES[premise]
+    if not holds(s):
+        raise NotApplicable(name, note)
+
+
+# ---------------------------------------------------------------------------
 # predicate registry
 
 
@@ -224,8 +244,8 @@ def predicate(s: OrderedSemigroup, name: str) -> PredicateResult:
     fn = PREDICATES.get(name)
     if fn is None:
         raise UnknownPredicate(name)
-    if name in REQUIRES_REGULAR and not is_regular_structure(s):
-        raise NotApplicable(name, "structure is not regular")
+    if name in REQUIRES_REGULAR:
+        _require("regular", name, s)
     holds, ce, wits = fn(s)
     if holds:
         return PredicateResult(name, True, witnesses=wits)
@@ -235,14 +255,6 @@ def predicate(s: OrderedSemigroup, name: str) -> PredicateResult:
 # ---------------------------------------------------------------------------
 # check registration
 
-
-PREMISES: dict[str, tuple[Callable, str]] = {
-    "regular": (is_regular_structure, "requires a regular structure"),
-    "h_commutative": (
-        lambda s: forall_exists(s, *H_COMMUTATIVE)[0],
-        "requires an h-commutative structure",
-    ),
-}
 
 # id -> (structure -> BundleResult), filled by ``_check`` in definition order
 CHECKS: dict[str, Callable[[OrderedSemigroup], BundleResult]] = {}
@@ -258,9 +270,7 @@ def _check(check_id: str, premise: str | None = None, groups=None):
     def register(build):
         def run(s) -> BundleResult:
             if premise is not None:
-                holds, note = PREMISES[premise]
-                if not holds(s):
-                    raise NotApplicable(check_id, note)
+                _require(premise, check_id, s)
             return make_bundle(check_id, build(s), groups)
 
         CHECKS[check_id] = run

@@ -108,7 +108,6 @@ def _classification_json(report: ClassificationReport) -> dict:
         "regular": report.regularity_flag,
         "predicates": predicates,
         "bundles": [_bundle_json(b) for b in report.bundle_results],
-        "decomposition": None,
         "witnesses": witnesses,
     }
 

@@ -12,9 +12,12 @@ from ordsgp import (
     predicate,
 )
 from ordsgp.classification import (
+    CHECK_IDS,
+    CHECKS,
     COMPLETELY_REGULAR,
     GROUP_LIKE,
     LEFT_GROUP_LIKE,
+    PREMISES,
     REGULAR,
     _simple,
 )
@@ -81,9 +84,10 @@ def test_unknown_predicate():
 
 def test_regularity_gate_returns_not_applicable():
     n2 = make_n2()
-    for name in ("left_group_like", "clifford", "left_clifford", "inverse"):
-        with pytest.raises(NotApplicable):
+    for name in ("left_group_like", "right_group_like", "clifford", "left_clifford", "inverse"):
+        with pytest.raises(NotApplicable) as exc:
             predicate(n2, name)
+        assert exc.value.reason == PREMISES["regular"][1]
     # ungated predicates still evaluate
     assert not predicate(n2, "regular").holds
 
@@ -122,14 +126,31 @@ def test_bundle_gl_char_has_two_groups():
     assert result.agree
 
 
+def not_applicable(s):
+    """check id -> premise note, for every check that refuses s."""
+    notes = {}
+    for check_id, check in CHECKS.items():
+        try:
+            check(s)
+        except NotApplicable as exc:
+            notes[check_id] = exc.reason
+    return notes
+
+
 def test_bundle_premises():
-    n2 = make_n2()
-    with pytest.raises(NotApplicable):
-        equivalence_bundle(n2, "CL-EQ")
-    lz2 = make_lz2()
-    with pytest.raises(NotApplicable):
-        equivalence_bundle(lz2, "CR-HCOMM")  # LZ2 is not h-commutative
+    assert CHECK_IDS == (
+        "CR-EQ5", "GL-CHAR", "GL-HREL", "INV-COMM", "CR-HCOMM", "CR-INV", "CR-HCLASS",
+        "CL-EQ", "CL-HCOMM", "CL-CRESEF", "CL-CRINV", "LCL-EQ5", "LCL-EQ2",
+        "CR-LEASTCSC", "CR-CSDECOMP", "CR-HCLASS-GL", "CL-DECOMP", "LCL-LEASTCSC", "LCL-DECOMP",
+    )
+    regular = PREMISES["regular"][1]
+    assert not_applicable(make_n2()) == {
+        check_id: regular for check_id in ("GL-HREL", "INV-COMM", "CL-EQ", "CL-HCOMM", "LCL-EQ5")
+    }
+    # LZ2 is not h-commutative
+    assert not_applicable(make_lz2()) == {"CR-HCOMM": PREMISES["h_commutative"][1]}
     sl2 = make_sl2()
+    assert not_applicable(sl2) == {}
     result = equivalence_bundle(sl2, "CR-HCOMM")
     assert result.agree and all(c.holds for c in result.conditions)
     with pytest.raises(UnknownBundle):

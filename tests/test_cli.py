@@ -95,7 +95,6 @@ def test_classify_json(sl2_file, capsys):
         "regular",
         "predicates",
         "bundles",
-        "decomposition",
         "witnesses",
     }
     assert data["predicates"]["clifford"]["holds"] is True
@@ -200,7 +199,7 @@ def test_classify_text_on_a_non_regular_structure(n2_file, capsys):
     assert main(["classify", n2_file]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "note: structure is not regular" in lines
-    assert "left_group_like: not applicable (structure is not regular)" in lines
+    assert "left_group_like: not applicable (requires a regular structure)" in lines
     assert "GL-HREL: not applicable (requires a regular structure)" in lines
 
 

@@ -35,7 +35,7 @@ from ordsgp.errors import NotIdempotent, NotRegular
 
 from conftest import ORDERED_FIXTURES
 
-CLASSIFY_SHA = "41647785fbaaf6f82f58ae53317e03c545e60b95af24790ed8ccecc828f8be3e"
+CLASSIFY_SHA = "8ccff0087ac342b64f81e4b28ff3175c5a5067338eb02f2f6f7e9f7754f9e654"
 THEOREMS_SHA = "59fc5d1f0151f3d1464b331d4abd9fe55013c90b72f2332b67a093ca1d8594d5"
 ELEMENTS_SHA = "667d6008c06b61466e53b995814aac5e3ed0ec2f9c69cfc02b48d3da752711b9"
 POWER_SHA = "067ca4a62188bc6cfd0d2b0590f73ea4be2fbab5c0bb514d90836cd4aaac28c1"

@@ -1,9 +1,16 @@
-"""Every top-level import of a module in ``src/ordsgp`` is used there.
+"""Every top-level import of a module in ``src/ordsgp`` is used there, and
+every top-level private name is used somewhere in the package.
 
-No linter ships with the toolchain, so this is the unused-import rule of
-one, read from the syntax tree: a name bound by a top-level ``import`` or
-``from ... import`` must appear as a name somewhere in the module.
-``__init__.py`` is skipped, since it imports in order to re-export.
+No linter ships with the toolchain, so these are two rules of one, read
+from the syntax tree:
+
+- unused imports: a name bound by a top-level ``import`` or
+  ``from ... import`` must appear as a name somewhere in the module.
+  ``__init__.py`` is skipped, since it imports in order to re-export.
+- dead private names: a top-level ``_name`` bound by a ``def``, a
+  ``class`` or an assignment must be loaded, as a name or an attribute,
+  in some module of the package.  Dunders are exempt, and so are
+  decorated definitions, which the decorator may register.
 """
 
 import ast
@@ -12,7 +19,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ordsgp"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(SRC.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +49,65 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_top_level_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source: str) -> list[str]:
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.decorator_list:
+                names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))]
+
+
+def loaded_names(sources) -> set[str]:
+    loaded = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return loaded
+
+
+def dead_private_names(source: str, package_sources) -> list[str]:
+    loaded = loaded_names(package_sources)
+    return [name for name in private_definitions(source) if name not in loaded]
+
+
+def test_dead_private_names_are_found():
+    module = (
+        "import functools\n"
+        "__all__ = []\n"
+        "_LIMIT = 3\n"
+        "_DEAD_SET = frozenset()\n"
+        "_first, _second = 1, 2\n"
+        "_TABLE: dict = {}\n"
+        "def _helper():\n"
+        "    return _first\n"
+        "def _factory(s):\n"
+        "    return lambda m: m\n"
+        "class _Unused:\n"
+        "    pass\n"
+        "@functools.cache\n"
+        "def _registered():\n"
+        "    pass\n"
+    )
+    user = "import module\nfrom module import _helper\nprint(_helper(), module._LIMIT)\n"
+    assert dead_private_names(module, [module, user]) == [
+        "_DEAD_SET",
+        "_second",
+        "_TABLE",
+        "_factory",
+        "_Unused",
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_top_level_private_name_is_loaded(path):
+    sources = [p.read_text(encoding="utf-8") for p in PACKAGE]
+    assert dead_private_names(path.read_text(encoding="utf-8"), sources) == []
