@@ -29,10 +29,10 @@ helpers and the regularity premise, never a verdict, so the sides of a
 check stay independent.
 
 Predicates with a regularity premise (left/right group like, Clifford,
-left Clifford, inverse) raise NotApplicable through the checks' premise
-gate on non-regular structures rather than returning a vacuous boolean.  Checks evaluated on structures
-outside such premises use the total forms (regular AND the condition) so
-that equivalences remain meaningful on every input.
+left Clifford, inverse) share the checks' regular premise: they raise
+NotApplicable on non-regular structures, not a vacuous boolean.  Checks on
+structures outside such premises use the total forms (regular AND the
+condition) so that equivalences remain meaningful on every input.
 """
 
 from __future__ import annotations
