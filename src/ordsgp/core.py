@@ -8,8 +8,9 @@ c*a <= c*b and a*c <= b*c.  The two stay distinct types rather than one
 type with a discrete default order, because the type is what decides
 whether a structure is written as a semigroup or an ordered semigroup and
 whether the ordered checks accept it.  Both are built only here, by the
-validators and the substructure and dual constructions.  Subsets of the
-carrier are ElementSet values; downward closure
+validators, the dual construction and ``_relabel``, the one relabeling,
+which induced substructures and ``enumeration.canonical_form`` go
+through.  Subsets of the carrier are ElementSet values; downward closure
 
     (H] = {t : t <= h for some h in H}
 
@@ -459,12 +460,19 @@ def induced_substructure(s: OrderedSemigroup, t: ElementSet) -> OrderedSemigroup
         for b in members:
             if not (inside >> row[b]) & 1:
                 raise NotClosed(a, b)
+    return _relabel(s, members)
+
+
+def _relabel(s: FiniteSemigroup, members) -> FiniteSemigroup:
+    """The structure of s's type whose element i is ``members[i]``, with
+    table, order and names carried over.  The caller guarantees that the
+    members are distinct and closed under the product."""
     index = {m: i for i, m in enumerate(members)}
-    table = tuple(
-        tuple(index[s.table[a][b]] for b in members) for a in members
-    )
-    leq = tuple(tuple(s.leq[a][b] for b in members) for a in members)
+    table = tuple(tuple(index[s.table[a][b]] for b in members) for a in members)
     names = tuple(s.names[m] for m in members) if s.names else None
+    if not isinstance(s, OrderedSemigroup):
+        return FiniteSemigroup(len(members), table, names)
+    leq = tuple(tuple(s.leq[a][b] for b in members) for a in members)
     return OrderedSemigroup(len(members), table, names, leq=leq)
 
 

@@ -4,10 +4,11 @@ ordered semigroups, with deterministic resume tokens.
 Canonical sequence: multiplication tables are generated in lexicographic
 order of their row-major flattening (backtracking that tests every
 associativity triple as soon as its four products are known, so no leaf
-needs a second check); partial orders are generated in ascending order of
-their pair-set bitmask; an ordered-semigroup stream pairs each table with
-its compatible orders in that fixed order.  Two runs therefore yield
-identical sequences.
+needs a second check); partial orders are the pair sets, in ascending
+order of bitmask, that ``core._partial_order`` accepts, the validator's own
+axiom check; an ordered-semigroup stream pairs each table with its
+compatible orders in that fixed order.  Two runs therefore yield identical
+sequences.
 
 A table's compatible orders come from one mask per strict pair (a, b): the
 pairs (ca, cb) and (ac, bc) that a compatible order holding a <= b must
@@ -27,7 +28,7 @@ finished.
 
 Enumeration is labeled, not isomorphism-reduced: theorem sweeps need
 logical coverage.  ``canonical_form`` provides an optional dedup key
-(minimum relabeling under all carrier permutations) for reporting.
+(minimum ``core._relabel`` under all carrier permutations) for reporting.
 """
 
 from __future__ import annotations
@@ -45,10 +46,12 @@ from .core import (
     OrderedSemigroup,
     _check_associative,
     _order_on,
+    _partial_order,
+    _relabel,
     leq_pairs,
     validate_semigroup,
 )
-from .errors import BadEnumeration, NotAssociative
+from .errors import BadEnumeration, NotAntisymmetric, NotAssociative, NotTransitive
 
 DEFAULT_SAMPLE_SEED = 20260810
 
@@ -161,25 +164,11 @@ def all_posets(n: int) -> tuple:
     pairs = _strict_pairs(n)
     found = []
     for bitsmask in range(1 << len(pairs)):
-        leq = [[i == j for j in range(n)] for i in range(n)]
-        for p, (a, b) in enumerate(pairs):
-            if (bitsmask >> p) & 1:
-                leq[a][b] = True
-        ok = True
-        for a in range(n):
-            if not ok:
-                break
-            for b in range(n):
-                if a != b and leq[a][b]:
-                    if leq[b][a]:
-                        ok = False
-                        break
-                    for c in range(n):
-                        if leq[b][c] and not leq[a][c]:
-                            ok = False
-                            break
-        if ok:
-            found.append(tuple(tuple(row) for row in leq))
+        subset = tuple(pair for p, pair in enumerate(pairs) if (bitsmask >> p) & 1)
+        try:
+            found.append(_partial_order(n, subset, False)[0])
+        except (NotAntisymmetric, NotTransitive):
+            pass
     return tuple(found)
 
 
@@ -328,32 +317,10 @@ def canonical_form(structure) -> tuple:
     Structures with equal canonical forms are isomorphic; useful as a
     dedup key when reporting counts up to isomorphism.
     """
-    n = structure.size
-    table = structure.table
-    leq = getattr(structure, "leq", None)
-    best = None
-    for perm in permutations(range(n)):
-        new_table = tuple(
-            tuple(perm[table[a][b]] for b in _inv_order(perm, n)) for a in _inv_order(perm, n)
-        )
-        if leq is not None:
-            new_leq = tuple(
-                tuple(leq[a][b] for b in _inv_order(perm, n)) for a in _inv_order(perm, n)
-            )
-            key = (new_table, new_leq)
-        else:
-            key = (new_table,)
-        if best is None or key < best:
-            best = key
-    return best
-
-
-@lru_cache(maxsize=None)
-def _inv_order(perm: tuple[int, ...], n: int) -> tuple[int, ...]:
-    inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return tuple(inv)
+    ordered = isinstance(structure, OrderedSemigroup)
+    # every permutation is the inverse of one, so this is every relabeling
+    relabelings = (_relabel(structure, m) for m in permutations(range(structure.size)))
+    return min((r.table, r.leq) if ordered else (r.table,) for r in relabelings)
 
 
 def transcript_hash(docs: Iterable[str], sort: bool = False) -> str:

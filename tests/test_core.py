@@ -163,6 +163,8 @@ def test_validator_against_brute_force_on_every_pair_up_to_order_3():
     from ordsgp.core import _partial_order, leq_pairs
     from ordsgp.enumeration import all_posets
 
+    for n in (1, 2, 3):
+        all_posets(n)  # fills the order memo itself on a cold start
     _partial_order.cache_clear()
     counts = {True: 0, False: 0}
     for n in (1, 2, 3):
