@@ -413,12 +413,7 @@ def right_multiples(s: OrderedSemigroup, a: int) -> int:
 
 def sandwich_mask(s: OrderedSemigroup, x: int, y: int) -> int:
     """Mask of x*S*y."""
-    store = _cached(s, "sandwich", dict)
-    key = (x, y)
-    value = store.get(key)
-    if value is None:
-        value = store[key] = product_mask(s, right_multiples(s, x), 1 << y)
-    return value
+    return product_mask(s, right_multiples(s, x), 1 << y)
 
 
 def _require_bound(s: OrderedSemigroup, x: ElementSet, what: str = "set") -> None:

@@ -46,11 +46,13 @@ def _logical_lines(text: str):
             yield lineno, line
 
 
-def _take(lines, what: str):
+def _take(lines, what: str, end: int):
+    """The next logical line; past the last one, a ParseError at ``end``,
+    the line after the document's last line."""
     try:
         return next(lines)
     except StopIteration:
-        raise ParseError(0, f"unexpected end of document, expected {what}") from None
+        raise ParseError(end, f"unexpected end of document, expected {what}") from None
 
 
 def _expect_key(lineno: int, line: str, key: str) -> str:
@@ -74,13 +76,14 @@ def parse_document(text: str, close_order: bool = False):
     """Parse a .osg or .sgp document into a validated structure; syntax
     errors carry the offending line number."""
     lines = _logical_lines(text)
+    end = len(text.splitlines()) + 1
 
-    lineno, line = _take(lines, "'kind:'")
+    lineno, line = _take(lines, "'kind:'", end)
     kind = _expect_key(lineno, line, "kind")
     if kind not in ("osg", "sgp"):
         raise ParseError(lineno, f"kind must be 'osg' or 'sgp', got {kind!r}")
 
-    lineno, line = _take(lines, "'elements:'")
+    lineno, line = _take(lines, "'elements:'", end)
     raw = _expect_key(lineno, line, "elements")
     try:
         size = int(raw)
@@ -89,20 +92,20 @@ def parse_document(text: str, close_order: bool = False):
     if size < 1:
         raise ParseError(lineno, "elements must be positive")
 
-    lineno, line = _take(lines, "'names:' or 'table:'")
+    lineno, line = _take(lines, "'names:' or 'table:'", end)
     names = None
     if line.startswith("names:"):
         tokens = _expect_key(lineno, line, "names").split()
         if len(tokens) != size:
             raise ParseError(lineno, f"expected {size} names, got {len(tokens)}")
         names = tuple(tokens)
-        lineno, line = _take(lines, "'table:'")
+        lineno, line = _take(lines, "'table:'", end)
 
     if line != "table:":
         raise ParseError(lineno, f"expected 'table:', got {line!r}")
     table = []
     for _ in range(size):
-        lineno, line = _take(lines, "a table row")
+        lineno, line = _take(lines, "a table row", end)
         tokens = line.split()
         if len(tokens) != size:
             raise ParseError(lineno, f"table row needs {size} entries, got {len(tokens)}")
@@ -114,7 +117,7 @@ def parse_document(text: str, close_order: bool = False):
             raise ParseError(leftover[0], f"unexpected content: {leftover[1]!r}")
         return validate_semigroup(size, table, names)
 
-    lineno, line = _take(lines, "'order:'")
+    lineno, line = _take(lines, "'order:'", end)
     if line != "order:":
         raise ParseError(lineno, f"expected 'order:', got {line!r}")
     pairs = []

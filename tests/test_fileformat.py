@@ -79,6 +79,8 @@ def test_parse_errors_carry_line_numbers():
         ("kind: osg\nelements: 2\ntable:\n0 0\n0 1\norder:\n0\n", 7),
         ("kind: sgp\nelements: 2\ntable:\n0 0\n0 1\norder:\n", 6),
         ("elements: 2\n", 1),
+        ("kind: osg\nelements: 2\ntable:\n0 0\n", 5),
+        ("", 1),
     ]
     for text, line in cases:
         with pytest.raises(ParseError) as err:
