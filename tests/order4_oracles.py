@@ -10,7 +10,9 @@ semilattice axioms equals N, the filter-equality relation.  It also runs
 every (table, poset) pair of order 4 through ``validate_structure`` and
 compares the verdict and the ``NotCompatible`` witness with
 ``compatibility_oracle``, a scan of the definition, and the accepted pairs
-with the orders ``_compatible_orders_flat`` lists for each table:
+with the orders ``_compatible_orders_flat`` lists for each table.  Last,
+it relabels every structure by one seeded permutation and asks every
+check for the same verdicts (``relabel_mismatches``):
 
     PYTHONPATH=src python -X dev -W error tests/order4_oracles.py
 
@@ -20,6 +22,7 @@ not collect it: its name does not match ``test_*.py``.
 
 from __future__ import annotations
 
+import random
 import sys
 from itertools import combinations
 
@@ -38,10 +41,11 @@ from ordsgp import (
     serialize_document,
     validate_structure,
 )
+from ordsgp.classification import CHECKS
 from ordsgp.congruence import _generated_congruence_ids
-from ordsgp.core import leq_pairs, mask_of
-from ordsgp.enumeration import _compatible_orders_flat, all_posets
-from ordsgp.errors import NotCompatible
+from ordsgp.core import _relabel, leq_pairs, mask_of
+from ordsgp.enumeration import DEFAULT_SAMPLE_SEED, _compatible_orders_flat, all_posets
+from ordsgp.errors import NotApplicable, NotCompatible
 
 
 def csc_oracle(s) -> list[tuple[int, ...]]:
@@ -102,6 +106,39 @@ def validator_mismatch(order: int):
     return None, count
 
 
+def check_verdicts(s) -> dict:
+    """Each check's (agree, condition truths), or its NotApplicable reason:
+    the part of a result that names no element, so an isomorphic copy of s
+    must give the same."""
+    verdicts = {}
+    for check_id, check in CHECKS.items():
+        try:
+            result = check(s)
+        except NotApplicable as exc:
+            verdicts[check_id] = exc.reason
+        else:
+            verdicts[check_id] = (result.agree, tuple(c.holds for c in result.conditions))
+    return verdicts
+
+
+def relabel_mismatches(s, p, verdicts) -> list[str]:
+    """What goes wrong when element a of s is renamed p[a] by
+    ``core._relabel``: an isomorphism identity p(a*b) = p(a)p(b) or
+    a <= b iff p(a) <= p(b) that the result breaks, else the checks whose
+    verdicts differ from ``verdicts``, which are ``check_verdicts(s)``."""
+    inverse = [0] * s.size
+    for a, pa in enumerate(p):
+        inverse[pa] = a
+    r = _relabel(s, inverse)
+    pairs = [(a, b) for a in range(s.size) for b in range(s.size)]
+    if any(r.table[p[a]][p[b]] != p[s.table[a][b]] for a, b in pairs):
+        return [f"relabeled table under {p}"]
+    if any(r.leq[p[a]][p[b]] != s.leq[a][b] for a, b in pairs):
+        return [f"relabeled order under {p}"]
+    moved = check_verdicts(r)
+    return [f"{check_id} under {p}" for check_id in verdicts if moved[check_id] != verdicts[check_id]]
+
+
 def mismatches(s):
     """The names of the oracles the package disagrees with on s."""
     found = []
@@ -122,14 +159,16 @@ def main(order: int = 4) -> int:
         return 1
     print(f"order {order}: {pairs} (table, poset) pairs, the validator agrees")
     count = 0
+    rng = random.Random(DEFAULT_SAMPLE_SEED)
     for s in enumerate_ordered_semigroups(order):
         found = mismatches(s)
+        found += relabel_mismatches(s, rng.sample(range(order), order), check_verdicts(s))
         if found:
             print(f"mismatch ({', '.join(found)}) on:")
             print(serialize_document(s), end="")
             return 1
         count += 1
-    print(f"order {order}: {count} ordered semigroups, every oracle agrees")
+    print(f"order {order}: {count} ordered semigroups, every oracle agrees, relabeling included")
     return 0
 
 
