@@ -24,12 +24,16 @@ least failing pair, and the unordered deciders of ``power`` stay
 definition-level so that a power correspondence keeps two independent
 sides.
 
-Validation keeps one memo.  ``_partial_order`` is keyed by the normalized
-order input (size, the in-range integer pairs as given, close_order): it
-builds the leq matrix, takes the closure if asked, and proves antisymmetry
-and transitivity once per distinct key per process; a key that is not a
-partial order is not cached and raises again on every call.  Compatibility
-depends on the table as well, so it is checked on every call.
+Validation is two steps and keeps one memo.  ``_partial_order`` certifies
+an order: keyed by the normalized order input (size, the in-range integer
+pairs as given, close_order), it builds the leq matrix, takes the closure
+if asked, and proves antisymmetry and transitivity once per distinct key
+per process; a key that is not a partial order is not cached and raises
+again on every call.  ``_ordered`` takes a certified order (leq, strict
+pairs) and a validated table, checks compatibility, which depends on the
+table as well, on every call, and builds the structure.  The validators
+normalize and certify, then call ``_ordered``; the enumeration streams
+certify each poset once per stream and call ``_ordered`` directly.
 
 Element indices are the canonical identity; display names are cosmetic.
 All values are immutable after validation and safe to share.  Subsets are
@@ -248,9 +252,9 @@ def _order_on(
     close_order: bool = False,
     names=None,
 ) -> OrderedSemigroup:
-    """Check the order axioms of ``leq_pairs`` on F's validated table, then
-    the names, and build the ordered semigroup."""
-    size, tbl = f.size, f.table
+    """Normalize ``leq_pairs``, certify them as a partial order on F's
+    carrier and build the ordered semigroup through ``_ordered``."""
+    size = f.size
     pairs = []
     for a, b in leq_pairs:
         try:
@@ -260,8 +264,20 @@ def _order_on(
         if not (0 <= a < size and 0 <= b < size):
             raise ValueError(f"order pair ({a},{b}) out of range")
         pairs.append((a, b))
-    leq, strict = _partial_order(size, tuple(pairs), close_order)
+    return _ordered(f, _partial_order(size, tuple(pairs), close_order), names)
 
+
+def _ordered(
+    f: FiniteSemigroup,
+    certified: tuple[LeqMatrix, tuple[tuple[int, int], ...]],
+    names=None,
+) -> OrderedSemigroup:
+    """Check that an order ``(leq, strict)`` certified by ``_partial_order``
+    is compatible with F's validated table, then the names, and build the
+    ordered semigroup.  The strict pairs are tested row-major, left before
+    right, so the first failure is the least ``NotCompatible`` witness."""
+    size, tbl = f.size, f.table
+    leq, strict = certified
     for a, b in strict:
         row_a, row_b = tbl[a], tbl[b]
         for c in range(size):

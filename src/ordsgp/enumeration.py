@@ -4,11 +4,14 @@ ordered semigroups, with deterministic resume tokens.
 Canonical sequence: multiplication tables are generated in lexicographic
 order of their row-major flattening (backtracking that tests every
 associativity triple as soon as its four products are known, so no leaf
-needs a second check); partial orders are the pair sets, in ascending
-order of bitmask, that ``core._partial_order`` accepts, the validator's own
-axiom check; an ordered-semigroup stream pairs each table with its
-compatible orders in that fixed order.  Two runs therefore yield identical
-sequences.
+needs a second check); partial orders are the pair sets in ascending order
+of bitmask, found by a search that decides the pair bits from the highest
+down and cuts every branch that breaks antisymmetry or transitivity, each
+leaf certified once by ``core._partial_order``, the validator's own axiom
+check; an ordered-semigroup stream pairs each table with its compatible
+orders in that fixed order.  Two runs therefore yield identical sequences.
+A stream takes each poset's certificate once and builds every structure
+through ``core._ordered``, which checks compatibility with the table.
 
 A table's compatible orders come from one mask per strict pair (a, b): the
 pairs (ca, cb) and (ac, bc) that a compatible order holding a <= b must
@@ -45,13 +48,13 @@ from .core import (
     FiniteSemigroup,
     OrderedSemigroup,
     _check_associative,
-    _order_on,
+    _ordered,
     _partial_order,
     _relabel,
     leq_pairs,
     validate_semigroup,
 )
-from .errors import BadEnumeration, NotAntisymmetric, NotAssociative, NotTransitive
+from .errors import BadEnumeration, NotAssociative
 
 DEFAULT_SAMPLE_SEED = 20260810
 
@@ -158,17 +161,50 @@ def _strict_pairs(n: int) -> list[tuple[int, int]]:
 def all_posets(n: int) -> tuple:
     """Every partial order on n labeled points, as leq matrices.
 
-    Deterministic order: non-reflexive pairs are listed row-major and pair
-    subsets are scanned by ascending bitmask.
+    Deterministic order: bit p of a poset's mask is the p-th non-reflexive
+    pair, row-major, and the posets come in ascending order of mask.  A
+    depth-first search decides the bits from the highest down, 0 before 1,
+    and cuts a branch as soon as the pairs decided so far break an axiom:
+    (a, b) and (b, a) both set, or (a, b) and (b, c) set and (a, c) unset.
+    Each leaf is then certified by ``core._partial_order``, the validator's
+    own axiom check, which the search never stands in for.
     """
     pairs = _strict_pairs(n)
+    bit = {pair: 1 << p for p, pair in enumerate(pairs)}
+
+    def decided_before(p: int, *qs: tuple[int, int]) -> bool:
+        return all(bit[q] > 1 << p for q in qs)
+
+    # For pair p = (x, y), the axioms whose other pairs are decided before
+    # p.  Setting p breaks one when the mask holds `has` but not `lacks`
+    # (antisymmetry has lacks = 0, so holding (y, x) breaks it); leaving p
+    # unset breaks one when the mask holds both pairs of a path x -> b -> y.
+    breaks_if_set, breaks_if_unset = [], []
+    for p, (x, y) in enumerate(pairs):
+        others = [z for z in range(n) if z not in (x, y)]
+        antisymmetry = [(bit[y, x], 0)] if decided_before(p, (y, x)) else []
+        breaks_if_set.append(
+            antisymmetry
+            + [(bit[y, c], bit[x, c]) for c in others if decided_before(p, (y, c), (x, c))]
+            + [(bit[a, x], bit[a, y]) for a in others if decided_before(p, (a, x), (a, y))]
+        )
+        breaks_if_unset.append(
+            [bit[x, b] | bit[b, y] for b in others if decided_before(p, (x, b), (b, y))]
+        )
+
     found = []
-    for bitsmask in range(1 << len(pairs)):
-        subset = tuple(pair for p, pair in enumerate(pairs) if (bitsmask >> p) & 1)
-        try:
+
+    def rec(p: int, mask: int) -> None:
+        if p < 0:
+            subset = tuple(pair for pair in pairs if mask & bit[pair])
             found.append(_partial_order(n, subset, False)[0])
-        except (NotAntisymmetric, NotTransitive):
-            pass
+            return
+        if not any(mask & path == path for path in breaks_if_unset[p]):
+            rec(p - 1, mask)
+        if not any(mask & has and not mask & lacks for has, lacks in breaks_if_set[p]):
+            rec(p - 1, mask | 1 << p)
+
+    rec(len(pairs) - 1, 0)
     return tuple(found)
 
 
@@ -273,10 +309,10 @@ def enumerate_ordered_semigroups(
     """Stream of all OrderedSemigroups on n labeled elements.
 
     ``positions=(lo, hi)`` yields stream positions lo .. hi-1 only.  Each
-    table is validated once, compatibility once per yielded structure, and
-    the order axioms once per distinct normalized order per process (the
-    ``core._partial_order`` memo), so every structure passes full
-    validation.
+    table is validated once, each poset's order axioms are certified once
+    per stream (``_certified_orders``), and compatibility is checked on
+    every yielded structure by ``core._ordered``, so every structure passes
+    full validation.
     """
     _check_order(n)
 
@@ -286,14 +322,14 @@ def enumerate_ordered_semigroups(
         lo, hi = positions or (0, offsets[-1])
         if not 0 <= lo <= hi <= offsets[-1]:
             raise BadEnumeration(f"positions {lo}..{hi} outside 0..{offsets[-1]}")
-        order_pairs = [leq_pairs(leq) for leq in all_posets(n)]
+        certified = _certified_orders(n)
         # the tables holding some position in lo .. hi-1
         for t in range(bisect_right(offsets, lo) - 1, bisect_left(offsets, hi)):
             flat = tables[t]
             f = validate_semigroup(n, _flat_to_rows(n, flat))
             orders = _compatible_orders_flat(n, flat)
             for k in range(max(lo - offsets[t], 0), min(hi - offsets[t], len(orders))):
-                yield _order_on(f, order_pairs[orders[k]])
+                yield _ordered(f, certified[orders[k]])
 
     return gen()
 
@@ -303,12 +339,19 @@ def sample_ordered_semigroups(
 ) -> Iterator[OrderedSemigroup]:
     """Deterministic sample: uniform table, then uniform compatible order."""
     tables = all_semigroup_tables(n)
+    certified = _certified_orders(n)
     rng = random.Random(seed)
     for _ in range(count):
         flat = tables[rng.randrange(len(tables))]
         orders = _compatible_orders_flat(n, flat)
-        leq = all_posets(n)[orders[rng.randrange(len(orders))]]
-        yield _order_on(validate_semigroup(n, _flat_to_rows(n, flat)), leq_pairs(leq))
+        k = orders[rng.randrange(len(orders))]
+        yield _ordered(validate_semigroup(n, _flat_to_rows(n, flat)), certified[k])
+
+
+def _certified_orders(n: int) -> list:
+    """Each poset of ``all_posets(n)`` as ``core._partial_order`` certifies
+    it, (leq, strict pairs), in the same positions."""
+    return [_partial_order(n, tuple(leq_pairs(leq)), False) for leq in all_posets(n)]
 
 
 def canonical_form(structure) -> tuple:

@@ -1,11 +1,14 @@
-"""Brute-force oracles for complete semilattice congruences, ideals and
-the order validator.
+"""Brute-force oracles for posets, complete semilattice congruences, ideals
+and the order validator.
 
-``csc_oracle`` scans all Bell(n) partitions of the carrier and
-``ideal_oracle`` all 2^n subsets, each through the package's definition
-checks.  The tier-1 tests compare the package with them on small orders.
-Run as a script, this file compares them on every ordered semigroup of
-order 4, and checks there that the congruence generated by the complete
+``poset_scan`` tries all 2^(n*n - n) sets of non-reflexive pairs against
+the definition of a partial order, ``csc_oracle`` scans all Bell(n)
+partitions of the carrier and ``ideal_oracle`` all 2^n subsets, each
+through the package's definition checks.  The tier-1 tests compare the
+package with them on small orders.  Run as a script, this file first
+compares ``all_posets(5)`` with ``poset_scan(5)``, element by element and
+in order.  It then compares the other oracles on every ordered semigroup
+of order 4, and checks there that the congruence generated by the complete
 semilattice axioms equals N, the filter-equality relation.  It also runs
 every (table, poset) pair of order 4 through ``validate_structure`` and
 compares the verdict and the ``NotCompatible`` witness with
@@ -46,6 +49,28 @@ from ordsgp.congruence import _generated_congruence_ids
 from ordsgp.core import _relabel, leq_pairs, mask_of
 from ordsgp.enumeration import DEFAULT_SAMPLE_SEED, _compatible_orders_flat, all_posets
 from ordsgp.errors import NotApplicable, NotCompatible
+
+
+def poset_scan(n: int) -> list:
+    """Every partial order on n points as a leq matrix, in ascending order
+    of the mask whose bit p is the p-th pair (a, b), a != b, row-major:
+    the scan over all 2^(n*n - n) masks, kept when antisymmetric and
+    transitive by definition."""
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    found = []
+    for mask in range(1 << len(pairs)):
+        leq = [[a == b for b in range(n)] for a in range(n)]
+        for p, (a, b) in enumerate(pairs):
+            if mask >> p & 1:
+                leq[a][b] = True
+        if not any(leq[a][b] and leq[b][a] for a, b in pairs) and all(
+            leq[a][c] or not (leq[a][b] and leq[b][c])
+            for a in range(n)
+            for b in range(n)
+            for c in range(n)
+        ):
+            found.append(tuple(map(tuple, leq)))
+    return found
 
 
 def csc_oracle(s) -> list[tuple[int, ...]]:
@@ -153,6 +178,10 @@ def mismatches(s):
 
 
 def main(order: int = 4) -> int:
+    if list(all_posets(5)) != poset_scan(5):
+        print("all_posets(5) differs from the scan")
+        return 1
+    print(f"order 5: {len(all_posets(5))} posets, equal to the scan in order")
     mismatch, pairs = validator_mismatch(order)
     if mismatch:
         print(f"validator mismatch on {mismatch}")

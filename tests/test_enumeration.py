@@ -4,6 +4,7 @@ import bisect
 import concurrent.futures
 import hashlib
 import itertools
+import random
 import sys
 import tracemalloc
 
@@ -17,6 +18,7 @@ from ordsgp import (
     serialize_document,
     transcript_hash,
     validate_semigroup,
+    validate_structure,
 )
 from ordsgp import cli, core, enumeration
 from ordsgp import sweep as sweep_module
@@ -32,6 +34,7 @@ from ordsgp.errors import InvariantViolation, NotAssociative, NotCompatible, Siz
 from ordsgp.sweep import CHECK_IDS, sweep, sweep_order, table_ranges
 
 from conftest import make_lz2_sg, make_t1
+from order4_oracles import poset_scan
 
 
 def naive_semigroup_tables(n):
@@ -82,6 +85,21 @@ def test_poset_counts():
     assert len(all_posets(2)) == 3
     assert len(all_posets(3)) == 19
     assert len(all_posets(4)) == 219
+    # the search yields the scan's posets, element by element and in order
+    for n in (1, 2, 3, 4):
+        assert list(all_posets(n)) == poset_scan(n)
+
+
+def test_poset_search_certifies_each_poset_once():
+    # on a cold start the search asks core._partial_order once per poset
+    # and never for a pair set that breaks an axiom
+    all_posets.cache_clear()
+    core._partial_order.cache_clear()
+    for n, count in [(1, 1), (2, 3), (3, 19), (4, 219)]:
+        before = core._partial_order.cache_info()
+        all_posets(n)
+        after = core._partial_order.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (count, 0)
 
 
 def test_compatible_orders_examples():
@@ -194,9 +212,37 @@ def test_streams_validate_every_order(monkeypatch):
     monkeypatch.setattr(enumeration, "_TABLE_LISTS", {2: ((0, 1, 1, 0),)})
     monkeypatch.setattr(enumeration, "_compatible_orders_flat", lambda n, flat: (1,))
     assert all_posets(2)[1] == ((True, True), (False, True))
+    with pytest.raises(NotCompatible) as generic:
+        validate_structure(2, [[0, 1], [1, 0]], [(0, 1)])
     for consume in _streams(2):
-        with pytest.raises(NotCompatible):
+        with pytest.raises(NotCompatible) as streamed:
             consume()
+        assert streamed.value.witness == generic.value.witness
+
+
+def test_streams_equal_the_generic_validator():
+    # the streams build from certified orders; validate_structure
+    # normalizes and certifies the poset's pairs itself
+    def generic(n, flat, k):
+        rows = enumeration._flat_to_rows(n, flat)
+        return validate_structure(n, rows, core.leq_pairs(all_posets(n)[k]))
+
+    def orders(n, flat):
+        return enumeration._compatible_orders_flat(n, flat)
+
+    for n in (1, 2, 3):
+        tables = all_semigroup_tables(n)
+        expected = [generic(n, flat, k) for flat in tables for k in orders(n, flat)]
+        assert list(enumerate_ordered_semigroups(n)) == expected
+    # the sample's draws, replayed: a uniform table, then a uniform order
+    rng = random.Random(7)
+    tables = all_semigroup_tables(4)
+    expected = []
+    for _ in range(200):
+        flat = tables[rng.randrange(len(tables))]
+        listed = orders(4, flat)
+        expected.append(generic(4, flat, listed[rng.randrange(len(listed))]))
+    assert list(sample_ordered_semigroups(4, 200, seed=7)) == expected
 
 
 def test_stream_checks_each_table_once(monkeypatch):
