@@ -15,7 +15,9 @@ compares the verdict and the ``NotCompatible`` witness with
 ``compatibility_oracle``, a scan of the definition, and the accepted pairs
 with the orders ``_compatible_orders_flat`` lists for each table.  Last,
 it relabels every structure by one seeded permutation and asks every
-check for the same verdicts (``relabel_mismatches``):
+check for the same verdicts (``relabel_mismatches``), and meets every
+structure with its dual, which the stream also holds, to ask for the
+mirrored verdicts (``DualPairs``):
 
     PYTHONPATH=src python -X dev -W error tests/order4_oracles.py
 
@@ -34,17 +36,19 @@ from ordsgp import (
     EquivalenceRelation,
     Side,
     complete_semilattice_congruences,
+    dual_structure,
     enumerate_ideals,
     enumerate_ordered_semigroups,
     enumerate_partitions,
     enumerate_semigroups,
     is_ideal,
     n_relation,
+    predicate,
     relation_properties,
     serialize_document,
     validate_structure,
 )
-from ordsgp.classification import CHECKS
+from ordsgp.classification import CHECKS, PREDICATE_ORDER
 from ordsgp.congruence import _generated_congruence_ids
 from ordsgp.core import _relabel, leq_pairs, mask_of
 from ordsgp.enumeration import DEFAULT_SAMPLE_SEED, _compatible_orders_flat, all_posets
@@ -164,6 +168,71 @@ def relabel_mismatches(s, p, verdicts) -> list[str]:
     return [f"{check_id} under {p}" for check_id in verdicts if moved[check_id] != verdicts[check_id]]
 
 
+# the one-sided predicates and their mirrors; every other predicate but
+# left_clifford, whose mirror is not in the registry, is its own mirror
+MIRROR = {
+    "left_group_like": "right_group_like",
+    "right_group_like": "left_group_like",
+    "left_simple": "right_simple",
+    "right_simple": "left_simple",
+}
+# checks of a one-sided class, whose mirror is no check
+ONE_SIDED = {"GL-CHAR", "LCL-EQ5", "LCL-EQ2", "LCL-LEASTCSC", "LCL-DECOMP"}
+DUAL_PREDICATES = tuple(name for name in PREDICATE_ORDER if name != "left_clifford")
+DUAL_CHECKS = tuple(check_id for check_id in CHECKS if check_id not in ONE_SIDED)
+
+
+def _holds(s, name):
+    """A predicate's verdict; not applicable counts as a value."""
+    try:
+        return predicate(s, name).holds
+    except NotApplicable as exc:
+        return exc.reason
+
+
+class DualPairs:
+    """Meets each structure of a stream closed under duality with its dual,
+    the structure with the reversed multiplication and the same order
+    (``dual_structure``), and compares their verdicts.  Every predicate but
+    left_clifford must hold of the dual exactly when its mirror holds of
+    the structure, and every check but the one-sided ones must give the
+    dual the structure's verdict, with conditions 2 and 3 of CR-EQ5, each
+    other's duals, swapped.  A structure whose dual has not come yet waits
+    in ``pending``, keyed by its dual, with the verdicts its dual must
+    show; so each structure's checks run once, and a stream that holds
+    every dual leaves ``pending`` empty."""
+
+    def __init__(self):
+        self.pending = {}
+        # one copy of each table and verdict vector, which many structures share
+        self._copies = {}
+
+    def _shared(self, value):
+        return self._copies.setdefault(value, value)
+
+    def add(self, s, verdicts) -> list[str]:
+        """What goes wrong between s and its dual, once both have come:
+        each predicate or check whose verdict on the dual is not the
+        mirrored verdict on s.  ``verdicts`` are ``check_verdicts(s)``."""
+        holds = {name: _holds(s, name) for name in DUAL_PREDICATES}
+        own = tuple(holds[name] for name in DUAL_PREDICATES)
+        own += tuple(verdicts[check_id] for check_id in DUAL_CHECKS)
+        expected = self.pending.pop((s.table, s.leq), None)
+        if expected is None:
+            expected = tuple(holds[MIRROR.get(name, name)] for name in DUAL_PREDICATES)
+            agree, conditions = verdicts["CR-EQ5"]
+            swapped = (agree, conditions[:2] + (conditions[3], conditions[2]) + conditions[4:])
+            expected += tuple(
+                swapped if check_id == "CR-EQ5" else verdicts[check_id] for check_id in DUAL_CHECKS
+            )
+            d = dual_structure(s)
+            if d.table != s.table:
+                self.pending[self._shared(d.table), d.leq] = self._shared(expected)
+                return []
+        names = DUAL_PREDICATES + DUAL_CHECKS
+        return [f"{name} on the dual" for name, a, b in zip(names, own, expected) if a != b]
+
+
 def mismatches(s):
     """The names of the oracles the package disagrees with on s."""
     found = []
@@ -189,15 +258,24 @@ def main(order: int = 4) -> int:
     print(f"order {order}: {pairs} (table, poset) pairs, the validator agrees")
     count = 0
     rng = random.Random(DEFAULT_SAMPLE_SEED)
+    pairs = DualPairs()
     for s in enumerate_ordered_semigroups(order):
+        verdicts = check_verdicts(s)
         found = mismatches(s)
-        found += relabel_mismatches(s, rng.sample(range(order), order), check_verdicts(s))
+        found += relabel_mismatches(s, rng.sample(range(order), order), verdicts)
+        found += pairs.add(s, verdicts)
         if found:
             print(f"mismatch ({', '.join(found)}) on:")
             print(serialize_document(s), end="")
             return 1
         count += 1
-    print(f"order {order}: {count} ordered semigroups, every oracle agrees, relabeling included")
+    if pairs.pending:
+        print(f"order {order}: {len(pairs.pending)} structures whose dual is not in the stream")
+        return 1
+    print(
+        f"order {order}: {count} ordered semigroups, every oracle agrees, "
+        "relabeling and duality included"
+    )
     return 0
 
 

@@ -194,12 +194,16 @@ def test_resume_token_rejects_garbage():
 
 
 def _streams(n):
-    """The ordered-semigroup stream and a sample, both fully consumed."""
+    """The ordered-semigroup stream and a sample, both fully consumed, and
+    the check-free sweep, serial and with two workers (under the
+    ``serial_pool`` fixture)."""
     yield lambda: list(enumerate_ordered_semigroups(n))
     yield lambda: list(sample_ordered_semigroups(n, 5, seed=1))
+    yield lambda: sweep_order(n, 1, ())
+    yield lambda: sweep_order(n, 2, ())
 
 
-def test_streams_validate_every_table(monkeypatch):
+def test_streams_validate_every_table(monkeypatch, serial_pool):
     # rows (1, 0), (0, 0): (00)1 = 1*1 = 0 but 0(01) = 0*0 = 1
     monkeypatch.setattr(enumeration, "_TABLE_LISTS", {2: ((1, 0, 0, 0),)})
     for consume in _streams(2):
@@ -207,7 +211,7 @@ def test_streams_validate_every_table(monkeypatch):
             consume()
 
 
-def test_streams_validate_every_order(monkeypatch):
+def test_streams_validate_every_order(monkeypatch, serial_pool):
     # Z2 with the chain 0 <= 1 (position 1 in all_posets(2)) is incompatible
     monkeypatch.setattr(enumeration, "_TABLE_LISTS", {2: ((0, 1, 1, 0),)})
     monkeypatch.setattr(enumeration, "_compatible_orders_flat", lambda n, flat: (1,))
@@ -376,6 +380,54 @@ def test_streamed_digests_match_transcript_hash(serial_pool, workers):
     for start in (0, mid, 970):
         _assert_streamed_digests(3, workers, (), start)
     assert serial_pool["started"] == ([2] * (2 * 21 + 3) if workers == 2 else [])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_check_free_sweep_builds_no_structure(monkeypatch, serial_pool, workers):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check-free sweep built an OrderedSemigroup")
+
+    monkeypatch.setattr(core.OrderedSemigroup, "__init__", refuse)
+    report = sweep_order(3, workers, ())
+    assert report.total == 971
+    with pytest.raises(AssertionError):
+        sweep_order(3, workers, ("CR-EQ5",))
+
+
+def test_a_pooled_sweep_takes_offsets_and_certificates_once(monkeypatch, serial_pool):
+    calls = {"orders": 0, "certified": 0}
+    orders_of, certify = enumeration._compatible_orders_flat, enumeration._partial_order
+
+    def counting_orders(n, flat):
+        calls["orders"] += 1
+        return orders_of(n, flat)
+
+    def counting_certify(*args):
+        calls["certified"] += 1
+        return certify(*args)
+
+    all_posets(3)  # the poset search certifies on a cold start
+    monkeypatch.setattr(enumeration, "_compatible_orders_flat", counting_orders)
+    monkeypatch.setattr(enumeration, "_partial_order", counting_certify)
+    enumeration._certified_orders.cache_clear()
+    report = sweep_order(3, 2, ())
+    assert report.total == 971 and serial_pool["started"] == [2]
+    # the offsets ask once per table, and so does the walk over all ranges;
+    # each of the 19 posets is certified once
+    assert calls == {"orders": 2 * 113, "certified": 19}
+    # a second sweep in the same process takes both from the caches
+    sweep_order(3, 2, ())
+    assert calls == {"orders": 3 * 113, "certified": 19}
+
+
+def test_offsets_follow_a_replaced_table_list(monkeypatch):
+    full = ordered_offsets(2)
+    monkeypatch.setattr(enumeration, "_TABLE_LISTS", {2: all_semigroup_tables(2)[:2]})
+    assert ordered_offsets(2) == full[:3]
+    monkeypatch.setattr(enumeration, "_compatible_orders_flat", lambda n, flat: (0,))
+    assert ordered_offsets(2) == [0, 1, 2]
+    monkeypatch.undo()
+    assert ordered_offsets(2) == full
 
 
 def test_fold_refuses_blocks_out_of_sort_order(monkeypatch, serial_pool, capsys):
