@@ -29,11 +29,13 @@ an order: keyed by the normalized order input (size, the in-range integer
 pairs as given, close_order), it builds the leq matrix, takes the closure
 if asked, and proves antisymmetry and transitivity once per distinct key
 per process; a key that is not a partial order is not cached and raises
-again on every call.  ``_ordered`` takes a certified order (leq, strict
-pairs) and a validated table, checks compatibility, which depends on the
-table as well, on every call, and builds the structure.  The validators
-normalize and certify, then call ``_ordered``; the enumeration streams
-certify each poset once per stream and call ``_ordered`` directly.
+again on every call.  ``_compatible`` holds the one compatibility loop:
+it takes a certified order (leq, strict pairs) and a validated table and
+checks compatibility, which depends on the table as well, on every call.
+``_ordered`` runs it and builds the structure.  The validators normalize
+and certify, then call ``_ordered``; the enumeration stream certifies each
+poset once per process and calls ``_ordered`` directly, and a check-free
+sweep calls ``_compatible`` alone and builds no structure.
 
 Element indices are the canonical identity; display names are cosmetic.
 All values are immutable after validation and safe to share.  Subsets are
@@ -59,6 +61,8 @@ from .errors import (
 
 Table = tuple[tuple[int, ...], ...]
 LeqMatrix = tuple[tuple[bool, ...], ...]
+# a partial order as ``_partial_order`` certifies it: leq and its strict pairs
+CertifiedOrder = tuple[LeqMatrix, tuple[tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -267,15 +271,11 @@ def _order_on(
     return _ordered(f, _partial_order(size, tuple(pairs), close_order), names)
 
 
-def _ordered(
-    f: FiniteSemigroup,
-    certified: tuple[LeqMatrix, tuple[tuple[int, int], ...]],
-    names=None,
-) -> OrderedSemigroup:
+def _compatible(f: FiniteSemigroup, certified: CertifiedOrder) -> None:
     """Check that an order ``(leq, strict)`` certified by ``_partial_order``
-    is compatible with F's validated table, then the names, and build the
-    ordered semigroup.  The strict pairs are tested row-major, left before
-    right, so the first failure is the least ``NotCompatible`` witness."""
+    is compatible with F's validated table.  The strict pairs are tested
+    row-major, left before right, so the first failure is the least
+    ``NotCompatible`` witness."""
     size, tbl = f.size, f.table
     leq, strict = certified
     for a, b in strict:
@@ -287,7 +287,13 @@ def _ordered(
             if not leq[row_a[c]][row_b[c]]:
                 raise NotCompatible(a, b, c, "right")
 
-    return OrderedSemigroup(size, tbl, _check_names(size, names), leq=leq)
+
+def _ordered(f: FiniteSemigroup, certified: CertifiedOrder, names=None) -> OrderedSemigroup:
+    """Check a certified order's compatibility (``_compatible``), then the
+    names, and build the ordered semigroup."""
+    _compatible(f, certified)
+    size = f.size
+    return OrderedSemigroup(size, f.table, _check_names(size, names), leq=certified[0])
 
 
 # lru_cache keeps no exception, so a pair list that is not a partial order
@@ -296,7 +302,7 @@ def _ordered(
 @lru_cache(maxsize=8192)
 def _partial_order(
     size: int, pairs: tuple[tuple[int, int], ...], close_order: bool
-) -> tuple[LeqMatrix, tuple[tuple[int, int], ...]]:
+) -> CertifiedOrder:
     """The leq matrix of in-range ``pairs`` plus the diagonal, closed
     transitively if ``close_order``, and its strict pairs row-major;
     raises unless it is a partial order."""

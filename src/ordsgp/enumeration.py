@@ -10,8 +10,9 @@ down and cuts every branch that breaks antisymmetry or transitivity, each
 leaf certified once by ``core._partial_order``, the validator's own axiom
 check; an ordered-semigroup stream pairs each table with its compatible
 orders in that fixed order.  Two runs therefore yield identical sequences.
-A stream takes each poset's certificate once and builds every structure
-through ``core._ordered``, which checks compatibility with the table.
+Each poset is certified once per process (``_certified_orders``), and the
+stream builds every structure through ``core._ordered``, which checks
+compatibility with the table.
 
 A table's compatible orders come from one mask per strict pair (a, b): the
 pairs (ca, cb) and (ac, bc) that a compatible order holding a <= b must
@@ -21,13 +22,20 @@ poset positions, and cached per table as positions in ``all_posets(n)``.
 The table search runs once per process: ``all_semigroup_tables`` caches
 its result, and every stream reads that list.  The ordered-semigroup
 stream is addressed by position: table t's orders sit at positions
-offsets[t] .. offsets[t+1]-1 (``ordered_offsets``), and
-``enumerate_ordered_semigroups(n, positions=(lo, hi))`` yields lo .. hi-1.
-A resume token ``o{n}:<table>:<k>`` names the position of order k of that
-table: ``resume_token`` builds it from a position and ``resume_position``
-turns it back into the position after it, where a resumed run starts.
-The first item of any stream arrives only after the full search has
-finished.
+offsets[t] .. offsets[t+1]-1 (``ordered_offsets``, counted once per order
+per process), and ``enumerate_ordered_semigroups(n, positions=(lo, hi))``
+yields lo .. hi-1.  A resume token ``o{n}:<table>:<k>`` names the
+position of order k of that table: ``resume_token`` builds it from a
+position and ``resume_position`` turns it back into the position after
+it, where a resumed run starts.  The first item of any stream arrives only
+after the full search has finished.
+
+``_table_orders`` is the one walk over a range of positions: it yields
+each table of the range, validated once, with the positions of its orders
+in the range.  The structure stream builds from it, and so does
+``_documents``, the range's documents without its structures, which a
+sweep with no checks reads: each is written by ``fileformat``'s own head
+and order writers once ``core._compatible`` accepts the order.
 
 Enumeration is labeled, not isomorphism-reduced: theorem sweeps need
 logical coverage.  ``canonical_form`` provides an optional dedup key
@@ -48,6 +56,7 @@ from .core import (
     FiniteSemigroup,
     OrderedSemigroup,
     _check_associative,
+    _compatible,
     _ordered,
     _partial_order,
     _relabel,
@@ -55,6 +64,7 @@ from .core import (
     validate_semigroup,
 )
 from .errors import BadEnumeration, NotAssociative
+from .fileformat import _head_text, _order_text
 
 DEFAULT_SAMPLE_SEED = 20260810
 
@@ -266,10 +276,25 @@ def enumerate_compatible_orders(f: FiniteSemigroup) -> list:
     return [posets[k] for k in _compatible_orders_flat(f.size, flat)]
 
 
+# per order: the table list and the order lister the offsets were counted
+# from, and the offsets
+_OFFSETS: dict[int, tuple] = {}
+
+
 def ordered_offsets(n: int) -> list[int]:
-    """The stream position of each table's first order, then the total."""
-    counts = (len(_compatible_orders_flat(n, flat)) for flat in all_semigroup_tables(n))
-    return list(accumulate(counts, initial=0))
+    """The stream position of each table's first order, then the total.
+
+    Counted once per order per process, and again whenever the table list
+    or ``_compatible_orders_flat`` is not the object they were counted
+    from, as when a test replaces either.  Callers share the list and must
+    not change it.
+    """
+    tables, orders_of = all_semigroup_tables(n), _compatible_orders_flat
+    held = _OFFSETS.get(n)
+    if held is None or held[0] is not tables or held[1] is not orders_of:
+        counts = (len(orders_of(n, flat)) for flat in tables)
+        held = _OFFSETS[n] = (tables, orders_of, list(accumulate(counts, initial=0)))
+    return held[2]
 
 
 def resume_token(n: int, position: int) -> str:
@@ -303,35 +328,65 @@ def resume_position(n: int, token: str) -> int:
     return ordered_offsets(n)[bisect_left(all_semigroup_tables(n), flat)] + k + 1
 
 
+def _table_orders(
+    n: int, positions: tuple[int, int] | None = None
+) -> Iterator[tuple[FiniteSemigroup, tuple[int, ...]]]:
+    """The walk over stream positions lo .. hi-1 (``positions``, or the
+    whole stream): for each table holding one of them, in stream order, the
+    table validated once and the positions in ``all_posets(n)`` (and in
+    ``_certified_orders(n)``) of its orders in the range."""
+    tables = all_semigroup_tables(n)
+    offsets = ordered_offsets(n)
+    lo, hi = positions or (0, offsets[-1])
+    if not 0 <= lo <= hi <= offsets[-1]:
+        raise BadEnumeration(f"positions {lo}..{hi} outside 0..{offsets[-1]}")
+    for t in range(bisect_right(offsets, lo) - 1, bisect_left(offsets, hi)):
+        flat = tables[t]
+        f = validate_semigroup(n, _flat_to_rows(n, flat))
+        yield f, _compatible_orders_flat(n, flat)[max(lo - offsets[t], 0) : hi - offsets[t]]
+
+
 def enumerate_ordered_semigroups(
     n: int, positions: tuple[int, int] | None = None
 ) -> Iterator[OrderedSemigroup]:
     """Stream of all OrderedSemigroups on n labeled elements.
 
     ``positions=(lo, hi)`` yields stream positions lo .. hi-1 only.  Each
-    table is validated once, each poset's order axioms are certified once
-    per stream (``_certified_orders``), and compatibility is checked on
-    every yielded structure by ``core._ordered``, so every structure passes
-    full validation.
+    table is validated once (``_table_orders``), each poset's order axioms
+    are certified once per process (``_certified_orders``), and
+    compatibility is checked on every yielded structure by
+    ``core._ordered``, so every structure passes full validation.
     """
     _check_order(n)
 
     def gen():
-        tables = all_semigroup_tables(n)
-        offsets = ordered_offsets(n)
-        lo, hi = positions or (0, offsets[-1])
-        if not 0 <= lo <= hi <= offsets[-1]:
-            raise BadEnumeration(f"positions {lo}..{hi} outside 0..{offsets[-1]}")
         certified = _certified_orders(n)
-        # the tables holding some position in lo .. hi-1
-        for t in range(bisect_right(offsets, lo) - 1, bisect_left(offsets, hi)):
-            flat = tables[t]
-            f = validate_semigroup(n, _flat_to_rows(n, flat))
-            orders = _compatible_orders_flat(n, flat)
-            for k in range(max(lo - offsets[t], 0), min(hi - offsets[t], len(orders))):
-                yield _ordered(f, certified[orders[k]])
+        for f, orders in _table_orders(n, positions):
+            for k in orders:
+                yield _ordered(f, certified[k])
 
     return gen()
+
+
+@lru_cache(maxsize=None)
+def _order_texts(n: int) -> tuple[str, ...]:
+    """Each poset's order block, in the positions of ``all_posets(n)``."""
+    return tuple(_order_text(leq) for leq in all_posets(n))
+
+
+def _documents(n: int, positions: tuple[int, int]) -> Iterator[list[str]]:
+    """The documents of stream positions lo .. hi-1, one list per table,
+    without building a structure: each is its table's head and its order's
+    block, ``serialize_document``'s own writers, once ``core._compatible``
+    accepts the order on the table."""
+    certified, texts = _certified_orders(n), _order_texts(n)
+    for f, orders in _table_orders(n, positions):
+        head = _head_text(True, n, None, f.table)
+        docs = []
+        for k in orders:
+            _compatible(f, certified[k])
+            docs.append(head + texts[k])
+        yield docs
 
 
 def sample_ordered_semigroups(
@@ -348,10 +403,11 @@ def sample_ordered_semigroups(
         yield _ordered(validate_semigroup(n, _flat_to_rows(n, flat)), certified[k])
 
 
-def _certified_orders(n: int) -> list:
+@lru_cache(maxsize=None)
+def _certified_orders(n: int) -> tuple:
     """Each poset of ``all_posets(n)`` as ``core._partial_order`` certifies
-    it, (leq, strict pairs), in the same positions."""
-    return [_partial_order(n, tuple(leq_pairs(leq)), False) for leq in all_posets(n)]
+    it, (leq, strict pairs), in the same positions; once per order."""
+    return tuple(_partial_order(n, tuple(leq_pairs(leq)), False) for leq in all_posets(n))
 
 
 def canonical_form(structure) -> tuple:

@@ -24,7 +24,10 @@ comments, so parse(serialize(S)) = S and serialize(parse(text))
 reproduces canonical text byte for byte.
 
 A document is written as a head (kind, elements, names, table) and, for an
-ordered structure, an order tail.  Each comes from a memo: the head from a
+ordered structure, an order tail.  These two writers are the only ones:
+``serialize_document`` joins them for a structure, and a check-free sweep
+joins them straight from a table and a poset (``enumeration._documents``), so
+both write the same bytes.  Each comes from a memo: the head from a
 one-entry memo keyed by (ordered, size, names, table), the tail from one
 keyed by the leq matrix.  A stream yields each table's orders together and
 repeats a few orders across all its tables, so most documents are two

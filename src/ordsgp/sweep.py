@@ -14,6 +14,11 @@ start at a resume position).  Each block is swept, its documents are fed
 in stream order to a running SHA-256 sequence digest, then sorted and fed
 to a running sorted digest, and dropped.
 
+With checks, a sweep runs them on the structures of
+``enumerate_ordered_semigroups`` and serializes each.  Without, nothing
+reads a structure, so none is built: the documents come straight from
+``enumeration._documents``, the same bytes from the same walk.
+
 Sorting every block on its own and taking the blocks in stream order gives
 the global sort of all documents.  Tables come in lexicographic order of
 their flat tables, and for n <= 10 every table entry is one digit, so a
@@ -41,7 +46,7 @@ from itertools import islice
 
 from .classification import CHECK_IDS, CHECKS
 from .core import OrderedSemigroup
-from .enumeration import enumerate_ordered_semigroups, ordered_offsets
+from .enumeration import _documents, enumerate_ordered_semigroups, ordered_offsets
 from .errors import InvariantViolation, NotApplicable
 from .fileformat import serialize_document
 from .report import ConditionResult
@@ -122,7 +127,10 @@ def table_ranges(n: int, size: int, start: int = 0):
 
 def _sweep_chunk(args) -> SweepReport:
     n, chunk, check_ids = args
-    return sweep(enumerate_ordered_semigroups(n, positions=chunk), check_ids)
+    if check_ids:
+        return sweep(enumerate_ordered_semigroups(n, positions=chunk), check_ids)
+    docs = [doc for table_docs in _documents(n, chunk) for doc in table_docs]
+    return SweepReport(len(docs), [], docs)
 
 
 def _in_order(pool, args, in_flight: int):
@@ -173,10 +181,12 @@ def sweep_order(n: int, workers: int = 1, check_ids=CHECK_IDS, start: int = 0) -
     the report lists disagreements in the serial order and its hashes are
     the serial ones.
     """
-    # builds the table list and every table's compatible orders before any
-    # pool starts, so forked workers inherit both caches
+    # builds the table list, every table's compatible orders and the offsets
+    # before any pool starts, so forked workers inherit the caches
     end = ordered_offsets(n)[-1]
     workers = min(workers, os.cpu_count() or 1)
+    if workers < 2 and not check_ids:
+        return _fold(SweepReport(len(docs), [], docs) for docs in _documents(n, (start, end)))
     if workers < 2:
         stream = enumerate_ordered_semigroups(n, positions=(start, end))
         blocks = table_ranges(n, 1, start)
