@@ -258,19 +258,19 @@ def main(order: int = 4) -> int:
     print(f"order {order}: {pairs} (table, poset) pairs, the validator agrees")
     count = 0
     rng = random.Random(DEFAULT_SAMPLE_SEED)
-    pairs = DualPairs()
+    duals = DualPairs()
     for s in enumerate_ordered_semigroups(order):
         verdicts = check_verdicts(s)
         found = mismatches(s)
         found += relabel_mismatches(s, rng.sample(range(order), order), verdicts)
-        found += pairs.add(s, verdicts)
+        found += duals.add(s, verdicts)
         if found:
             print(f"mismatch ({', '.join(found)}) on:")
             print(serialize_document(s), end="")
             return 1
         count += 1
-    if pairs.pending:
-        print(f"order {order}: {len(pairs.pending)} structures whose dual is not in the stream")
+    if duals.pending:
+        print(f"order {order}: {len(duals.pending)} structures whose dual is not in the stream")
         return 1
     print(
         f"order {order}: {count} ordered semigroups, every oracle agrees, "

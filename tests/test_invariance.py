@@ -41,8 +41,8 @@ def test_a_seeded_relabeling_of_the_order_4_sample_keeps_every_verdict():
 def test_the_dual_up_to_order_3_mirrors_every_verdict():
     # every order <= 3 stream is closed under duality, so each structure
     # meets its dual there and its checks run once
-    pairs, found = DualPairs(), []
+    duals, found = DualPairs(), []
     for s in _small():
-        found += pairs.add(s, check_verdicts(s))
+        found += duals.add(s, check_verdicts(s))
     assert found == []
-    assert pairs.pending == {}
+    assert duals.pending == {}
