@@ -32,10 +32,11 @@ per process; a key that is not a partial order is not cached and raises
 again on every call.  ``_compatible`` holds the one compatibility loop:
 it takes a certified order (leq, strict pairs) and a validated table and
 checks compatibility, which depends on the table as well, on every call.
-``_ordered`` runs it and builds the structure.  The validators normalize
-and certify, then call ``_ordered``; the enumeration stream certifies each
-poset once per process and calls ``_ordered`` directly, and a check-free
-sweep calls ``_compatible`` alone and builds no structure.
+``_ordered`` runs it and builds the structure.  ``validate_structure``
+normalizes the order pairs, certifies them and calls ``_ordered``; the
+enumeration stream and a sweep take the certificates the poset search
+keeps and call ``_ordered`` directly, and a check-free sweep calls
+``_compatible`` alone and builds no structure.
 
 Element indices are the canonical identity; display names are cosmetic.
 All values are immutable after validation and safe to share.  Subsets are
@@ -247,18 +248,7 @@ def validate_structure(
     closure could mask modeling errors) unless ``close_order`` is set, in
     which case the transitive closure is taken before validation.
     """
-    return _order_on(validate_semigroup(size, table), leq_pairs, close_order, names)
-
-
-def _order_on(
-    f: FiniteSemigroup,
-    leq_pairs: Iterable[tuple[int, int]],
-    close_order: bool = False,
-    names=None,
-) -> OrderedSemigroup:
-    """Normalize ``leq_pairs``, certify them as a partial order on F's
-    carrier and build the ordered semigroup through ``_ordered``."""
-    size = f.size
+    f = validate_semigroup(size, table)
     pairs = []
     for a, b in leq_pairs:
         try:
@@ -297,8 +287,10 @@ def _ordered(f: FiniteSemigroup, certified: CertifiedOrder, names=None) -> Order
 
 
 # lru_cache keeps no exception, so a pair list that is not a partial order
-# raises again on every call.  The bound holds every order of a stream up to
-# order 5 (4,231 posets).
+# raises again on every call.  The streams keep the poset search's own
+# certificates, so the hits come from validate_structure callers that repeat
+# an order, mainly power._power_structure: P(F)'s inclusion order is the same
+# for every F of one size.
 @lru_cache(maxsize=8192)
 def _partial_order(
     size: int, pairs: tuple[tuple[int, int], ...], close_order: bool

@@ -10,8 +10,9 @@ down and cuts every branch that breaks antisymmetry or transitivity, each
 leaf certified once by ``core._partial_order``, the validator's own axiom
 check; an ordered-semigroup stream pairs each table with its compatible
 orders in that fixed order.  Two runs therefore yield identical sequences.
-Each poset is certified once per process (``_certified_orders``), and the
-stream builds every structure through ``core._ordered``, which checks
+The search keeps each certificate whole (``_certified_orders``, once per
+order per process; ``all_posets`` is their leq matrices), and the stream
+builds every structure from one through ``core._ordered``, which checks
 compatibility with the table.
 
 A table's compatible orders come from one mask per strict pair (a, b): the
@@ -33,9 +34,7 @@ after the full search has finished.
 ``_table_orders`` is the one walk over a range of positions: it yields
 each table of the range, validated once, with the positions of its orders
 in the range.  The structure stream builds from it, and so does
-``_documents``, the range's documents without its structures, which a
-sweep with no checks reads: each is written by ``fileformat``'s own head
-and order writers once ``core._compatible`` accepts the order.
+``sweep``, which walks it one table at a time.
 
 Enumeration is labeled, not isomorphism-reduced: theorem sweeps need
 logical coverage.  ``canonical_form`` provides an optional dedup key
@@ -56,15 +55,12 @@ from .core import (
     FiniteSemigroup,
     OrderedSemigroup,
     _check_associative,
-    _compatible,
     _ordered,
     _partial_order,
     _relabel,
-    leq_pairs,
     validate_semigroup,
 )
 from .errors import BadEnumeration, NotAssociative
-from .fileformat import _head_text, _order_text
 
 DEFAULT_SAMPLE_SEED = 20260810
 
@@ -169,7 +165,15 @@ def _strict_pairs(n: int) -> list[tuple[int, int]]:
 
 @lru_cache(maxsize=None)
 def all_posets(n: int) -> tuple:
-    """Every partial order on n labeled points, as leq matrices.
+    """Every partial order on n labeled points, as leq matrices: the leq of
+    each certificate of ``_certified_orders(n)``, in the same positions."""
+    return tuple(leq for leq, _ in _certified_orders(n))
+
+
+@lru_cache(maxsize=None)
+def _certified_orders(n: int) -> tuple:
+    """Every partial order on n labeled points, as ``core._partial_order``
+    certifies it: (leq, strict pairs).
 
     Deterministic order: bit p of a poset's mask is the p-th non-reflexive
     pair, row-major, and the posets come in ascending order of mask.  A
@@ -177,7 +181,8 @@ def all_posets(n: int) -> tuple:
     and cuts a branch as soon as the pairs decided so far break an axiom:
     (a, b) and (b, a) both set, or (a, b) and (b, c) set and (a, c) unset.
     Each leaf is then certified by ``core._partial_order``, the validator's
-    own axiom check, which the search never stands in for.
+    own axiom check, which the search never stands in for, and its
+    certificate is kept whole.
     """
     pairs = _strict_pairs(n)
     bit = {pair: 1 << p for p, pair in enumerate(pairs)}
@@ -207,7 +212,7 @@ def all_posets(n: int) -> tuple:
     def rec(p: int, mask: int) -> None:
         if p < 0:
             subset = tuple(pair for pair in pairs if mask & bit[pair])
-            found.append(_partial_order(n, subset, False)[0])
+            found.append(_partial_order(n, subset, False))
             return
         if not any(mask & path == path for path in breaks_if_unset[p]):
             rec(p - 1, mask)
@@ -368,27 +373,6 @@ def enumerate_ordered_semigroups(
     return gen()
 
 
-@lru_cache(maxsize=None)
-def _order_texts(n: int) -> tuple[str, ...]:
-    """Each poset's order block, in the positions of ``all_posets(n)``."""
-    return tuple(_order_text(leq) for leq in all_posets(n))
-
-
-def _documents(n: int, positions: tuple[int, int]) -> Iterator[list[str]]:
-    """The documents of stream positions lo .. hi-1, one list per table,
-    without building a structure: each is its table's head and its order's
-    block, ``serialize_document``'s own writers, once ``core._compatible``
-    accepts the order on the table."""
-    certified, texts = _certified_orders(n), _order_texts(n)
-    for f, orders in _table_orders(n, positions):
-        head = _head_text(True, n, None, f.table)
-        docs = []
-        for k in orders:
-            _compatible(f, certified[k])
-            docs.append(head + texts[k])
-        yield docs
-
-
 def sample_ordered_semigroups(
     n: int, count: int, seed: int = DEFAULT_SAMPLE_SEED
 ) -> Iterator[OrderedSemigroup]:
@@ -401,13 +385,6 @@ def sample_ordered_semigroups(
         orders = _compatible_orders_flat(n, flat)
         k = orders[rng.randrange(len(orders))]
         yield _ordered(validate_semigroup(n, _flat_to_rows(n, flat)), certified[k])
-
-
-@lru_cache(maxsize=None)
-def _certified_orders(n: int) -> tuple:
-    """Each poset of ``all_posets(n)`` as ``core._partial_order`` certifies
-    it, (leq, strict pairs), in the same positions; once per order."""
-    return tuple(_partial_order(n, tuple(leq_pairs(leq)), False) for leq in all_posets(n))
 
 
 def canonical_form(structure) -> tuple:

@@ -25,13 +25,10 @@ reproduces canonical text byte for byte.
 
 A document is written as a head (kind, elements, names, table) and, for an
 ordered structure, an order tail.  These two writers are the only ones:
-``serialize_document`` joins them for a structure, and a check-free sweep
-joins them straight from a table and a poset (``enumeration._documents``), so
-both write the same bytes.  Each comes from a memo: the head from a
-one-entry memo keyed by (ordered, size, names, table), the tail from one
-keyed by the leq matrix.  A stream yields each table's orders together and
-repeats a few orders across all its tables, so most documents are two
-lookups and one concatenation.
+``serialize_document`` joins them for a structure, and a sweep joins them
+straight from a table and a poset, writing each table's head once, so both
+write the same bytes.  The tail comes from a memo keyed by the leq matrix:
+a stream repeats a few orders across all its tables.
 """
 
 from __future__ import annotations
@@ -144,9 +141,6 @@ def serialize_document(structure) -> str:
     return head + _order_text(structure.leq) if ordered else head
 
 
-# One entry: a stream yields a table's structures together, so its head is
-# written once per run of equal tables, and a long stream holds one head.
-@lru_cache(maxsize=1)
 def _head_text(ordered: bool, size: int, names, table) -> str:
     """The lines up to and including the table, each ending in a newline."""
     out = [f"kind: {'osg' if ordered else 'sgp'}", f"elements: {size}"]

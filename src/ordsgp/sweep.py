@@ -8,16 +8,17 @@ serialized structure and every condition with its counterexample detail,
 so a counterexample is reproducible from the report alone.
 
 ``sweep_order`` sweeps the ordered-semigroup stream of one order from a
-start position to its end without keeping the stream's documents.  The
-positions are cut into blocks at table boundaries (the first block may
-start at a resume position).  Each block is swept, its documents are fed
-in stream order to a running SHA-256 sequence digest, then sorted and fed
-to a running sorted digest, and dropped.
+start position to its end without keeping the stream's documents.  One
+walk does it, ``_table_blocks``: one block per table of the range (the
+first may start at a resume position), in stream order.  Each block's
+documents are fed in stream order to a running SHA-256 sequence digest,
+then sorted and fed to a running sorted digest, and dropped.
 
-With checks, a sweep runs them on the structures of
-``enumerate_ordered_semigroups`` and serializes each.  Without, nothing
-reads a structure, so none is built: the documents come straight from
-``enumeration._documents``, the same bytes from the same walk.
+Every document is written by ``serialize_document``'s own writers: its
+table's head, once per table, and its poset's order block.  With checks,
+each structure is built from its certified order and checked.  Without,
+nothing reads a structure, so none is built: ``core._compatible`` alone
+checks each order on its table.  The empty check list is the only switch.
 
 Sorting every block on its own and taking the blocks in stream order gives
 the global sort of all documents.  Tables come in lexicographic order of
@@ -27,13 +28,13 @@ checks this at every seam: a block's least document must not sort below
 the previous block's greatest, or it raises ``InvariantViolation`` and no
 sorted hash is reported.
 
-One worker sweeps the whole range in the calling process, as one stream
-read one table at a time, with no pool and no fork.  Several workers sweep
+One worker folds the walk over the whole range in the calling process,
+one table at a time, with no pool and no fork.  Several workers walk
 table-aligned ranges in a process pool, each of about 1/(16 × workers)
-of the positions to sweep and at most about 4,096.  The parent folds the
-ranges in stream order and keeps at most two per worker in flight, so it
-holds about an eighth of the stream at most, and a fixed number of
-documents on long streams.
+of the positions to sweep and at most about 4,096, and return the range's
+blocks.  The parent folds them in stream order and keeps at most two
+ranges per worker in flight, so it holds about an eighth of the stream at
+most, and a fixed number of documents on long streams.
 """
 
 from __future__ import annotations
@@ -42,13 +43,14 @@ import os
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from functools import lru_cache
+from itertools import chain
 
 from .classification import CHECK_IDS, CHECKS
-from .core import OrderedSemigroup
-from .enumeration import _documents, enumerate_ordered_semigroups, ordered_offsets
+from .core import OrderedSemigroup, _compatible, _ordered
+from .enumeration import _certified_orders, _table_orders, all_posets, ordered_offsets
 from .errors import InvariantViolation, NotApplicable
-from .fileformat import serialize_document
+from .fileformat import _head_text, _order_text, serialize_document
 from .report import ConditionResult
 
 
@@ -125,12 +127,31 @@ def table_ranges(n: int, size: int, start: int = 0):
             lo = end
 
 
-def _sweep_chunk(args) -> SweepReport:
-    n, chunk, check_ids = args
-    if check_ids:
-        return sweep(enumerate_ordered_semigroups(n, positions=chunk), check_ids)
-    docs = [doc for table_docs in _documents(n, chunk) for doc in table_docs]
-    return SweepReport(len(docs), [], docs)
+@lru_cache(maxsize=None)
+def _order_texts(n: int) -> tuple[str, ...]:
+    """Each poset's order block, in the positions of ``all_posets(n)``."""
+    return tuple(_order_text(leq) for leq in all_posets(n))
+
+
+def _table_blocks(n: int, positions: tuple[int, int], check_ids):
+    """The sweep of stream positions lo .. hi-1, one report per table, in
+    stream order.  Structures are built from their certified orders and
+    checked only when ``check_ids`` is not empty; otherwise
+    ``core._compatible`` alone checks each order on its table."""
+    certified, texts = _certified_orders(n), _order_texts(n)
+    for f, orders in _table_orders(n, positions):
+        disagreements = []
+        for k in orders:
+            if check_ids:
+                disagreements += check_structure(_ordered(f, certified[k]), check_ids)
+            else:
+                _compatible(f, certified[k])
+        head = _head_text(True, n, None, f.table)
+        yield SweepReport(len(orders), disagreements, [head + texts[k] for k in orders])
+
+
+def _sweep_chunk(args) -> list[SweepReport]:
+    return list(_table_blocks(*args))
 
 
 def _in_order(pool, args, in_flight: int):
@@ -185,16 +206,12 @@ def sweep_order(n: int, workers: int = 1, check_ids=CHECK_IDS, start: int = 0) -
     # before any pool starts, so forked workers inherit the caches
     end = ordered_offsets(n)[-1]
     workers = min(workers, os.cpu_count() or 1)
-    if workers < 2 and not check_ids:
-        return _fold(SweepReport(len(docs), [], docs) for docs in _documents(n, (start, end)))
     if workers < 2:
-        stream = enumerate_ordered_semigroups(n, positions=(start, end))
-        blocks = table_ranges(n, 1, start)
-        return _fold(sweep(islice(stream, hi - lo), check_ids) for lo, hi in blocks)
+        return _fold(_table_blocks(n, (start, end), check_ids))
     # imported here so a serial run never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     size = min(_MAX_RANGE, (end - start) // (16 * workers) + 1)
     args = ((n, chunk, check_ids) for chunk in table_ranges(n, size, start))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return _fold(_in_order(pool, args, 2 * workers))
+        return _fold(chain.from_iterable(_in_order(pool, args, 2 * workers)))

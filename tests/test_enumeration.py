@@ -31,6 +31,7 @@ from ordsgp.enumeration import (
     sample_ordered_semigroups,
 )
 from ordsgp.errors import InvariantViolation, NotAssociative, NotCompatible, SizeLimit
+from ordsgp.report import ConditionResult, make_bundle
 from ordsgp.sweep import CHECK_IDS, sweep, sweep_order, table_ranges
 
 from conftest import make_lz2_sg, make_t1
@@ -94,6 +95,7 @@ def test_poset_search_certifies_each_poset_once():
     # on a cold start the search asks core._partial_order once per poset
     # and never for a pair set that breaks an axiom
     all_posets.cache_clear()
+    enumeration._certified_orders.cache_clear()
     core._partial_order.cache_clear()
     for n, count in [(1, 1), (2, 3), (3, 19), (4, 219)]:
         before = core._partial_order.cache_info()
@@ -367,6 +369,7 @@ def _assert_streamed_digests(n, workers, check_ids, start):
     assert report.disagreements == oracle.disagreements
     assert report.sequence_hash == transcript_hash(oracle.transcripts)
     assert report.sorted_hash == transcript_hash(oracle.transcripts, sort=True)
+    return report
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -380,6 +383,29 @@ def test_streamed_digests_match_transcript_hash(serial_pool, workers):
     for start in (0, mid, 970):
         _assert_streamed_digests(3, workers, (), start)
     assert serial_pool["started"] == ([2] * (2 * 21 + 3) if workers == 2 else [])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_order_reports_disagreements_in_stream_order(monkeypatch, serial_pool, workers):
+    # a mutant CR-EQ5 that disagrees on every structure with 0 * 0 != 0
+    # (250 of the 971 of order 3) and runs the real check on the others
+    real = sweep_module.CHECKS["CR-EQ5"]
+    mutant = make_bundle(
+        "CR-EQ5", (ConditionResult("first side", True), ConditionResult("second side", False))
+    )
+    monkeypatch.setitem(
+        sweep_module.CHECKS, "CR-EQ5", lambda s: real(s) if s.table[0][0] == 0 else mutant
+    )
+    # the stream's start, and a resume in the middle of a disagreeing table
+    mid = resume_position(3, "o3:110111012:2")
+    for start, count in [(0, 250), (mid, 235)]:
+        report = _assert_streamed_digests(3, workers, ("CR-EQ5",), start)
+        assert len(report.disagreements) == count
+        stream = enumerate_ordered_semigroups(3, positions=(start, 971))
+        assert [d.document for d in report.disagreements] == [
+            serialize_document(s) for s in stream if s.table[0][0] != 0
+        ]
+    assert serial_pool["started"] == ([2, 2] if workers == 2 else [])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
