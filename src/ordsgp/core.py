@@ -17,15 +17,23 @@ through.  Subsets of the carrier are ElementSet values; downward closure
 and the setwise product A*B = {a*b : a in A, b in B} are the primitives
 every higher-level computation is built from.  ``product_mask`` is the one
 A*B: aS, Sa, xSy, the principal ideals, the filters, product-closedness
-and the power structure's table are all computed through it.  Pair loops
-remain only where a pair is the answer: ``induced_substructure``,
-``ideals.is_ideal`` and the decomposition's product condition report the
-least failing pair, and the unordered deciders of ``power`` stay
-definition-level so that a power correspondence keeps two independent
-sides.
+and the singleton rows {a}*B of the power structure's table are all
+computed through it; P(F)'s other rows are unions of two earlier rows,
+since (A + {a})*B = A*B | {a}*B.  Pair loops remain only where a pair is
+the answer: ``induced_substructure``, ``ideals.is_ideal`` and the
+decomposition's product condition report the least failing pair, and the
+unordered deciders of ``power`` stay definition-level so that a power
+correspondence keeps two independent sides.
 
-Validation is two steps and keeps one memo.  ``_partial_order`` certifies
-an order: keyed by the normalized order input (size, the in-range integer
+A table is checked for range and shape (``_check_table``, which keeps a
+row that is already a tuple of ints, so the tables of one enumerated order
+share their rows) and then for associativity a row at a time
+(``_check_associative``): row ij must equal row j read through row i,
+which covers every triple k at C speed, and only a mismatching pair walks
+k for the least failing triple.
+
+Validation of an order is two steps and keeps one memo.
+``_partial_order`` certifies an order: keyed by the normalized order input (size, the in-range integer
 pairs as given, close_order), it builds the leq matrix, takes the closure
 if asked, and proves antisymmetry and transitivity once per distinct key
 per process; a key that is not a partial order is not cached and raises
@@ -48,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import index
+from operator import index, itemgetter
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -186,6 +194,9 @@ def integers(values, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} entry {k} is not an integer: {values[k]!r}") from None
 
 
+_INT = {int}
+
+
 def _check_table(size: int, table) -> Table:
     if size < 1:
         raise ValueError("size must be a positive integer")
@@ -193,26 +204,40 @@ def _check_table(size: int, table) -> Table:
     if len(table) != size:
         raise ValueError(f"table must have {size} rows")
     for i, row in enumerate(table):
-        r = integers(row, f"table row {i}")
+        # a tuple of exact ints is kept, so tables can share row objects
+        if type(row) is tuple and {*map(type, row)} == _INT:
+            r = row
+        else:
+            r = integers(row, f"table row {i}")
         if len(r) != size:
             raise ValueError(f"table row {i} must have {size} entries")
-        for j, v in enumerate(r):
-            if not 0 <= v < size:
-                raise ValueError(f"table entry ({i},{j}) out of range: {v}")
+        if min(r) < 0 or max(r) >= size:
+            j = next(j for j, v in enumerate(r) if not 0 <= v < size)
+            raise ValueError(f"table entry ({i},{j}) out of range: {r[j]}")
         rows.append(r)
     return tuple(rows)
 
 
 def _check_associative(size: int, table: Table) -> None:
+    """Raise the least ``NotAssociative(i, j, k)`` of a checked table.
+
+    For each (i, j), row ij is compared with row j read through row i, the
+    row of i(jk) over all k, as one C-level lookup; only a mismatch walks k
+    to name the least failing triple."""
+    if size == 1:
+        # itemgetter of one index returns the entry, not a 1-tuple
+        through = [lambda row, k=tj[0]: (row[k],) for tj in table]
+    else:
+        through = [itemgetter(*tj) for tj in table]
     for i in range(size):
         ti = table[i]
         for j in range(size):
-            ij = ti[j]
-            tj = table[j]
-            row_ij = table[ij]
-            for k in range(size):
-                if row_ij[k] != ti[tj[k]]:
-                    raise NotAssociative(i, j, k)
+            row_ij = table[ti[j]]
+            if row_ij != through[j](ti):
+                tj = table[j]
+                for k in range(size):
+                    if row_ij[k] != ti[tj[k]]:
+                        raise NotAssociative(i, j, k)
 
 
 def _check_names(size: int, names) -> tuple[str, ...] | None:

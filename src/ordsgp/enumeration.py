@@ -21,10 +21,12 @@ also hold.  They are tested against all posets at once, as bitsets of
 poset positions, and cached per table as positions in ``all_posets(n)``.
 
 The table search runs once per process: ``all_semigroup_tables`` caches
-its result, and every stream reads that list.  The ordered-semigroup
-stream is addressed by position: table t's orders sit at positions
-offsets[t] .. offsets[t+1]-1 (``ordered_offsets``, counted once per order
-per process), and ``enumerate_ordered_semigroups(n, positions=(lo, hi))``
+its result, and every stream reads that list.  A flat table is cut into
+rows through one pool per order (``_flat_to_rows``), so the tables of an
+order share at most n^n row objects.  The ordered-semigroup stream is
+addressed by position: table t's orders sit at positions offsets[t] ..
+offsets[t+1]-1 (``ordered_offsets``, counted once per order per process),
+and ``enumerate_ordered_semigroups(n, positions=(lo, hi))``
 yields lo .. hi-1.  A resume token ``o{n}:<table>:<k>`` names the
 position of order k of that table: ``resume_token`` builds it from a
 position and ``resume_position`` turns it back into the position after
@@ -132,8 +134,15 @@ def _tables_dfs(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0)
 
 
+# per order: each distinct row once, so the tables of one order share their
+# row objects; at most n^n rows
+_ROW_POOLS: dict[int, dict] = {}
+
+
 def _flat_to_rows(n: int, flat: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    return tuple(flat[i * n : (i + 1) * n] for i in range(n))
+    pool = _ROW_POOLS.setdefault(n, {})
+    rows = (flat[i * n : (i + 1) * n] for i in range(n))
+    return tuple(pool.setdefault(row, row) for row in rows)
 
 
 def _check_order(n: int) -> None:

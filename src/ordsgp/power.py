@@ -9,6 +9,15 @@ embedding recovers f.  The extension's morphism laws are verified, not
 assumed: joins in an arbitrary target need not distribute over products,
 and a failure raises NotMorphism.
 
+P(F)'s table is built a row at a time.  Each singleton row {a}*B, over
+every subset B, comes from ``core.product_mask``; taking subsets in
+ascending mask order, the row of A = {a} + R with a least in A is the
+element-wise union of the rows of R and of {a}, both built before it.  The
+carrier, its positions, the inclusion pairs and the display names depend
+only on |F| (and F's names), so they are computed once per size.  The
+result is then validated like any input: associativity on every triple,
+a row at a time, and compatibility of the inclusion order.
+
 Consecutive calls on one F share a single build and validation of P(F),
 while the size guard runs on every call.
 
@@ -23,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import or_
 
 from . import limits
 from .classification import COMPLETELY_REGULAR, LEFT_GROUP_LIKE, _regular_then, _simple
@@ -73,10 +83,39 @@ def semigroup_morphism(source, target, mapping) -> SemigroupMorphism:
     return SemigroupMorphism(source, target, mapping)
 
 
-def _subset_carrier(n: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _subset_carrier(n: int) -> tuple[int, ...]:
     """Masks of the nonempty subsets of 0..n-1, sorted by size then
     lexicographically."""
-    return [mask_of(c) for k in range(1, n + 1) for c in combinations(range(n), k)]
+    return tuple(mask_of(c) for k in range(1, n + 1) for c in combinations(range(n), k))
+
+
+@lru_cache(maxsize=None)
+def _inclusion(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """P(F)'s positions and order for |F| = n: the carrier position of each
+    subset mask, and the pairs (i, j), i != j, whose i-th subset lies inside
+    the j-th."""
+    subsets = _subset_carrier(n)
+    position = [0] * (1 << n)
+    for i, m in enumerate(subsets):
+        position[m] = i
+    pairs = tuple(
+        (i, j)
+        for i, a in enumerate(subsets)
+        for j, b in enumerate(subsets)
+        if i != j and a & ~b == 0
+    )
+    return tuple(position), pairs
+
+
+# keyed by F's display names, which are None for every enumerated F
+@lru_cache(maxsize=8)
+def _subset_names(n: int, names: tuple[str, ...] | None) -> tuple[str, ...]:
+    """P(F)'s display names, ``{x,y}`` from F's names or indices."""
+    element = names or tuple(map(str, range(n)))
+    return tuple(
+        "{" + ",".join(element[x] for x in bits(c)) + "}" for c in _subset_carrier(n)
+    )
 
 
 def power_ordered_semigroup(f: FiniteSemigroup) -> OrderedSemigroup:
@@ -92,19 +131,22 @@ def power_ordered_semigroup(f: FiniteSemigroup) -> OrderedSemigroup:
 # checked on a hit too.
 @lru_cache(maxsize=1)
 def _power_structure(f: FiniteSemigroup) -> OrderedSemigroup:
-    subsets = _subset_carrier(f.size)
-    index = {m: i for i, m in enumerate(subsets)}
-    table = tuple(tuple(index[product_mask(f, a, b)] for b in subsets) for a in subsets)
-    pairs = [
-        (i, j)
-        for i, a in enumerate(subsets)
-        for j, b in enumerate(subsets)
-        if i != j and a & ~b == 0
-    ]
-    names = tuple(
-        "{" + ",".join(f.name_of(x) for x in bits(c)) + "}" for c in subsets
-    )
-    return validate_structure(len(subsets), table, pairs, names)
+    n = f.size
+    subsets = _subset_carrier(n)
+    position, pairs = _inclusion(n)
+    # products[A] lists the masks of A*B over the carrier's B, A in ascending
+    # mask order: a singleton row comes from product_mask, and A = {a} + R
+    # with a least in A gives A*B = R*B | a*B, a union of two earlier rows
+    products = [None] * (1 << n)
+    for m in range(1, 1 << n):
+        low = m & -m
+        if m == low:
+            products[m] = [product_mask(f, m, b) for b in subsets]
+        else:
+            products[m] = list(map(or_, products[m ^ low], products[low]))
+    at = position.__getitem__
+    table = tuple(tuple(map(at, products[a])) for a in subsets)
+    return validate_structure(len(subsets), table, pairs, _subset_names(n, f.names))
 
 
 def join(s: OrderedSemigroup, a: int, b: int) -> int:

@@ -1,11 +1,12 @@
-"""Brute-force oracles for posets, complete semilattice congruences, ideals
-and the order validator.
+"""Brute-force oracles for posets, complete semilattice congruences, ideals,
+associativity, the power structure and the order validator.
 
 ``poset_scan`` tries all 2^(n*n - n) sets of non-reflexive pairs against
 the definition of a partial order, ``csc_oracle`` scans all Bell(n)
 partitions of the carrier and ``ideal_oracle`` all 2^n subsets, each
-through the package's definition checks.  The tier-1 tests compare the
-package with them on small orders.  Run as a script, this file first
+through the package's definition checks.  ``associativity_oracle`` scans
+every triple of a table in lexicographic order.  The tier-1 tests compare
+the package with them on small orders.  Run as a script, this file first
 compares ``all_posets(5)`` with ``poset_scan(5)``, element by element and
 in order.  It then compares the other oracles on every ordered semigroup
 of order 4, and checks there that the congruence generated by the complete
@@ -13,7 +14,11 @@ semilattice axioms equals N, the filter-equality relation.  It also runs
 every (table, poset) pair of order 4 through ``validate_structure`` and
 compares the verdict and the ``NotCompatible`` witness with
 ``compatibility_oracle``, a scan of the definition, and the accepted pairs
-with the orders ``_compatible_orders_flat`` lists for each table.  Last,
+with the orders ``_compatible_orders_flat`` lists for each table.  It
+builds P(F) for all 3,492 semigroups F of order 4 and compares its table,
+order pairs and names with ``power_oracle``, which computes each product
+of two subsets on its own through ``product_mask`` (the package takes only
+the singleton rows from ``product_mask`` and unions the others).  Last,
 it relabels every structure by one seeded permutation and asks every
 check for the same verdicts (``relabel_mismatches``), and meets every
 structure with its dual, which the stream also holds, to ask for the
@@ -43,6 +48,7 @@ from ordsgp import (
     enumerate_semigroups,
     is_ideal,
     n_relation,
+    power_ordered_semigroup,
     predicate,
     relation_properties,
     serialize_document,
@@ -50,7 +56,7 @@ from ordsgp import (
 )
 from ordsgp.classification import CHECKS, PREDICATE_ORDER
 from ordsgp.congruence import _generated_congruence_ids
-from ordsgp.core import _relabel, leq_pairs, mask_of
+from ordsgp.core import _relabel, leq_pairs, mask_of, product_mask
 from ordsgp.enumeration import DEFAULT_SAMPLE_SEED, _compatible_orders_flat, all_posets
 from ordsgp.errors import NotApplicable, NotCompatible
 
@@ -111,6 +117,52 @@ def compatibility_oracle(table, leq):
                 if not leq[table[a][c]][table[b][c]]:
                     return (a, b, c, "right")
     return None
+
+
+def associativity_oracle(table):
+    """The least triple (i, j, k), scanning lexicographically, with
+    (ij)k != i(jk); None when the table is associative."""
+    n = len(table)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if table[table[i][j]][k] != table[i][table[j][k]]:
+                    return (i, j, k)
+    return None
+
+
+def power_oracle(f):
+    """P(F) built one cell at a time: the nonempty subsets of F sorted by
+    size, then lexicographically; the product of the i-th and j-th subsets
+    is the position of ``product_mask(f, A, B)``.  Returns the table, the
+    non-reflexive inclusion pairs (i, j) sorted and the names ``{x,y}``."""
+    n = f.size
+    subsets = [mask_of(c) for k in range(1, n + 1) for c in combinations(range(n), k)]
+    index = {m: i for i, m in enumerate(subsets)}
+    table = tuple(tuple(index[product_mask(f, a, b)] for b in subsets) for a in subsets)
+    pairs = [
+        (i, j)
+        for i, a in enumerate(subsets)
+        for j, b in enumerate(subsets)
+        if i != j and a & b == a
+    ]
+    names = tuple(
+        "{" + ",".join(f.name_of(x) for x in range(n) if a >> x & 1) + "}" for a in subsets
+    )
+    return table, pairs, names
+
+
+def power_mismatch(order: int):
+    """The first F of the order whose ``power_ordered_semigroup`` differs
+    from ``power_oracle`` in its table, order pairs or names, as a message;
+    None, and the count of F, when all agree."""
+    count = 0
+    for f in enumerate_semigroups(order):
+        p = power_ordered_semigroup(f)
+        if (p.table, p.order_pairs(), p.names) != power_oracle(f):
+            return f"F with table {f.table}", count
+        count += 1
+    return None, count
 
 
 def validator_mismatch(order: int):
@@ -256,6 +308,11 @@ def main(order: int = 4) -> int:
         print(f"validator mismatch on {mismatch}")
         return 1
     print(f"order {order}: {pairs} (table, poset) pairs, the validator agrees")
+    mismatch, count = power_mismatch(order)
+    if mismatch:
+        print(f"power structure mismatch on {mismatch}")
+        return 1
+    print(f"order {order}: {count} power structures P(F), equal to the per-cell construction")
     count = 0
     rng = random.Random(DEFAULT_SAMPLE_SEED)
     duals = DualPairs()

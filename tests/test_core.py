@@ -1,5 +1,6 @@
 """Structure validation and the primitive set operators."""
 
+import itertools
 import random
 
 import pytest
@@ -22,7 +23,10 @@ from ordsgp.errors import (
     NotTransitive,
 )
 
+from ordsgp.core import _check_associative
+
 from conftest import all_ordered_fixtures, make_lz2, make_sl2
+from order4_oracles import associativity_oracle
 
 
 def brute_valid(size, table, pairs):
@@ -139,6 +143,35 @@ def test_table_entries_must_be_integers():
         validate_semigroup(2, [[0, 0.9], [0, 1.7]])
     with pytest.raises(ValueError, match="table row 1 entry 0 is not an integer: '0'"):
         validate_semigroup(2, [[0, 0], ["0", 1]])
+
+
+def test_rows_of_exact_ints_are_kept():
+    # a tuple of ints is shared as it is; any other row is converted
+    row = (0, 0)
+    f = validate_semigroup(2, (row, [0, 1]))
+    assert f.table[0] is row and f.table[1] == (0, 1)
+    f = validate_semigroup(2, ((True, False), (False, True)))
+    assert f.table == ((1, 0), (0, 1))
+    assert {type(v) for r in f.table for v in r} == {int}
+    with pytest.raises(ValueError, match=r"table entry \(1,0\) out of range: -1"):
+        validate_semigroup(2, ((0, 0), (-1, 1)))
+
+
+def test_associativity_check_against_the_triple_loop_up_to_order_3():
+    """Every one of the 1 + 16 + 19,683 tables of order <= 3: the same
+    verdict and the same least triple as the lexicographic triple loop."""
+    counts = {True: 0, False: 0}
+    for n in (1, 2, 3):
+        for flat in itertools.product(range(n), repeat=n * n):
+            table = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+            try:
+                _check_associative(n, table)
+                got = None
+            except NotAssociative as exc:
+                got = exc.triple
+            assert got == associativity_oracle(table), table
+            counts[got is None] += 1
+    assert counts == {True: 1 + 8 + 113, False: 19700 - 122}
 
 
 def test_order_pairs_must_be_integers():

@@ -74,6 +74,11 @@ def test_order_4_table_list_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == TABLES_4_SHA
 
 
+def test_the_tables_of_one_order_share_their_rows():
+    semigroups = list(enumerate_semigroups(3))
+    assert len({id(row) for f in semigroups for row in f.table}) <= 3**3
+
+
 def test_semigroup_stream_is_lexicographic_and_guarded():
     flats = [tuple(v for row in sg.table for v in row) for sg in enumerate_semigroups(2)]
     assert flats == sorted(flats)

@@ -4,6 +4,7 @@ import pytest
 
 from ordsgp import (
     classify,
+    enumerate_semigroups,
     is_completely_regular_semigroup,
     is_group,
     is_left_group,
@@ -28,6 +29,7 @@ from conftest import (
     make_z2,
     make_z3,
 )
+from order4_oracles import power_oracle
 
 
 def test_power_of_z2_structure():
@@ -219,3 +221,16 @@ def test_power_correspondence_examples():
     assert result.agree and all(c.holds for c in result.conditions)
     with pytest.raises(UnknownPredicate):
         power_correspondence_check(make_z2(), "frobnication")
+
+
+def test_power_structure_against_the_per_cell_oracle():
+    """P(F) for every F of order <= 3, every 100th F of order 4 and one F
+    with display names has the table, order pairs and names of the per-cell
+    construction."""
+    semigroups = [f for n in (1, 2, 3) for f in enumerate_semigroups(n)]
+    semigroups += list(enumerate_semigroups(4))[::100]
+    semigroups.append(validate_semigroup(3, make_z3().table, names=("e", "a", "b")))
+    assert len(semigroups) == 1 + 8 + 113 + 35 + 1
+    for f in semigroups:
+        p = power_ordered_semigroup(f)
+        assert (p.table, p.order_pairs(), p.names) == power_oracle(f), f.table
