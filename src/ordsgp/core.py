@@ -32,19 +32,19 @@ share their rows) and then for associativity a row at a time
 which covers every triple k at C speed, and only a mismatching pair walks
 k for the least failing triple.
 
-Validation of an order is two steps and keeps one memo.
-``_partial_order`` certifies an order: keyed by the normalized order input (size, the in-range integer
-pairs as given, close_order), it builds the leq matrix, takes the closure
-if asked, and proves antisymmetry and transitivity once per distinct key
-per process; a key that is not a partial order is not cached and raises
-again on every call.  ``_compatible`` holds the one compatibility loop:
-it takes a certified order (leq, strict pairs) and a validated table and
-checks compatibility, which depends on the table as well, on every call.
-``_ordered`` runs it and builds the structure.  ``validate_structure``
-normalizes the order pairs, certifies them and calls ``_ordered``; the
-enumeration stream and a sweep take the certificates the poset search
-keeps and call ``_ordered`` directly, and a check-free sweep calls
-``_compatible`` alone and builds no structure.
+An order is validated in two steps, with one memo.  ``_partial_order``
+certifies it: keyed by the normalized order input (size, the in-range
+integer pairs as given, close_order), it builds the leq matrix, takes the
+closure if asked, and proves antisymmetry and transitivity once per
+distinct key per process; a key that is not a partial order is not
+cached and raises again on every call.  ``_compatible`` holds the one
+compatibility loop: it takes a certified order (leq, strict pairs) and a
+validated table and checks compatibility, which depends on the table as
+well, on every call.  ``_ordered`` runs it and builds the structure.
+``validate_structure`` normalizes the order pairs, certifies them and
+calls ``_ordered``; the enumeration stream and a sweep take the
+certificates the poset search keeps and call ``_ordered`` directly, and a
+check-free sweep calls ``_compatible`` alone and builds no structure.
 
 Element indices are the canonical identity; display names are cosmetic.
 All values are immutable after validation and safe to share.  Subsets are
