@@ -40,11 +40,13 @@ distinct key per process; a key that is not a partial order is not
 cached and raises again on every call.  ``_compatible`` holds the one
 compatibility loop: it takes a certified order (leq, strict pairs) and a
 validated table and checks compatibility, which depends on the table as
-well, on every call.  ``_ordered`` runs it and builds the structure.
-``validate_structure`` normalizes the order pairs, certifies them and
-calls ``_ordered``; the enumeration stream and a sweep take the
-certificates the poset search keeps and call ``_ordered`` directly, and a
-check-free sweep calls ``_compatible`` alone and builds no structure.
+well, on every call.  ``_ordered`` runs it and builds the structure with
+names checked beforehand.  ``validate_structure`` normalizes the order
+pairs, certifies them, runs ``_compatible`` and then checks the names; the
+enumeration stream, a sweep and the power structure take certificates
+kept once (by the poset search, or per |F| for P(F)'s inclusion) and call
+``_ordered`` directly, and a check-free sweep calls ``_compatible`` alone
+and builds no structure.
 
 Element indices are the canonical identity; display names are cosmetic.
 All values are immutable after validation and safe to share.  Subsets are
@@ -283,7 +285,9 @@ def validate_structure(
         if not (0 <= a < size and 0 <= b < size):
             raise ValueError(f"order pair ({a},{b}) out of range")
         pairs.append((a, b))
-    return _ordered(f, _partial_order(size, tuple(pairs), close_order), names)
+    certified = _partial_order(size, tuple(pairs), close_order)
+    _compatible(f, certified)
+    return OrderedSemigroup(size, f.table, _check_names(size, names), leq=certified[0])
 
 
 def _compatible(f: FiniteSemigroup, certified: CertifiedOrder) -> None:
@@ -304,18 +308,17 @@ def _compatible(f: FiniteSemigroup, certified: CertifiedOrder) -> None:
 
 
 def _ordered(f: FiniteSemigroup, certified: CertifiedOrder, names=None) -> OrderedSemigroup:
-    """Check a certified order's compatibility (``_compatible``), then the
-    names, and build the ordered semigroup."""
+    """Check a certified order's compatibility (``_compatible``) and build
+    the ordered semigroup with ``names``, which ``_check_names`` has
+    already returned."""
     _compatible(f, certified)
-    size = f.size
-    return OrderedSemigroup(size, f.table, _check_names(size, names), leq=certified[0])
+    return OrderedSemigroup(f.size, f.table, names, leq=certified[0])
 
 
 # lru_cache keeps no exception, so a pair list that is not a partial order
 # raises again on every call.  The streams keep the poset search's own
-# certificates, so the hits come from validate_structure callers that repeat
-# an order, mainly power._power_structure: P(F)'s inclusion order is the same
-# for every F of one size.
+# certificates and power keeps P(F)'s inclusion order once per |F|, so the
+# hits come from validate_structure callers that repeat an order.
 @lru_cache(maxsize=8192)
 def _partial_order(
     size: int, pairs: tuple[tuple[int, int], ...], close_order: bool

@@ -1,18 +1,22 @@
 """Exhaustive generation of small semigroups, posets, and compatible
 ordered semigroups, with deterministic resume tokens.
 
-Canonical sequence: multiplication tables are generated in lexicographic
-order of their row-major flattening (backtracking that tests every
+Canonical sequence: the multiplication tables come in lexicographic order
+of their row-major flattening.  One search finds the least table of each
+isomorphism class (``_lex_leader_tables``: backtracking that tests every
 associativity triple as soon as its four products are known, so no leaf
-needs a second check); partial orders are the pair sets in ascending order
-of bitmask, found by a search that decides the pair bits from the highest
-down and cuts every branch that breaks antisymmetry or transitivity, each
-leaf certified once by ``core._partial_order``, the validator's own axiom
-check; an ordered-semigroup stream pairs each table with its compatible
-orders in that fixed order.  Two runs therefore yield identical sequences.
-The search keeps each certificate whole (``_certified_orders``, once per
-order per process; ``all_posets`` is their leq matrices), and the stream
-builds every structure from one through ``core._ordered``, which checks
+needs a second check, and cuts a branch when a relabeling of its partial
+table already sorts below it); the labeled list is the sorted union of
+their orbits under all n! relabelings (``_labeled_tables``).  Partial
+orders are the pair sets in ascending order of bitmask, found by a search
+that decides the pair bits from the highest down and cuts every branch
+that breaks antisymmetry or transitivity, each leaf certified once by
+``core._partial_order``, the validator's own axiom check; an
+ordered-semigroup stream pairs each table with its compatible orders in
+that fixed order.  Two runs therefore yield identical sequences.  The
+search keeps each certificate whole (``_certified_orders``, once per order
+per process; ``all_posets`` is their leq matrices), and the stream builds
+every structure from one through ``core._ordered``, which checks
 compatibility with the table.
 
 A table's compatible orders come from one mask per strict pair (a, b): the
@@ -21,9 +25,9 @@ also hold.  They are tested against all posets at once, as bitsets of
 poset positions, and cached per table as positions in ``all_posets(n)``.
 
 The table search runs once per process: ``all_semigroup_tables`` caches
-its result, and every stream reads that list.  A flat table is cut into
-rows through one pool per order (``_flat_to_rows``), so the tables of an
-order share at most n^n row objects.  The ordered-semigroup stream is
+the labeled list, and every stream reads that list.  A flat table is cut
+into rows through one pool per order (``_flat_to_rows``), so the tables of
+an order share at most n^n row objects.  The ordered-semigroup stream is
 addressed by position: table t's orders sit at positions offsets[t] ..
 offsets[t+1]-1 (``ordered_offsets``, counted once per order per process),
 and ``enumerate_ordered_semigroups(n, positions=(lo, hi))``
@@ -38,9 +42,11 @@ each table of the range, validated once, with the positions of its orders
 in the range.  The structure stream builds from it, and so does
 ``sweep``, which walks it one table at a time.
 
-Enumeration is labeled, not isomorphism-reduced: theorem sweeps need
-logical coverage.  ``canonical_form`` provides an optional dedup key
-(minimum ``core._relabel`` under all carrier permutations) for reporting.
+The streams are labeled: theorem sweeps need logical coverage, so every
+table of every class is yielded, each once.  The class representatives are
+the lex leaders, the tables equal to their own ``canonical_form`` (the
+least ``core._relabel`` under all carrier permutations), which also serves
+as a dedup key when reporting counts up to isomorphism.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ import re
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import accumulate, permutations
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from . import limits
@@ -67,20 +74,44 @@ from .errors import BadEnumeration, NotAssociative
 DEFAULT_SAMPLE_SEED = 20260810
 
 
-def _tables_dfs(n: int) -> Iterator[tuple[int, ...]]:
-    """All associative tables on n labeled elements, flat, lexicographic.
+def _relabelings(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(sigma, source) for every permutation sigma of 0..n-1.  The relabeled
+    table sigma T has sigma(T[source[c]]) at flat cell c: cell (i, j) reads
+    the cell (sigma^-1 i, sigma^-1 j), as in ``core._relabel``."""
+    out = []
+    for sigma in permutations(range(n)):
+        inverse = [0] * n
+        for a, b in enumerate(sigma):
+            inverse[b] = a
+        out.append((sigma, tuple(inverse[i] * n + inverse[j] for i in range(n) for j in range(n))))
+    return out
+
+
+def _lex_leader_tables(n: int) -> Iterator[tuple[int, ...]]:
+    """The least table of each isomorphism class on n elements, flat,
+    lexicographic (the lex-leader search).
 
     Cells fill row-major.  Setting a cell tests every triple (xy)z = x(yz)
     whose four products are then known, with the new cell in each position
     it can take: xy, yz, the outer (xy)z and the outer x(yz).  A triple is
     tested when the last of its products is set, so every partial table is
     consistent and every leaf is associative.
+
+    At the end of every row, the leaf included, the branch is cut when some
+    relabeling sigma T already sorts below the partial table T.  The two are
+    compared cell by cell in row-major order up to the first cell unknown
+    on either side; a cell of sigma T is known when its source cell is set.
+    Every completion of a cut branch has a smaller relabeling, so no least
+    table is cut, and at a leaf every cell is known, so only least tables
+    remain: each class yields its least table once.
     """
     cells = [(i, j) for i in range(n) for j in range(n)]
     total = n * n
     table = [[-1] * n for _ in range(n)]
     # the set cells (a, b) with table[a][b] == v, for each value v
     preimage: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    # the first, the identity, never sorts below T
+    relabelings = _relabelings(n)[1:]
 
     def partial_ok(i: int, j: int) -> bool:
         v = table[i][j]
@@ -118,6 +149,21 @@ def _tables_dfs(n: int) -> Iterator[tuple[int, ...]]:
                     return False
         return True
 
+    def least_so_far(known: int) -> bool:
+        # cells 0 .. known-1 are set; every later cell is unknown
+        flat = [v for row in table for v in row]
+        for sigma, source in relabelings:
+            for c in range(known):
+                s = flat[source[c]]
+                if s < 0:
+                    break
+                s = sigma[s]
+                if s != flat[c]:
+                    if s < flat[c]:
+                        return False
+                    break
+        return True
+
     def rec(d: int):
         if d == total:
             yield tuple(table[i][j] for i, j in cells)
@@ -126,12 +172,29 @@ def _tables_dfs(n: int) -> Iterator[tuple[int, ...]]:
         for v in range(n):
             table[i][j] = v
             preimage[v].append((i, j))
-            if partial_ok(i, j):
+            if partial_ok(i, j) and (j < n - 1 or least_so_far(d + 1)):
                 yield from rec(d + 1)
             preimage[v].pop()
             table[i][j] = -1
 
     yield from rec(0)
+
+
+def _labeled_tables(n: int, leaders: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Every table isomorphic to one of the leaders, flat, lexicographic:
+    each leader under all n! relabelings, repeats within its orbit dropped.
+    Distinct classes have disjoint orbits, so no table repeats."""
+    relabel = [
+        # itemgetter of one index returns the entry, not a 1-tuple; at n = 1
+        # the one relabeling is the identity
+        (sigma.__getitem__, itemgetter(*source) if n > 1 else tuple)
+        for sigma, source in _relabelings(n)
+    ]
+    tables = []
+    for flat in leaders:
+        tables.extend({tuple(map(at, read(flat))) for at, read in relabel})
+    tables.sort()
+    return tables
 
 
 # per order: each distinct row once, so the tables of one order share their
@@ -155,10 +218,11 @@ _TABLE_LISTS: dict[int, tuple] = {}
 
 
 def all_semigroup_tables(n: int) -> tuple:
-    """All associative flat tables on n elements, lexicographic (cached)."""
+    """All associative flat tables on n elements, lexicographic (cached):
+    the orbits of the lex-leader search's tables."""
     _check_order(n)
     if n not in _TABLE_LISTS:
-        _TABLE_LISTS[n] = tuple(_tables_dfs(n))
+        _TABLE_LISTS[n] = tuple(_labeled_tables(n, _lex_leader_tables(n)))
     return _TABLE_LISTS[n]
 
 

@@ -13,10 +13,11 @@ P(F)'s table is built a row at a time.  Each singleton row {a}*B, over
 every subset B, comes from ``core.product_mask``; taking subsets in
 ascending mask order, the row of A = {a} + R with a least in A is the
 element-wise union of the rows of R and of {a}, both built before it.  The
-carrier, its positions, the inclusion pairs and the display names depend
-only on |F| (and F's names), so they are computed once per size.  The
-result is then validated like any input: associativity on every triple,
-a row at a time, and compatibility of the inclusion order.
+carrier, its positions, the inclusion order and the display names depend
+only on |F| (and F's names), so they are computed once per size, the order
+certified by ``core._partial_order`` and the names checked once.  Every
+table is then validated like any input: associativity on every triple, a
+row at a time, and compatibility of the inclusion order.
 
 Consecutive calls on one F share a single build and validation of P(F),
 while the size guard runs on every call.
@@ -37,14 +38,18 @@ from operator import or_
 from . import limits
 from .classification import COMPLETELY_REGULAR, LEFT_GROUP_LIKE, _regular_then, _simple
 from .core import (
+    CertifiedOrder,
     FiniteSemigroup,
     OrderedSemigroup,
+    _check_names,
+    _ordered,
+    _partial_order,
     above_masks,
     bits,
     integers,
     mask_of,
     product_mask,
-    validate_structure,
+    validate_semigroup,
 )
 from .elements import forall_exists
 from .errors import NoJoin, NotMorphism, UnknownPredicate
@@ -91,10 +96,10 @@ def _subset_carrier(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _inclusion(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+def _inclusion(n: int) -> tuple[tuple[int, ...], CertifiedOrder]:
     """P(F)'s positions and order for |F| = n: the carrier position of each
-    subset mask, and the pairs (i, j), i != j, whose i-th subset lies inside
-    the j-th."""
+    subset mask, and the order whose pairs (i, j), i != j, have the i-th
+    subset inside the j-th, certified by ``core._partial_order``."""
     subsets = _subset_carrier(n)
     position = [0] * (1 << n)
     for i, m in enumerate(subsets):
@@ -105,17 +110,18 @@ def _inclusion(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
         for j, b in enumerate(subsets)
         if i != j and a & ~b == 0
     )
-    return tuple(position), pairs
+    return tuple(position), _partial_order(len(subsets), pairs, False)
 
 
 # keyed by F's display names, which are None for every enumerated F
 @lru_cache(maxsize=8)
 def _subset_names(n: int, names: tuple[str, ...] | None) -> tuple[str, ...]:
-    """P(F)'s display names, ``{x,y}`` from F's names or indices."""
+    """P(F)'s display names, ``{x,y}`` from F's names or indices, checked
+    by ``core._check_names``."""
     element = names or tuple(map(str, range(n)))
-    return tuple(
-        "{" + ",".join(element[x] for x in bits(c)) + "}" for c in _subset_carrier(n)
-    )
+    subsets = _subset_carrier(n)
+    shown = ("{" + ",".join(element[x] for x in bits(c)) + "}" for c in subsets)
+    return _check_names(len(subsets), shown)
 
 
 def power_ordered_semigroup(f: FiniteSemigroup) -> OrderedSemigroup:
@@ -133,7 +139,7 @@ def power_ordered_semigroup(f: FiniteSemigroup) -> OrderedSemigroup:
 def _power_structure(f: FiniteSemigroup) -> OrderedSemigroup:
     n = f.size
     subsets = _subset_carrier(n)
-    position, pairs = _inclusion(n)
+    position, inclusion = _inclusion(n)
     # products[A] lists the masks of A*B over the carrier's B, A in ascending
     # mask order: a singleton row comes from product_mask, and A = {a} + R
     # with a least in A gives A*B = R*B | a*B, a union of two earlier rows
@@ -146,7 +152,8 @@ def _power_structure(f: FiniteSemigroup) -> OrderedSemigroup:
             products[m] = list(map(or_, products[m ^ low], products[low]))
     at = position.__getitem__
     table = tuple(tuple(map(at, products[a])) for a in subsets)
-    return validate_structure(len(subsets), table, pairs, _subset_names(n, f.names))
+    power = validate_semigroup(len(subsets), table)
+    return _ordered(power, inclusion, _subset_names(n, f.names))
 
 
 def join(s: OrderedSemigroup, a: int, b: int) -> int:

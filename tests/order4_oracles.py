@@ -1,14 +1,19 @@
-"""Brute-force oracles for posets, complete semilattice congruences, ideals,
-associativity, the power structure and the order validator.
+"""Brute-force oracles for tables, posets, complete semilattice congruences,
+ideals, associativity, the power structure and the order validator.
 
-``poset_scan`` tries all 2^(n*n - n) sets of non-reflexive pairs against
-the definition of a partial order, ``csc_oracle`` scans all Bell(n)
-partitions of the carrier and ``ideal_oracle`` all 2^n subsets, each
-through the package's definition checks.  ``associativity_oracle`` scans
-every triple of a table in lexicographic order.  The tier-1 tests compare
-the package with them on small orders.  Run as a script, this file first
-compares ``all_posets(5)`` with ``poset_scan(5)``, element by element and
-in order.  It then compares the other oracles on every ordered semigroup
+``tables_dfs`` is the labeled table search, which finds every associative
+table on n labeled elements.  ``poset_scan`` tries all 2^(n*n - n) sets of
+non-reflexive pairs against the definition of a partial order,
+``csc_oracle`` scans all Bell(n) partitions of the carrier and
+``ideal_oracle`` all 2^n subsets, each through the package's definition
+checks.  ``associativity_oracle`` scans every triple of a table in
+lexicographic order.  The tier-1 tests compare the package with them on
+small orders.  Run as a script, this file first compares ``all_posets(5)``
+with ``poset_scan(5)``, element by element and in order, and checks that
+the lex-leader search finds the 1,915 table classes of order 5 and that
+their orbits are the 183,732 tables of ``tables_dfs(5)`` (pinned as
+``TABLES_5_SHA``; the labeled search takes minutes at order 5).  It then
+compares the other oracles on every ordered semigroup
 of order 4, and checks there that the congruence generated by the complete
 semilattice axioms equals N, the filter-equality relation.  It also runs
 every (table, poset) pair of order 4 through ``validate_structure`` and
@@ -32,6 +37,7 @@ not collect it: its name does not match ``test_*.py``.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import sys
 from itertools import combinations
@@ -57,8 +63,93 @@ from ordsgp import (
 from ordsgp.classification import CHECKS, PREDICATE_ORDER
 from ordsgp.congruence import _generated_congruence_ids
 from ordsgp.core import _relabel, leq_pairs, mask_of, product_mask
-from ordsgp.enumeration import DEFAULT_SAMPLE_SEED, _compatible_orders_flat, all_posets
+from ordsgp.enumeration import (
+    DEFAULT_SAMPLE_SEED,
+    _compatible_orders_flat,
+    _labeled_tables,
+    _lex_leader_tables,
+    all_posets,
+)
 from ordsgp.errors import NotApplicable, NotCompatible
+
+
+# SHA-256 (``table_list_sha``) of ``list(tables_dfs(5))``, 183,732 tables
+TABLES_5_SHA = "7cee3bf04de1ad73bad2ab5d42f4e16883efb3ffbb7fbb46c11fe91739df10af"
+
+
+def tables_dfs(n: int):
+    """All associative tables on n labeled elements, flat, lexicographic:
+    the labeled search that the lex-leader search and its orbit expansion
+    replace.
+
+    Cells fill row-major.  Setting a cell tests every triple (xy)z = x(yz)
+    whose four products are then known, with the new cell in each position
+    it can take: xy, yz, the outer (xy)z and the outer x(yz).  A triple is
+    tested when the last of its products is set, so every partial table is
+    consistent and every leaf is associative.
+    """
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    total = n * n
+    table = [[-1] * n for _ in range(n)]
+    # the set cells (a, b) with table[a][b] == v, for each value v
+    preimage = [[] for _ in range(n)]
+
+    def partial_ok(i: int, j: int) -> bool:
+        v = table[i][j]
+        row_v = table[v]
+        row_i = table[i]
+        # the new cell as xy: (ij)c = i(jc)
+        for c in range(n):
+            q = table[j][c]
+            if q >= 0:
+                left = row_v[c]
+                right = row_i[q]
+                if left >= 0 and right >= 0 and left != right:
+                    return False
+        # as yz: (ai)j = a(ij)
+        for a in range(n):
+            p = table[a][i]
+            if p >= 0:
+                left = table[p][j]
+                right = table[a][v]
+                if left >= 0 and right >= 0 and left != right:
+                    return False
+        # as the outer (xy)z, xy = ab = i: (ab)j = a(bj)
+        for a, b in preimage[i]:
+            q = table[b][j]
+            if q >= 0:
+                right = table[a][q]
+                if right >= 0 and right != v:
+                    return False
+        # as the outer x(yz), yz = bc = j: i(bc) = (ib)c
+        for b, c in preimage[j]:
+            p = row_i[b]
+            if p >= 0:
+                left = table[p][c]
+                if left >= 0 and left != v:
+                    return False
+        return True
+
+    def rec(d: int):
+        if d == total:
+            yield tuple(table[i][j] for i, j in cells)
+            return
+        i, j = cells[d]
+        for v in range(n):
+            table[i][j] = v
+            preimage[v].append((i, j))
+            if partial_ok(i, j):
+                yield from rec(d + 1)
+            preimage[v].pop()
+            table[i][j] = -1
+
+    yield from rec(0)
+
+
+def table_list_sha(tables) -> str:
+    """SHA-256 of a flat table list, one table per line, e.g. ``0123...``."""
+    text = "\n".join("".join(map(str, flat)) for flat in tables)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def poset_scan(n: int) -> list:
@@ -303,6 +394,13 @@ def main(order: int = 4) -> int:
         print("all_posets(5) differs from the scan")
         return 1
     print(f"order 5: {len(all_posets(5))} posets, equal to the scan in order")
+    # the search is called directly: the semigroups guard stops at order 4
+    leaders = list(_lex_leader_tables(5))
+    tables = _labeled_tables(5, leaders)
+    if (len(leaders), len(tables), table_list_sha(tables)) != (1915, 183732, TABLES_5_SHA):
+        print(f"order 5: {len(leaders)} classes, {len(tables)} tables, not the labeled search's")
+        return 1
+    print(f"order 5: {len(leaders)} table classes, whose orbits are the labeled search's tables")
     mismatch, pairs = validator_mismatch(order)
     if mismatch:
         print(f"validator mismatch on {mismatch}")

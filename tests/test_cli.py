@@ -335,14 +335,14 @@ def test_malformed_limits_exit_2(monkeypatch, capsys, limits):
 
 def test_enumerate_runs_table_search_once(monkeypatch, capsys):
     calls = []
-    dfs = enumeration._tables_dfs
+    search = enumeration._lex_leader_tables
 
-    def counting_dfs(n):
+    def counting_search(n):
         calls.append(n)
-        return dfs(n)
+        return search(n)
 
     monkeypatch.setattr(enumeration, "_TABLE_LISTS", {})
-    monkeypatch.setattr(enumeration, "_tables_dfs", counting_dfs)
+    monkeypatch.setattr(enumeration, "_lex_leader_tables", counting_search)
     assert main(["enumerate", "--order", "3"]) == 0
     assert calls == [3]
     assert "semigroups: 113" in capsys.readouterr().out

@@ -4,6 +4,7 @@ import bisect
 import concurrent.futures
 import hashlib
 import itertools
+import math
 import random
 import sys
 import tracemalloc
@@ -23,6 +24,8 @@ from ordsgp import (
 from ordsgp import cli, core, enumeration
 from ordsgp import sweep as sweep_module
 from ordsgp.enumeration import (
+    _labeled_tables,
+    _lex_leader_tables,
     all_posets,
     all_semigroup_tables,
     ordered_offsets,
@@ -35,7 +38,7 @@ from ordsgp.report import ConditionResult, make_bundle
 from ordsgp.sweep import CHECK_IDS, sweep, sweep_order, table_ranges
 
 from conftest import make_lz2_sg, make_t1
-from order4_oracles import poset_scan
+from order4_oracles import poset_scan, tables_dfs
 
 
 def naive_semigroup_tables(n):
@@ -72,6 +75,48 @@ def test_order_4_table_list_pinned():
     assert len(tables) == 3492
     text = "\n".join("".join(map(str, flat)) for flat in tables)
     assert hashlib.sha256(text.encode()).hexdigest() == TABLES_4_SHA
+
+
+def _rows(n, flat):
+    return [flat[i * n : (i + 1) * n] for i in range(n)]
+
+
+def test_table_list_equals_the_labeled_search():
+    # the orbits of the lex leaders, sorted, are the labeled search's list,
+    # element by element and in order
+    for n in (1, 2, 3, 4):
+        assert list(all_semigroup_tables(n)) == list(tables_dfs(n))
+
+
+def test_each_lex_leader_is_least_in_its_orbit():
+    # canonical_form takes the least of all n! relabelings by brute force
+    for n in (1, 2, 3, 4):
+        for flat in _lex_leader_tables(n):
+            least = canonical_form(validate_semigroup(n, _rows(n, flat)))[0]
+            assert tuple(v for row in least for v in row) == flat
+
+
+def test_lex_leaders_are_the_canonical_forms():
+    for n in (1, 2, 3):
+        forms = {canonical_form(f)[0] for f in enumerate_semigroups(n)}
+        leaders = [tuple(map(tuple, _rows(n, flat))) for flat in _lex_leader_tables(n)]
+        assert len(leaders) == len(forms) and set(leaders) == forms
+
+
+def test_class_counts_and_orbit_sizes():
+    # A027851 classes and A023814 labeled tables; an orbit has n!/|Aut| tables
+    for n, classes, labeled in [(1, 1, 1), (2, 5, 8), (3, 24, 113), (4, 188, 3492)]:
+        leaders = list(_lex_leader_tables(n))
+        assert leaders == sorted(leaders) and len(leaders) == classes
+        sizes = [len(_labeled_tables(n, [flat])) for flat in leaders]
+        assert all(math.factorial(n) % size == 0 for size in sizes)
+        assert sum(sizes) == labeled
+
+
+def test_order_1_has_one_class_and_one_table():
+    assert list(_lex_leader_tables(1)) == [(0,)]
+    assert _labeled_tables(1, [(0,)]) == [(0,)]
+    assert all_semigroup_tables(1) == ((0,),)
 
 
 def test_the_tables_of_one_order_share_their_rows():
