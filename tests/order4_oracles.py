@@ -13,9 +13,9 @@ with ``poset_scan(5)``, element by element and in order, and checks that
 the lex-leader search finds the 1,915 table classes of order 5 and that
 their orbits are the 183,732 tables of ``tables_dfs(5)`` (pinned as
 ``TABLES_5_SHA``; the labeled search takes minutes at order 5).  It then
-compares the other oracles on every ordered semigroup
-of order 4, and checks there that the congruence generated by the complete
-semilattice axioms equals N, the filter-equality relation.  It also runs
+compares the other oracles on every ordered semigroup of order 4, and
+checks there that the congruence generated by the complete semilattice
+axioms equals N, the filter-equality relation.  It also runs
 every (table, poset) pair of order 4 through ``validate_structure`` and
 compares the verdict and the ``NotCompatible`` witness with
 ``compatibility_oracle``, a scan of the definition, and the accepted pairs

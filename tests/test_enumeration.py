@@ -83,7 +83,7 @@ def _rows(n, flat):
 
 def test_table_list_equals_the_labeled_search():
     # the orbits of the lex leaders, sorted, are the labeled search's list,
-    # element by element and in order
+    # element by element and in order; n = 1 has one relabeling, the identity
     for n in (1, 2, 3, 4):
         assert list(all_semigroup_tables(n)) == list(tables_dfs(n))
 
@@ -111,12 +111,6 @@ def test_class_counts_and_orbit_sizes():
         sizes = [len(_labeled_tables(n, [flat])) for flat in leaders]
         assert all(math.factorial(n) % size == 0 for size in sizes)
         assert sum(sizes) == labeled
-
-
-def test_order_1_has_one_class_and_one_table():
-    assert list(_lex_leader_tables(1)) == [(0,)]
-    assert _labeled_tables(1, [(0,)]) == [(0,)]
-    assert all_semigroup_tables(1) == ((0,),)
 
 
 def test_the_tables_of_one_order_share_their_rows():
