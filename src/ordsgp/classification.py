@@ -751,11 +751,11 @@ def classify(s: OrderedSemigroup) -> ClassificationReport:
             bundles.append(equivalence_bundle(s, bundle_id))
         except NotApplicable as exc:
             bundles.append(
-                BundleResult(bundle_id, (), (), True, applicable=False, note=exc.reason)
+                BundleResult(bundle_id, (), True, applicable=False, note=exc.reason)
             )
         except SizeLimit as exc:
             bundles.append(
-                BundleResult(bundle_id, (), (), True, applicable=False, note=str(exc))
+                BundleResult(bundle_id, (), True, applicable=False, note=str(exc))
             )
     regular_flag = is_regular_structure(s)
     _check_implications(verdicts, regular_flag)

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .classification import BUNDLE_ORDER, CHECK_IDS, CHECKS, THEOREM_ORDER, classify
 from .congruence import decompose, least_csc
-from .core import OrderedSemigroup, induced_substructure
+from .core import OrderedSemigroup, induced_substructure, leq_pairs
 from .enumeration import all_semigroup_tables, resume_position, resume_token
 from .errors import NotApplicable, OrdsgpError
 from .fileformat import parse_document, serialize_document
@@ -191,12 +191,7 @@ def cmd_decompose(args) -> int:
                 "rho": "least-csc",
                 "classes": [sorted(c) for c in result.rho.classes],
                 "quotient_table": [list(r) for r in result.quotient_table],
-                "quotient_order": [
-                    [alpha, beta]
-                    for alpha in range(result.quotient_size)
-                    for beta in range(result.quotient_size)
-                    if alpha != beta and result.quotient_order[alpha][beta]
-                ],
+                "quotient_order": [list(p) for p in leq_pairs(result.quotient_order)],
                 "conditions": [
                     {"label": c.label, "holds": c.holds} for c in result.condition_verdicts
                 ],
@@ -276,8 +271,7 @@ def cmd_enumerate(args) -> int:
         print(f"checks: {len(check_ids)} per structure")
         if report.disagreements:
             for item in report.disagreements:
-                disagreeing = BundleResult(item.check_id, item.conditions, (), False)
-                for line in _bundle_text(disagreeing):
+                for line in _bundle_text(item.result):
                     print(line)
                 print(item.document, end="")
             return 1

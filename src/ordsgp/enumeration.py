@@ -45,8 +45,8 @@ in the range.  The structure stream builds from it, and so does
 The streams are labeled: theorem sweeps need logical coverage, so every
 table of every class is yielded, each once.  The class representatives are
 the lex leaders, the tables equal to their own ``canonical_form`` (the
-least ``core._relabel`` under all carrier permutations), which also serves
-as a dedup key when reporting counts up to isomorphism.
+least ``core._relabel`` under all carrier permutations).  The tests hold
+the lex-leader search to ``canonical_form`` as its brute-force oracle.
 """
 
 from __future__ import annotations
@@ -463,8 +463,8 @@ def sample_ordered_semigroups(
 def canonical_form(structure) -> tuple:
     """Least relabeling of the structure under all carrier permutations.
 
-    Structures with equal canonical forms are isomorphic; useful as a
-    dedup key when reporting counts up to isomorphism.
+    Structures with equal canonical forms are isomorphic.  It tries all n!
+    relabelings: the tests' brute-force oracle for the lex-leader search.
     """
     ordered = isinstance(structure, OrderedSemigroup)
     # every permutation is the inverse of one, so this is every relabeling

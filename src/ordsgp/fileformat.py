@@ -27,13 +27,11 @@ A document is written as a head (kind, elements, names, table) and, for an
 ordered structure, an order tail.  These two writers are the only ones:
 ``serialize_document`` joins them for a structure, and a sweep joins them
 straight from a table and a poset, writing each table's head once, so both
-write the same bytes.  The tail comes from a memo keyed by the leq matrix:
-a stream repeats a few orders across all its tables.
+write the same bytes.  The tail is written afresh for a structure; a
+stream takes it from ``sweep._order_texts``, one per poset of its order.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .core import OrderedSemigroup, leq_pairs, validate_semigroup, validate_structure
 from .errors import ParseError
@@ -151,9 +149,6 @@ def _head_text(ordered: bool, size: int, names, table) -> str:
     return "\n".join(out) + "\n"
 
 
-# Keyed by the leq matrix; the bound holds every order of a stream up to
-# order 5 (4,231 posets).
-@lru_cache(maxsize=8192)
 def _order_text(leq) -> str:
     """The order block: ``order:`` and the strict pairs, each line ending in
     a newline."""

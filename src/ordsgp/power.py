@@ -65,9 +65,6 @@ class SemigroupMorphism:
     target: OrderedSemigroup
     mapping: tuple[int, ...]
 
-    def apply(self, i: int) -> int:
-        return self.mapping[i]
-
 
 def semigroup_morphism(source, target, mapping) -> SemigroupMorphism:
     mapping = integers(mapping, "mapping")
@@ -89,18 +86,13 @@ def semigroup_morphism(source, target, mapping) -> SemigroupMorphism:
 
 
 @lru_cache(maxsize=None)
-def _subset_carrier(n: int) -> tuple[int, ...]:
-    """Masks of the nonempty subsets of 0..n-1, sorted by size then
-    lexicographically."""
-    return tuple(mask_of(c) for k in range(1, n + 1) for c in combinations(range(n), k))
-
-
-@lru_cache(maxsize=None)
-def _inclusion(n: int) -> tuple[tuple[int, ...], CertifiedOrder]:
-    """P(F)'s positions and order for |F| = n: the carrier position of each
-    subset mask, and the order whose pairs (i, j), i != j, have the i-th
-    subset inside the j-th, certified by ``core._partial_order``."""
-    subsets = _subset_carrier(n)
+def _inclusion(n: int) -> tuple[tuple[int, ...], tuple[int, ...], CertifiedOrder]:
+    """P(F)'s carrier, positions and order for |F| = n: the masks of the
+    nonempty subsets of 0..n-1, sorted by size then lexicographically, the
+    carrier position of each subset mask, and the order whose pairs (i, j),
+    i != j, have the i-th subset inside the j-th, certified by
+    ``core._partial_order``."""
+    subsets = tuple(mask_of(c) for k in range(1, n + 1) for c in combinations(range(n), k))
     position = [0] * (1 << n)
     for i, m in enumerate(subsets):
         position[m] = i
@@ -110,7 +102,7 @@ def _inclusion(n: int) -> tuple[tuple[int, ...], CertifiedOrder]:
         for j, b in enumerate(subsets)
         if i != j and a & ~b == 0
     )
-    return tuple(position), _partial_order(len(subsets), pairs, False)
+    return subsets, tuple(position), _partial_order(len(subsets), pairs, False)
 
 
 # keyed by F's display names, which are None for every enumerated F
@@ -119,7 +111,7 @@ def _subset_names(n: int, names: tuple[str, ...] | None) -> tuple[str, ...]:
     """P(F)'s display names, ``{x,y}`` from F's names or indices, checked
     by ``core._check_names``."""
     element = names or tuple(map(str, range(n)))
-    subsets = _subset_carrier(n)
+    subsets = _inclusion(n)[0]
     shown = ("{" + ",".join(element[x] for x in bits(c)) + "}" for c in subsets)
     return _check_names(len(subsets), shown)
 
@@ -138,8 +130,7 @@ def power_ordered_semigroup(f: FiniteSemigroup) -> OrderedSemigroup:
 @lru_cache(maxsize=1)
 def _power_structure(f: FiniteSemigroup) -> OrderedSemigroup:
     n = f.size
-    subsets = _subset_carrier(n)
-    position, inclusion = _inclusion(n)
+    subsets, position, inclusion = _inclusion(n)
     # products[A] lists the masks of A*B over the carrier's B, A in ascending
     # mask order: a singleton row comes from product_mask, and A = {a} + R
     # with a least in A gives A*B = R*B | a*B, a union of two earlier rows
@@ -194,9 +185,8 @@ def universal_extension(
             join(s, a, b)
 
     power = power_ordered_semigroup(f_sg)
-    subsets = _subset_carrier(f_sg.size)
     phi = tuple(
-        join_all(s, (f.mapping[x] for x in bits(c))) for c in subsets
+        join_all(s, (f.mapping[x] for x in bits(c))) for c in _inclusion(f_sg.size)[0]
     )
     extension = semigroup_morphism(power, s, phi)
     # singletons are the first |F| carrier members, so phi({x}) = phi[x]

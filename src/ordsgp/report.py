@@ -51,7 +51,6 @@ class ConditionGroup:
 class BundleResult:
     bundle_id: str
     conditions: tuple[ConditionResult, ...]
-    groups: tuple[ConditionGroup, ...]
     agree: bool
     applicable: bool = True
     note: str = ""
@@ -72,10 +71,8 @@ def make_bundle(bundle_id: str, conditions, groups=None) -> BundleResult:
     conditions = tuple(conditions)
     if groups is None:
         groups = (ConditionGroup("equivalence", tuple(range(len(conditions)))),)
-    else:
-        groups = tuple(groups)
     agree = all(_group_ok(g, conditions) for g in groups)
-    return BundleResult(bundle_id, conditions, groups, agree)
+    return BundleResult(bundle_id, conditions, agree)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,9 +3,10 @@
 The checks are ``classification.CHECKS``: the equivalence bundles first,
 then the structure theorems.  A sweep evaluates the checks it is given in
 that order, skipping a check whose premise a structure does not meet;
-any ``agree = False`` result is collected as a Disagreement carrying the
-serialized structure and every condition with its counterexample detail,
-so a counterexample is reproducible from the report alone.
+any ``agree = False`` result is collected as a Disagreement: the check's
+own ``BundleResult``, which holds every condition with its counterexample
+detail, and the serialized structure, so a counterexample is reproducible
+from the report alone.
 
 ``sweep_order`` sweeps the ordered-semigroup stream of one order from a
 start position to its end without keeping the stream's documents.  One
@@ -51,14 +52,13 @@ from .core import OrderedSemigroup, _compatible, _ordered
 from .enumeration import _certified_orders, _table_orders, all_posets, ordered_offsets
 from .errors import InvariantViolation, NotApplicable
 from .fileformat import _head_text, _order_text, serialize_document
-from .report import ConditionResult
+from .report import BundleResult
 
 
 @dataclass(frozen=True)
 class Disagreement:
-    check_id: str
+    result: BundleResult
     document: str
-    conditions: tuple[ConditionResult, ...]
 
 
 def check_structure(s: OrderedSemigroup, check_ids=CHECK_IDS) -> list[Disagreement]:
@@ -72,7 +72,7 @@ def check_structure(s: OrderedSemigroup, check_ids=CHECK_IDS) -> list[Disagreeme
             continue
         if not result.agree:
             doc = doc or serialize_document(s)
-            found.append(Disagreement(check_id, doc, result.conditions))
+            found.append(Disagreement(result, doc))
     return found
 
 

@@ -141,7 +141,7 @@ def _report(criterion, ok, detail):
 def test_criterion_1_bundle_sweep(small_tally, n4_tally):
     bad = small_tally.bundle_disagreements + n4_tally.bundle_disagreements
     for item in bad[:3]:
-        print(item.check_id, item.conditions)
+        print(item.result)
         print(item.document)
     _report(
         1,
@@ -156,7 +156,7 @@ def test_criterion_2_structure_theorems(small_tally, n4_tally):
     bad = small_tally.theorem_disagreements + n4_tally.theorem_disagreements
     tau_bad = small_tally.type_tau_failures + n4_tally.type_tau_failures
     for item in bad[:3]:
-        print(item.check_id, item.conditions)
+        print(item.result)
         print(item.document)
     cr = small_tally.cr_structures + n4_tally.cr_structures
     _report(

@@ -21,10 +21,13 @@ from ordsgp.classification import (
     REGULAR,
     _simple,
 )
-from ordsgp.elements import forall_exists
+from ordsgp import sweep as sweep_module
+from ordsgp.elements import first_failure, forall_exists
 from ordsgp.core import mask_of
 from ordsgp.errors import NotApplicable, UnknownBundle, UnknownPredicate
 from ordsgp.ideals import Side
+from ordsgp.report import ConditionResult, make_bundle
+from ordsgp.sweep import sweep_order
 
 from conftest import (
     all_ordered_fixtures,
@@ -126,6 +129,35 @@ def test_bundle_gl_char_has_two_groups():
     assert result.agree
 
 
+EQUALITY_CR = "a = a a x a a for some x, for all a"
+
+
+def test_the_sweep_refutes_equality_complete_regularity(monkeypatch):
+    # a mutant CR-EQ5 whose first condition is the unordered a in a^2 S a^2
+    # for the ordered a in (a^2 S a^2]; the other four are the real check's
+    real = sweep_module.CHECKS["CR-EQ5"]
+
+    def mutant(s):
+        n = s.size
+        holds, least, _ = first_failure(
+            ((a,) for a in range(n)), lambda a: any(s.word(a, a, x, a, a) == a for x in range(n))
+        )
+        first = ConditionResult(EQUALITY_CR, holds, least)
+        return make_bundle("CR-EQ5", (first,) + real(s).conditions[1:])
+
+    monkeypatch.setitem(sweep_module.CHECKS, "CR-EQ5", mutant)
+    found = sweep_order(2, 1, ("CR-EQ5",)).disagreements
+    assert len(found) == 2
+    assert len(sweep_order(3, 1, ("CR-EQ5",)).disagreements) == 195
+    # the least: the null semigroup with 1 <= 0, where 1 is below 0 = 1*1*x*1*1
+    least = found[0]
+    assert least.document == min(d.document for d in found)
+    assert least.document == "kind: osg\nelements: 2\ntable:\n0 0\n0 0\norder:\n1 0\n"
+    assert least.result.bundle_id == "CR-EQ5" and not least.result.agree
+    assert least.result.conditions[0] == ConditionResult(EQUALITY_CR, False, (1,))
+    assert all(c.holds for c in least.result.conditions[1:])
+
+
 def not_applicable(s):
     """check id -> premise note, for every check that refuses s."""
     notes = {}
@@ -191,7 +223,6 @@ def test_classify_reports_a_size_guard_as_not_applicable(monkeypatch):
     assert len(changed) == 1
     assert changed[0][1] == BundleResult(
         "CR-HCLASS",
-        (),
         (),
         True,
         applicable=False,

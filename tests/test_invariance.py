@@ -3,13 +3,24 @@ isomorphism, and its right-sided notions are the left-sided ones on the
 dual.  These tests hold every check to both: relabeling a structure moves
 no verdict, and reversing its multiplication moves only the one-sided
 ones, to their mirrors.  Witnesses and counterexamples name elements, so
-only verdicts are compared."""
+only verdicts are compared.
+
+A third contract goes beyond the paper: each predicate that holds under
+one compatible order of a table holds under every larger one.  It is
+only observed, never used to skip or infer a check."""
 
 import random
-from itertools import permutations
+from itertools import groupby, permutations
 
-from ordsgp import enumerate_ordered_semigroups, sample_ordered_semigroups
+from ordsgp import (
+    PREDICATE_ORDER,
+    enumerate_ordered_semigroups,
+    predicate,
+    sample_ordered_semigroups,
+    serialize_document,
+)
 from ordsgp.enumeration import DEFAULT_SAMPLE_SEED
+from ordsgp.errors import NotApplicable
 
 from order4_oracles import DualPairs, check_verdicts, relabel_mismatches
 
@@ -46,3 +57,34 @@ def test_the_dual_up_to_order_3_mirrors_every_verdict():
         found += duals.add(s, check_verdicts(s))
     assert found == []
     assert duals.pending == {}
+
+
+def _holding(s):
+    """The predicates that hold on s; a premise that fails counts as not
+    holding."""
+    held = set()
+    for name in PREDICATE_ORDER:
+        try:
+            if predicate(s, name).holds:
+                held.add(name)
+        except NotApplicable:
+            pass
+    return held
+
+
+def test_every_predicate_up_to_order_3_survives_a_larger_order():
+    # the pairs <=1 strictly inside <=2 among one table's compatible orders
+    pairs, found, grew = 0, [], set()
+    for _, group in groupby(_small(), key=lambda s: s.table):
+        orders = [(s, _holding(s)) for s in group]
+        for low, low_held in orders:
+            for high, high_held in orders:
+                below = all(not a or b for r, q in zip(low.leq, high.leq) for a, b in zip(r, q))
+                if below and low.leq != high.leq:
+                    pairs += 1
+                    found += [(serialize_document(low), high.order_pairs(), name) for name in low_held - high_held]
+                    grew |= high_held - low_held
+    assert pairs == 2052
+    assert found == []
+    # not vacuous: every predicate turns from false to true on some pair
+    assert grew == set(PREDICATE_ORDER)
