@@ -19,7 +19,7 @@ from . import limits
 from .core import OrderedSemigroup, _cached, bits, down_mask
 from .elements import first_failure
 from .errors import InvariantViolation, NotCompleteSemilattice, NotPartition
-from .ideals import EquivalenceRelation, n_relation
+from .ideals import EquivalenceRelation, _first_appearance, n_relation
 from .report import ConditionResult, _cond
 
 
@@ -154,8 +154,7 @@ def _generated_congruence_ids(s: OrderedSemigroup) -> tuple[int, ...]:
             if r != x:
                 for c in range(n):
                     changed |= merge(table[c][x], table[c][r]) | merge(table[x][c], table[r][c])
-    relabel: dict[int, int] = {}
-    return tuple(relabel.setdefault(r, len(relabel)) for r in least)
+    return _first_appearance(least)
 
 
 def complete_semilattice_congruences(s: OrderedSemigroup) -> list[EquivalenceRelation]:

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress, count
 from operator import index, itemgetter
 from typing import Iterable, Iterator
 
@@ -374,50 +375,37 @@ def full_mask(s: OrderedSemigroup) -> int:
     return (1 << s.size) - 1
 
 
+def _row_masks(rows) -> tuple[int, ...]:
+    """The mask of the true entries of each row of booleans."""
+    return tuple(mask_of(compress(count(), row)) for row in rows)
+
+
 def below_masks(s: OrderedSemigroup) -> tuple[int, ...]:
     """below[i] = mask of {t : t <= i}, the principal down-set (i]."""
-
-    def build():
-        n = s.size
-        leq = s.leq
-        return tuple(
-            sum(1 << t for t in range(n) if leq[t][i]) for i in range(n)
-        )
-
-    return _cached(s, "below", build)
+    return _cached(s, "below", lambda: _row_masks(zip(*s.leq)))
 
 
 def above_masks(s: OrderedSemigroup) -> tuple[int, ...]:
     """above[i] = mask of {x : i <= x}."""
+    return _cached(s, "above", lambda: _row_masks(s.leq))
 
-    def build():
-        n = s.size
-        leq = s.leq
-        return tuple(
-            sum(1 << x for x in range(n) if leq[i][x]) for i in range(n)
-        )
 
-    return _cached(s, "above", build)
+def _union(masks: tuple[int, ...], mask: int) -> int:
+    """The union of masks[i] over the members i of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= masks[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def down_mask(s: OrderedSemigroup, mask: int) -> int:
-    below = below_masks(s)
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= below[low.bit_length() - 1]
-        mask ^= low
-    return out
+    return _union(below_masks(s), mask)
 
 
 def up_mask(s: OrderedSemigroup, mask: int) -> int:
-    above = above_masks(s)
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= above[low.bit_length() - 1]
-        mask ^= low
-    return out
+    return _union(above_masks(s), mask)
 
 
 def product_mask(s: FiniteSemigroup, amask: int, bmask: int) -> int:
@@ -456,6 +444,13 @@ def right_multiples(s: OrderedSemigroup, a: int) -> int:
 def sandwich_mask(s: OrderedSemigroup, x: int, y: int) -> int:
     """Mask of x*S*y."""
     return product_mask(s, right_multiples(s, x), 1 << y)
+
+
+def _require_elements(s: FiniteSemigroup, *elements: int) -> None:
+    """Raise a ValueError for an element index outside the carrier."""
+    for a in elements:
+        if not 0 <= a < s.size:
+            raise ValueError(f"element {a} out of range")
 
 
 def _require_bound(s: OrderedSemigroup, x: ElementSet, what: str = "set") -> None:

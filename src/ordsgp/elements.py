@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import ElementSet, OrderedSemigroup, _cached, bits
+from .core import ElementSet, OrderedSemigroup, _cached, _require_elements, bits, mask_of
 from .errors import InvariantViolation, NotIdempotent
 
 
@@ -56,15 +56,9 @@ class ElementRegularity:
 
 
 def idempotent_mask(s: OrderedSemigroup) -> int:
-    def build():
-        table, leq = s.table, s.leq
-        mask = 0
-        for e in range(s.size):
-            if leq[e][table[e][e]]:
-                mask |= 1 << e
-        return mask
-
-    return _cached(s, "idempotents", build)
+    return _cached(
+        s, "idempotents", lambda: mask_of(e for e in range(s.size) if s.leq[e][s.table[e][e]])
+    )
 
 
 def ordered_idempotents(s: OrderedSemigroup) -> ElementSet:
@@ -150,6 +144,7 @@ def is_regular_structure(s: OrderedSemigroup) -> bool:
 
 
 def element_regularity(s: OrderedSemigroup, a: int) -> ElementRegularity:
+    _require_elements(s, a)
     witnesses = {}
     for flag, (_, terms) in _FLAG_SPECS:
         holds, _, found = witness_scan(s, ((a,),), terms, None, True)
@@ -172,33 +167,33 @@ def inverse_mask(s: OrderedSemigroup, a: int) -> int:
 
     def build():
         table, leq = s.table, s.leq
-        out = []
-        for e in range(s.size):
-            le = leq[e]
-            row = table[e]
-            mask = 0
-            for b in range(s.size):
-                eb = row[b]
-                if le[table[eb][e]] and leq[b][table[table[b][e]][b]]:
-                    mask |= 1 << b
-            out.append(mask)
-        return tuple(out)
+        return tuple(
+            mask_of(
+                b
+                for b in range(s.size)
+                if leq[e][table[table[e][b]][e]] and leq[b][table[table[b][e]][b]]
+            )
+            for e in range(s.size)
+        )
 
     return _cached(s, "inverse_masks", build)[a]
 
 
 def inverses_of(s: OrderedSemigroup, a: int) -> ElementSet:
+    _require_elements(s, a)
     return ElementSet(s, inverse_mask(s, a))
 
 
 def h_commute_witness(s: OrderedSemigroup, a: int, b: int) -> int | None:
     """Least x with a*b <= b*x*a, or None."""
+    _require_elements(s, a, b)
     holds, _, found = witness_scan(s, ((a, b),), H_COMMUTATIVE[1], None, True)
     return found[(a, b)][0] if holds else None
 
 
 def group_component(s: OrderedSemigroup, e: int) -> ElementSet:
     """G_e = {a : a <= ea, a <= ae, and e <= za, e <= az for one z}."""
+    _require_elements(s, e)
     if not (idempotent_mask(s) >> e) & 1:
         raise NotIdempotent(e)
     table, leq = s.table, s.leq

@@ -23,6 +23,7 @@ from .core import (
     OrderedSemigroup,
     _cached,
     _require_bound,
+    _require_elements,
     bits,
     down_mask,
     full_mask,
@@ -43,6 +44,13 @@ class Side(Enum):
     TWO_SIDED = "two-sided"
 
 
+def _first_appearance(values) -> tuple[int, ...]:
+    """Number the distinct values 0, 1, ... in the order of their first appearance."""
+    numbers: dict = {}
+    # from a list, so the tuple is allocated at its exact size
+    return tuple([numbers.setdefault(v, len(numbers)) for v in values])
+
+
 @dataclass(frozen=True)
 class EquivalenceRelation:
     """A partition of the carrier in restricted-growth (first-appearance) form."""
@@ -58,17 +66,12 @@ class EquivalenceRelation:
         ids = tuple(ids)
         if len(ids) != s.size:
             raise ValueError("one class id per element required")
-        relabel: dict[int, int] = {}
-        canon = []
-        for x in ids:
-            if x not in relabel:
-                relabel[x] = len(relabel)
-            canon.append(relabel[x])
-        masks = [0] * len(relabel)
+        canon = _first_appearance(ids)
+        masks = [0] * (max(canon) + 1)
         for elem, cid in enumerate(canon):
             masks[cid] |= 1 << elem
         classes = tuple(ElementSet(s, m) for m in masks)
-        return cls(s, tuple(canon), classes)
+        return cls(s, canon, classes)
 
     def same(self, a: int, b: int) -> bool:
         return self.class_ids[a] == self.class_ids[b]
@@ -128,8 +131,7 @@ def principal_ideal(s: OrderedSemigroup, a: int, side: Side) -> ElementSet:
 
     left: ({a} u Sa]   right: ({a} u aS]   two-sided: ({a} u Sa u aS u SaS]
     """
-    if not 0 <= a < s.size:
-        raise ValueError(f"element {a} out of range")
+    _require_elements(s, a)
     return ElementSet(s, _principal_masks(s, side)[a])
 
 
@@ -228,8 +230,7 @@ def _filter_masks(s: OrderedSemigroup) -> tuple[int, ...]:
 
 def principal_filter(s: OrderedSemigroup, a: int) -> ElementSet:
     """N(a): the least filter containing a."""
-    if not 0 <= a < s.size:
-        raise ValueError(f"element {a} out of range")
+    _require_elements(s, a)
     return ElementSet(s, _filter_masks(s)[a])
 
 
@@ -253,6 +254,7 @@ def idempotent_ideal_identities(s: OrderedSemigroup, e: int, f: int):
     Returns a claim-mode BundleResult with the first counterexample per
     identity.
     """
+    _require_elements(s, e, f)
     regular, counterexample, _ = forall_exists(s, *REGULAR)
     if not regular:
         raise NotRegular(counterexample[0])

@@ -44,6 +44,7 @@ from .core import (
     _check_names,
     _ordered,
     _partial_order,
+    _require_elements,
     above_masks,
     bits,
     integers,
@@ -149,6 +150,7 @@ def _power_structure(f: FiniteSemigroup) -> OrderedSemigroup:
 
 def join(s: OrderedSemigroup, a: int, b: int) -> int:
     """Least upper bound of a and b in the order, if it exists."""
+    _require_elements(s, a, b)
     above = above_masks(s)
     ubs = above[a] & above[b]
     for z in bits(ubs):

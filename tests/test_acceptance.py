@@ -24,7 +24,6 @@ from ordsgp import (
     enumerate_semigroups,
     idempotent_ideal_identities,
     least_csc,
-    n_relation,
     parse_document,
     power_correspondence_check,
     predicate,
@@ -86,8 +85,9 @@ class Tally:
                 if not cond.holds:
                     self.type_tau_failures.append((serialize_document(s), cond.label))
 
-        if least != n_relation(s):
-            self.csc_oracle_failures.append((serialize_document(s), "not n_relation"))
+        cscs = complete_semilattice_congruences(s)
+        if least.class_ids not in {rel.class_ids for rel in cscs}:
+            self.csc_oracle_failures.append((serialize_document(s), "not a CSC"))
         props = relation_properties(s, least)
         if not (
             props.left_congruence
@@ -97,7 +97,7 @@ class Tally:
             and props.complete_semilattice
         ):
             self.csc_oracle_failures.append((serialize_document(s), "flags"))
-        for rel in complete_semilattice_congruences(s):
+        for rel in cscs:
             if not least.refines(rel):
                 self.csc_oracle_failures.append((serialize_document(s), "not least"))
 
@@ -173,9 +173,9 @@ def test_criterion_3_least_congruence_oracle(small_tally, n4_tally):
     _report(
         3,
         not bad,
-        "least complete semilattice congruence equals the filter relation, "
-        "passes every congruence flag, and refines every enumerated "
-        f"complete semilattice congruence on {small_tally.total + n4_tally.total} structures",
+        "least complete semilattice congruence is one of the enumerated "
+        "complete semilattice congruences, passes every congruence flag, and "
+        f"refines every one of them on {small_tally.total + n4_tally.total} structures",
     )
 
 

@@ -7,9 +7,18 @@ import pytest
 
 from ordsgp import (
     OrderedSemigroup,
+    Side,
     down_closure,
     dual_structure,
+    element_regularity,
+    group_component,
+    h_commute_witness,
+    idempotent_ideal_identities,
     induced_substructure,
+    inverses_of,
+    join,
+    principal_filter,
+    principal_ideal,
     set_product,
     validate_semigroup,
     validate_structure,
@@ -399,3 +408,30 @@ def test_setwise_products_against_set_oracles():
             assert principal_filter(s, a).mask == least
         count += 1
     assert count == 1 + 20 + 971
+
+
+_ELEMENT_ARGUMENTS = {
+    "element_regularity": element_regularity,
+    "inverses_of": inverses_of,
+    "h_commute_witness(x, 0)": lambda s, x: h_commute_witness(s, x, 0),
+    "h_commute_witness(0, x)": lambda s, x: h_commute_witness(s, 0, x),
+    "group_component": group_component,
+    "idempotent_ideal_identities(x, 0)": lambda s, x: idempotent_ideal_identities(s, x, 0),
+    "idempotent_ideal_identities(0, x)": lambda s, x: idempotent_ideal_identities(s, 0, x),
+    "join(x, 0)": lambda s, x: join(s, x, 0),
+    "join(0, x)": lambda s, x: join(s, 0, x),
+    "principal_ideal": lambda s, x: principal_ideal(s, x, Side.LEFT),
+    "principal_filter": principal_filter,
+}
+
+
+@pytest.mark.parametrize("call", _ELEMENT_ARGUMENTS.values(), ids=_ELEMENT_ARGUMENTS)
+@pytest.mark.parametrize("outside", ["-1", "size"])
+def test_element_arguments_outside_the_carrier_are_refused(call, outside):
+    """An element index outside 0..n-1 is a ValueError, never an answer for
+    another element (Python's negative indexing) or a bare IndexError."""
+    # the semilattice 0 < 1: regular, 0 and 1 idempotent, every join exists
+    s = validate_structure(2, [[0, 0], [0, 1]], [(0, 1)])
+    x = -1 if outside == "-1" else s.size
+    with pytest.raises(ValueError, match=f"element {x} out of range"):
+        call(s, x)

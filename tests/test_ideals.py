@@ -1,11 +1,15 @@
 """Ideals, Green's relations, filters, and the ideal identities."""
 
+import collections
+import itertools
+
 import pytest
 
 from ordsgp import (
     Side,
     down_closure,
     enumerate_ideals,
+    enumerate_ordered_semigroups,
     green_relation,
     idempotent_ideal_identities,
     is_ideal,
@@ -14,6 +18,7 @@ from ordsgp import (
     principal_ideal,
     serialize_document,
     set_product,
+    validate_structure,
 )
 from ordsgp.errors import EmptySet, NotIdempotent, NotRegular, SizeLimit
 
@@ -63,13 +68,54 @@ def test_is_ideal_examples():
 
 
 def test_is_ideal_downward_violation():
-    sl2 = make_sl2()
-    # {1} absorbs nothing on the right but fails downward closure first?
-    # right absorption: 1*0 = 0 not in {1}; build a case hitting closure:
-    ch3 = make_ch3()
-    check = is_ideal(ch3, ch3.subset([1, 2]), Side.TWO_SIDED)
-    assert not check.holds
-    assert check.reason in ("left absorption fails", "right absorption fails", "not downward closed")
+    # the null semigroup with 1 <= 0: {0} absorbs every product, and 1 lies
+    # below its member 0
+    s = validate_structure(2, [[0, 0], [0, 0]], [(1, 0)])
+    check = is_ideal(s, s.subset([0]), Side.LEFT)
+    assert (check.holds, check.reason, check.violation) == (False, "not downward closed", (1, 0))
+
+
+def ideal_by_definition(s, members, side):
+    """(holds, reason, violation) of ``is_ideal``, read from the definition:
+    left absorption's least (x, i), x-major; then right absorption's least
+    (i, x), i-major; then the least t outside I below a member, with the
+    least such member."""
+    carrier = range(s.size)
+    if side in (Side.LEFT, Side.TWO_SIDED):
+        for x, i in itertools.product(carrier, members):
+            if s.prod(x, i) not in members:
+                return False, "left absorption fails", (x, i)
+    if side in (Side.RIGHT, Side.TWO_SIDED):
+        for i, x in itertools.product(members, carrier):
+            if s.prod(i, x) not in members:
+                return False, "right absorption fails", (i, x)
+    for t, i in itertools.product(carrier, members):
+        if t not in members and s.le(t, i):
+            return False, "not downward closed", (t, i)
+    return True, "", None
+
+
+def test_is_ideal_against_the_definition_up_to_order_3():
+    """Every structure of order <= 3, every nonempty subset and every side."""
+    outcomes = collections.Counter()
+    for n in (1, 2, 3):
+        for s in enumerate_ordered_semigroups(n):
+            for mask, side in itertools.product(range(1, 1 << n), Side):
+                members = [x for x in range(n) if (mask >> x) & 1]
+                check = is_ideal(s, s.subset(members), side)
+                expected = ideal_by_definition(s, members, side)
+                assert (check.holds, check.reason, check.violation) == expected, (
+                    serialize_document(s),
+                    members,
+                    side,
+                )
+                outcomes[expected[1]] += 1
+    assert outcomes == {
+        "": 6518,
+        "left absorption fails": 7220,
+        "right absorption fails": 4276,
+        "not downward closed": 2560,
+    }
 
 
 def test_enumerate_ideals_examples():
