@@ -9,7 +9,7 @@ type with a discrete default order, because the type is what decides
 whether a structure is written as a semigroup or an ordered semigroup and
 whether the ordered checks accept it.  Both are built only here, by the
 validators, the dual construction and ``_relabel``, the one relabeling,
-which induced substructures and ``enumeration.canonical_form`` go
+which induced substructures and the tests' canonical-form oracle go
 through.  Subsets of the carrier are ElementSet values; downward closure
 
     (H] = {t : t <= h for some h in H}
@@ -114,7 +114,7 @@ class OrderedSemigroup(FiniteSemigroup):
         return self.leq[a][b]
 
     def subset(self, members: Iterable[int]) -> "ElementSet":
-        return ElementSet.from_members(self, members)
+        return ElementSet(self, mask_of(_elements(members, self.size, "element")))
 
     def carrier_set(self) -> "ElementSet":
         return ElementSet(self, (1 << self.size) - 1)
@@ -130,15 +130,6 @@ class ElementSet:
 
     structure: OrderedSemigroup
     mask: int
-
-    @classmethod
-    def from_members(cls, structure: OrderedSemigroup, members: Iterable[int]) -> "ElementSet":
-        mask = 0
-        for m in members:
-            if not 0 <= m < structure.size:
-                raise ValueError(f"element {m} out of range 0..{structure.size - 1}")
-            mask |= 1 << m
-        return cls(structure, mask)
 
     def __post_init__(self):
         if self.mask < 0 or self.mask >> self.structure.size:
@@ -195,6 +186,17 @@ def integers(values, what: str) -> tuple[int, ...]:
     except TypeError:
         k = next(k for k, v in enumerate(values) if not hasattr(v, "__index__"))
         raise ValueError(f"{what} entry {k} is not an integer: {values[k]!r}") from None
+
+
+def _elements(values, size: int, what: str) -> tuple[int, ...]:
+    """The entries as ints (``integers``), each an element of the carrier
+    0..size-1: the one check of every element index passed in from outside.
+    The first entry outside the carrier is a ValueError naming it."""
+    values = integers(values, what)
+    for v in values:
+        if not 0 <= v < size:
+            raise ValueError(f"{what} {v} out of range 0..{size - 1}")
+    return values
 
 
 _INT = {int}
@@ -447,15 +449,14 @@ def sandwich_mask(s: OrderedSemigroup, x: int, y: int) -> int:
 
 
 def _require_elements(s: FiniteSemigroup, *elements: int) -> None:
-    """Raise a ValueError for an element index outside the carrier."""
-    for a in elements:
-        if not 0 <= a < s.size:
-            raise ValueError(f"element {a} out of range")
+    """Raise a ValueError for an element argument that is not an index of
+    the carrier (``_elements``)."""
+    _elements(elements, s.size, "element")
 
 
-def _require_bound(s: OrderedSemigroup, x: ElementSet, what: str = "set") -> None:
+def _require_bound(s: OrderedSemigroup, x: ElementSet) -> None:
     if x.structure is not s and x.structure != s:
-        raise ValueError(f"{what} is bound to a different structure")
+        raise ValueError("set is bound to a different structure")
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,10 @@ and ``enumerate_ordered_semigroups(n, positions=(lo, hi))``
 yields lo .. hi-1.  A resume token ``o{n}:<table>:<k>`` names the
 position of order k of that table: ``resume_token`` builds it from a
 position and ``resume_position`` turns it back into the position after
-it, where a resumed run starts.  The first item of any stream arrives only
+it, where a resumed run starts.  A token is checked against the stream it
+addresses: its table must be in the table list and its order index below
+that table's count of orders, so a token names a position of the stream
+or is refused.  The first item of any stream arrives only
 after the full search has finished.
 
 ``_table_orders`` is the one walk over a range of positions: it yields
@@ -44,9 +47,10 @@ in the range.  The structure stream builds from it, and so does
 
 The streams are labeled: theorem sweeps need logical coverage, so every
 table of every class is yielded, each once.  The class representatives are
-the lex leaders, the tables equal to their own ``canonical_form`` (the
-least ``core._relabel`` under all carrier permutations).  The tests hold
-the lex-leader search to ``canonical_form`` as its brute-force oracle.
+the lex leaders, the tables equal to their own canonical form (the least
+``core._relabel`` under all carrier permutations).  The brute-force
+``canonical_form`` that the tests hold the lex-leader search to lives with
+the other oracles, in ``tests/order4_oracles.py``.
 """
 
 from __future__ import annotations
@@ -63,13 +67,12 @@ from . import limits
 from .core import (
     FiniteSemigroup,
     OrderedSemigroup,
-    _check_associative,
     _ordered,
     _partial_order,
-    _relabel,
+    integers,
     validate_semigroup,
 )
-from .errors import BadEnumeration, NotAssociative
+from .errors import BadEnumeration
 
 DEFAULT_SAMPLE_SEED = 20260810
 
@@ -379,6 +382,7 @@ def resume_token(n: int, position: int) -> str:
     """The token ``o{n}:<table>:<k>`` of a stream position: order k of that
     table's compatible orders."""
     offsets = ordered_offsets(n)
+    (position,) = integers([position], "position")
     if not 0 <= position < offsets[-1]:
         raise BadEnumeration(f"position {position} outside 0..{offsets[-1] - 1}")
     t = bisect_right(offsets, position) - 1
@@ -389,7 +393,8 @@ def resume_token(n: int, position: int) -> str:
 def resume_position(n: int, token: str) -> int:
     """The stream position after the one a resume token names.
 
-    A malformed token, a table that is not associative and an order index
+    The token is looked up in the stream it addresses: a malformed token,
+    a table that is not in ``all_semigroup_tables(n)`` and an order index
     past the table's compatible orders raise ``BadEnumeration``.
     """
     _check_order(n)
@@ -397,13 +402,13 @@ def resume_position(n: int, token: str) -> int:
     if match is None:
         raise BadEnumeration(f"bad resume token for order {n}: {token!r}")
     flat, k = tuple(int(d) for d in match[1]), int(match[2])
-    try:
-        _check_associative(n, _flat_to_rows(n, flat))
-    except NotAssociative as exc:
-        raise BadEnumeration(f"bad resume token {token!r}: {exc}") from None
-    if k >= len(_compatible_orders_flat(n, flat)):
+    tables, offsets = all_semigroup_tables(n), ordered_offsets(n)
+    t = bisect_left(tables, flat)
+    if tables[t : t + 1] != (flat,):
+        raise BadEnumeration(f"bad resume token {token!r}: the table is not a semigroup")
+    if k >= offsets[t + 1] - offsets[t]:
         raise BadEnumeration(f"bad resume token {token!r}: no compatible order {k}")
-    return ordered_offsets(n)[bisect_left(all_semigroup_tables(n), flat)] + k + 1
+    return offsets[t] + k + 1
 
 
 def _table_orders(
@@ -415,7 +420,7 @@ def _table_orders(
     ``_certified_orders(n)``) of its orders in the range."""
     tables = all_semigroup_tables(n)
     offsets = ordered_offsets(n)
-    lo, hi = positions or (0, offsets[-1])
+    lo, hi = integers(positions, "positions") if positions else (0, offsets[-1])
     if not 0 <= lo <= hi <= offsets[-1]:
         raise BadEnumeration(f"positions {lo}..{hi} outside 0..{offsets[-1]}")
     for t in range(bisect_right(offsets, lo) - 1, bisect_left(offsets, hi)):
@@ -436,14 +441,8 @@ def enumerate_ordered_semigroups(
     ``core._ordered``, so every structure passes full validation.
     """
     _check_order(n)
-
-    def gen():
-        certified = _certified_orders(n)
-        for f, orders in _table_orders(n, positions):
-            for k in orders:
-                yield _ordered(f, certified[k])
-
-    return gen()
+    certified = _certified_orders(n)
+    return (_ordered(f, certified[k]) for f, orders in _table_orders(n, positions) for k in orders)
 
 
 def sample_ordered_semigroups(
@@ -458,18 +457,6 @@ def sample_ordered_semigroups(
         orders = _compatible_orders_flat(n, flat)
         k = orders[rng.randrange(len(orders))]
         yield _ordered(validate_semigroup(n, _flat_to_rows(n, flat)), certified[k])
-
-
-def canonical_form(structure) -> tuple:
-    """Least relabeling of the structure under all carrier permutations.
-
-    Structures with equal canonical forms are isomorphic.  It tries all n!
-    relabelings: the tests' brute-force oracle for the lex-leader search.
-    """
-    ordered = isinstance(structure, OrderedSemigroup)
-    # every permutation is the inverse of one, so this is every relabeling
-    relabelings = (_relabel(structure, m) for m in permutations(range(structure.size)))
-    return min((r.table, r.leq) if ordered else (r.table,) for r in relabelings)
 
 
 def transcript_hash(docs: Iterable[str], sort: bool = False) -> str:

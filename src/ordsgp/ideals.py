@@ -182,21 +182,16 @@ _GREEN_SIDES = {"L": Side.LEFT, "R": Side.RIGHT, "J": Side.TWO_SIDED}
 
 def green_relation(s: OrderedSemigroup, kind: str) -> EquivalenceRelation:
     """Green's relation L, R, J (principal-ideal equality) or H (= L meet R)."""
-    store = _cached(s, "green", dict)
-    rel = store.get(kind)
-    if rel is not None:
-        return rel
-    if kind in _GREEN_SIDES:
-        masks = _principal_masks(s, _GREEN_SIDES[kind])
-        rel = EquivalenceRelation.from_class_ids(s, masks)
-    elif kind == "H":
-        lrel = green_relation(s, "L")
-        rrel = green_relation(s, "R")
-        rel = EquivalenceRelation.from_class_ids(s, zip(lrel.class_ids, rrel.class_ids))
-    else:
+
+    def build():
+        if kind in _GREEN_SIDES:
+            return EquivalenceRelation.from_class_ids(s, _principal_masks(s, _GREEN_SIDES[kind]))
+        if kind == "H":
+            lrel, rrel = green_relation(s, "L"), green_relation(s, "R")
+            return EquivalenceRelation.from_class_ids(s, zip(lrel.class_ids, rrel.class_ids))
         raise ValueError(f"unknown Green relation kind: {kind!r}")
-    store[kind] = rel
-    return rel
+
+    return _cached(s, ("green", kind), build)
 
 
 def _filter_masks(s: OrderedSemigroup) -> tuple[int, ...]:

@@ -42,12 +42,12 @@ from .core import (
     FiniteSemigroup,
     OrderedSemigroup,
     _check_names,
+    _elements,
     _ordered,
     _partial_order,
     _require_elements,
     above_masks,
     bits,
-    integers,
     mask_of,
     product_mask,
     validate_semigroup,
@@ -68,12 +68,9 @@ class SemigroupMorphism:
 
 
 def semigroup_morphism(source, target, mapping) -> SemigroupMorphism:
-    mapping = integers(mapping, "mapping")
+    mapping = _elements(mapping, target.size, "mapping")
     if len(mapping) != source.size:
         raise ValueError("mapping must cover the whole source")
-    for v in mapping:
-        if not 0 <= v < target.size:
-            raise ValueError(f"mapping value {v} outside the target")
     for x in range(source.size):
         for y in range(source.size):
             if mapping[source.table[x][y]] != target.table[mapping[x]][mapping[y]]:

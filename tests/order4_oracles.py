@@ -2,7 +2,9 @@
 ideals, associativity, the power structure and the order validator.
 
 ``tables_dfs`` is the labeled table search, which finds every associative
-table on n labeled elements.  ``poset_scan`` tries all 2^(n*n - n) sets of
+table on n labeled elements, and ``canonical_form`` the least relabeling of
+a structure under all n! carrier permutations; the lex-leader search is
+held to both.  ``poset_scan`` tries all 2^(n*n - n) sets of
 non-reflexive pairs against the definition of a partial order,
 ``csc_oracle`` scans all Bell(n) partitions of the carrier and
 ``ideal_oracle`` all 2^n subsets, each through the package's definition
@@ -40,11 +42,12 @@ from __future__ import annotations
 import hashlib
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, permutations
 
 from ordsgp import (
     ElementSet,
     EquivalenceRelation,
+    OrderedSemigroup,
     Side,
     complete_semilattice_congruences,
     dual_structure,
@@ -144,6 +147,18 @@ def tables_dfs(n: int):
             table[i][j] = -1
 
     yield from rec(0)
+
+
+def canonical_form(structure) -> tuple:
+    """Least relabeling of the structure under all carrier permutations.
+
+    Structures with equal canonical forms are isomorphic.  It tries all n!
+    relabelings: the brute-force oracle for the lex-leader search.
+    """
+    ordered = isinstance(structure, OrderedSemigroup)
+    # every permutation is the inverse of one, so this is every relabeling
+    relabelings = (_relabel(structure, m) for m in permutations(range(structure.size)))
+    return min((r.table, r.leq) if ordered else (r.table,) for r in relabelings)
 
 
 def table_list_sha(tables) -> str:

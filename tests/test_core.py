@@ -422,16 +422,23 @@ _ELEMENT_ARGUMENTS = {
     "join(0, x)": lambda s, x: join(s, 0, x),
     "principal_ideal": lambda s, x: principal_ideal(s, x, Side.LEFT),
     "principal_filter": principal_filter,
+    "subset": lambda s, x: s.subset([x]),
 }
 
 
 @pytest.mark.parametrize("call", _ELEMENT_ARGUMENTS.values(), ids=_ELEMENT_ARGUMENTS)
-@pytest.mark.parametrize("outside", ["-1", "size"])
+@pytest.mark.parametrize("outside", ["-1", "size", "float", "str"])
 def test_element_arguments_outside_the_carrier_are_refused(call, outside):
     """An element index outside 0..n-1 is a ValueError, never an answer for
-    another element (Python's negative indexing) or a bare IndexError."""
+    another element (Python's negative indexing) or a bare IndexError, and
+    so is an element that is not an integer, never a bare TypeError."""
     # the semilattice 0 < 1: regular, 0 and 1 idempotent, every join exists
     s = validate_structure(2, [[0, 0], [0, 1]], [(0, 1)])
-    x = -1 if outside == "-1" else s.size
-    with pytest.raises(ValueError, match=f"element {x} out of range"):
+    x, message = {
+        "-1": (-1, "element -1 out of range"),
+        "size": (s.size, f"element {s.size} out of range"),
+        "float": (1.0, "not an integer: 1.0"),
+        "str": ("1", "not an integer: '1'"),
+    }[outside]
+    with pytest.raises(ValueError, match=message):
         call(s, x)

@@ -12,7 +12,6 @@ import tracemalloc
 import pytest
 
 from ordsgp import (
-    canonical_form,
     enumerate_compatible_orders,
     enumerate_ordered_semigroups,
     enumerate_semigroups,
@@ -38,7 +37,7 @@ from ordsgp.report import ConditionResult, make_bundle
 from ordsgp.sweep import CHECK_IDS, sweep, sweep_order, table_ranges
 
 from conftest import make_lz2_sg, make_t1
-from order4_oracles import poset_scan, tables_dfs
+from order4_oracles import canonical_form, poset_scan, tables_dfs
 
 
 def naive_semigroup_tables(n):
@@ -237,6 +236,10 @@ def test_resume_token_rejects_garbage():
     ]:
         with pytest.raises(ValueError):
             resume_position(2, token)
+    # a position outside the stream, or one that is not an integer
+    for position in [-1, 20, 1.5]:
+        with pytest.raises(ValueError, match=str(position)):
+            resume_token(2, position)
 
 
 def _streams(n):
@@ -323,7 +326,7 @@ def test_positions_slice_the_stream():
     for lo in range(21):
         for hi in range(lo, 21):
             assert list(enumerate_ordered_semigroups(2, positions=(lo, hi))) == full[lo:hi]
-    for bad in [(-1, 3), (5, 4), (0, 21)]:
+    for bad in [(-1, 3), (5, 4), (0, 21), (0.5, 3)]:
         with pytest.raises(ValueError):
             list(enumerate_ordered_semigroups(2, positions=bad))
 

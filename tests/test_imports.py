@@ -1,7 +1,8 @@
-"""Every top-level import of a module in ``src/ordsgp`` is used there, and
-every top-level private name is used somewhere in the package.
+"""Every top-level import of a module in ``src/ordsgp`` is used there,
+every top-level private name is used somewhere in the package, and every
+default of a top-level private function is overridden by some call.
 
-No linter ships with the toolchain, so these are two rules of one, read
+No linter ships with the toolchain, so these are three rules of one, read
 from the syntax tree:
 
 - unused imports: a name bound by a top-level ``import`` or
@@ -11,6 +12,10 @@ from the syntax tree:
   ``class`` or an assignment must be loaded, as a name or an attribute,
   in some module of the package.  Dunders are exempt, and so are
   decorated definitions, which the decorator may register.
+- settings that no caller sets: every defaulted parameter of a top-level
+  private function must be passed, by position or by keyword, by some call
+  of that name in the package; a call with ``*args`` or ``**kwargs``
+  passes every parameter.  A default that no call overrides is a constant.
 """
 
 import ast
@@ -111,3 +116,71 @@ def test_dead_private_names_are_found():
 def test_every_top_level_private_name_is_loaded(path):
     sources = [p.read_text(encoding="utf-8") for p in PACKAGE]
     assert dead_private_names(path.read_text(encoding="utf-8"), sources) == []
+
+
+def private_defaults(source: str) -> dict[str, list[tuple[int | None, str]]]:
+    """For each top-level private function, its defaulted parameters as
+    (position, name); position is None for a keyword-only one."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name[:1] == "_":
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            found[node.name] = [(p, positional[p].arg) for p in range(first, len(positional))] + [
+                (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+    return found
+
+
+def unset_defaults(source: str, package_sources) -> list[str]:
+    """The defaulted parameters, as ``function(parameter)``, of the
+    module's top-level private functions that no call in the package
+    passes."""
+    defaults = private_defaults(source)
+    passed = {name: set() for name in defaults}
+    for tree in map(ast.parse, package_sources):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in defaults:
+                continue
+            spread = any(isinstance(a, ast.Starred) for a in node.args)
+            spread |= any(k.arg is None for k in node.keywords)
+            keywords = {k.arg for k in node.keywords}
+            passed[name] |= {
+                param
+                for p, param in defaults[name]
+                if spread or param in keywords or p is not None and p < len(node.args)
+            }
+    return [
+        f"{name}({param})"
+        for name, params in defaults.items()
+        for _, param in params
+        if param not in passed[name]
+    ]
+
+
+def test_unset_defaults_are_found():
+    module = (
+        "def _f(a, b=1, *, c=2, d=3):\n"
+        "    pass\n"
+        "def _g(a=1, b=2):\n"
+        "    pass\n"
+        "def _h(a, /, b=0, c=0):\n"
+        "    pass\n"
+        "def _k(a=0, **kw):\n"
+        "    pass\n"
+        "def public(a=0):\n"
+        "    pass\n"
+    )
+    user = "import module\n_f(0, c=1)\nmodule._g(*rest)\n_h(0, 1)\n_k(**kw)\n"
+    assert unset_defaults(module, [module, user]) == ["_f(b)", "_f(d)", "_h(c)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_private_default_is_set_by_some_call(path):
+    sources = [p.read_text(encoding="utf-8") for p in PACKAGE]
+    assert unset_defaults(path.read_text(encoding="utf-8"), sources) == []
