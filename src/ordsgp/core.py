@@ -16,31 +16,36 @@ through.  Subsets of the carrier are ElementSet values; downward closure
 
 and the setwise product A*B = {a*b : a in A, b in B} are the primitives
 every higher-level computation is built from.  ``product_mask`` is the one
-A*B: aS, Sa, xSy, the principal ideals, the filters, product-closedness
-and the singleton rows {a}*B of the power structure's table are all
-computed through it; P(F)'s other rows are unions of two earlier rows,
-since (A + {a})*B = A*B | {a}*B.  Pair loops remain only where a pair is
-the answer: ``induced_substructure``, ``ideals.is_ideal`` and the
-decomposition's product condition report the least failing pair, and the
-unordered deciders of ``power`` stay definition-level so that a power
-correspondence keeps two independent sides.
+A*B: aS, Sa, xSy, the principal ideals, the filters and product-closedness
+are all computed through it.  The power structure's table, which holds A*B
+for every pair of subsets, takes each entry as the union of two earlier
+ones instead: {a}*B = {a}*(B - {b}) | {ab} and (R + {a})*B = R*B | {a}*B.
+Pair loops remain only where a pair is the answer: ``induced_substructure``,
+``ideals.is_ideal`` and the decomposition's product condition report the
+least failing pair, and the unordered deciders of ``power`` stay
+definition-level so that a power correspondence keeps two independent
+sides.
 
 A table is checked for range and shape (``_check_table``, which keeps a
 row that is already a tuple of ints, so the tables of one enumerated order
 share their rows) and then for associativity a row at a time
 (``_check_associative``): row ij must equal row j read through row i,
-which covers every triple k at C speed, and only a mismatching pair walks
-k for the least failing triple.
+which covers every triple k at C speed.  That comparison reads row i only
+through its values, so it runs once per distinct row, and only a
+mismatching pair walks k for the least failing triple.
 
 An order is validated in two steps, with one memo.  ``_partial_order``
 certifies it: keyed by the normalized order input (size, the in-range
 integer pairs as given, close_order), it builds the leq matrix, takes the
-closure if asked, and proves antisymmetry and transitivity once per
-distinct key per process; a key that is not a partial order is not
-cached and raises again on every call.  ``_compatible`` holds the one
-compatibility loop: it takes a certified order (leq, strict pairs) and a
-validated table and checks compatibility, which depends on the table as
-well, on every call.  ``_ordered`` runs it and builds the structure with
+closure if asked, proves antisymmetry and transitivity and lists the
+covers once per distinct key per process; a key that is not a partial
+order is not cached and raises again on every call.  ``_compatible``
+holds the one compatibility loop: it takes a certified order (leq,
+covers) and a validated table and checks compatibility, which depends on
+the table as well, on every call.  It tests the covers alone, since every
+a < b is a chain of covers along which compatibility follows by
+transitivity, and on a failure scans every strict pair row-major to name
+the least witness.  ``_ordered`` runs it and builds the structure with
 names checked beforehand.  ``validate_structure`` normalizes the order
 pairs, certifies them, runs ``_compatible`` and then checks the names; the
 enumeration stream, a sweep and the power structure take certificates
@@ -73,7 +78,7 @@ from .errors import (
 
 Table = tuple[tuple[int, ...], ...]
 LeqMatrix = tuple[tuple[bool, ...], ...]
-# a partial order as ``_partial_order`` certifies it: leq and its strict pairs
+# a partial order as ``_partial_order`` certifies it: leq and its covers
 CertifiedOrder = tuple[LeqMatrix, tuple[tuple[int, int], ...]]
 
 
@@ -142,8 +147,8 @@ class ElementSet:
     def __iter__(self) -> Iterator[int]:
         return bits(self.mask)
 
-    def __contains__(self, item: int) -> bool:
-        return 0 <= item < self.structure.size and (self.mask >> item) & 1 == 1
+    def __contains__(self, item: object) -> bool:
+        return item in self.members
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -234,8 +239,11 @@ def _check_associative(size: int, table: Table) -> None:
         through = [lambda row, k=tj[0]: (row[k],) for tj in table]
     else:
         through = [itemgetter(*tj) for tj in table]
-    for i in range(size):
-        ti = table[i]
+    for i, ti in enumerate(table):
+        # row i's comparisons read it only through its values, so a row
+        # equal to an earlier one, which passed them, passes them too
+        if ti in table[:i]:
+            continue
         for j in range(size):
             row_ij = table[ti[j]]
             if row_ij != through[j](ti):
@@ -294,20 +302,30 @@ def validate_structure(
 
 
 def _compatible(f: FiniteSemigroup, certified: CertifiedOrder) -> None:
-    """Check that an order ``(leq, strict)`` certified by ``_partial_order``
-    is compatible with F's validated table.  The strict pairs are tested
-    row-major, left before right, so the first failure is the least
+    """Check that an order ``(leq, covers)`` certified by ``_partial_order``
+    is compatible with F's validated table.  Testing the covers suffices:
+    every a < b is a chain of covers, and c*a <= c*b (and a*c <= b*c)
+    follows along it by transitivity.  On a failure every strict pair is
+    tested row-major, left before right, so the error names the least
     ``NotCompatible`` witness."""
-    size, tbl = f.size, f.table
-    leq, strict = certified
-    for a, b in strict:
+    leq, covers = certified
+    if next(_incompatible(f, leq, covers), None):
+        raise NotCompatible(*next(_incompatible(f, leq, leq_pairs(leq))))
+
+
+def _incompatible(f: FiniteSemigroup, leq: LeqMatrix, pairs) -> Iterator[tuple]:
+    """Each (a, b, c, side) with (a, b) in ``pairs`` at which leq fails to
+    hold c*a <= c*b ("left") or a*c <= b*c ("right"), in the order of the
+    pairs, then c, then left before right."""
+    tbl = f.table
+    for a, b in pairs:
         row_a, row_b = tbl[a], tbl[b]
-        for c in range(size):
+        for c in range(f.size):
             tc = tbl[c]
             if not leq[tc[a]][tc[b]]:
-                raise NotCompatible(a, b, c, "left")
+                yield a, b, c, "left"
             if not leq[row_a[c]][row_b[c]]:
-                raise NotCompatible(a, b, c, "right")
+                yield a, b, c, "right"
 
 
 def _ordered(f: FiniteSemigroup, certified: CertifiedOrder, names=None) -> OrderedSemigroup:
@@ -327,8 +345,9 @@ def _partial_order(
     size: int, pairs: tuple[tuple[int, int], ...], close_order: bool
 ) -> CertifiedOrder:
     """The leq matrix of in-range ``pairs`` plus the diagonal, closed
-    transitively if ``close_order``, and its strict pairs row-major;
-    raises unless it is a partial order."""
+    transitively if ``close_order``, and its covers row-major: the pairs
+    a < b whose interval [a, b] holds no third element.  Raises unless it
+    is a partial order."""
     leq = [[False] * size for _ in range(size)]
     for i in range(size):
         leq[i][i] = True
@@ -358,7 +377,9 @@ def _partial_order(
                     if lj[k] and not li[k]:
                         raise NotTransitive(i, j, k)
     rows = tuple(tuple(row) for row in leq)
-    return rows, tuple(leq_pairs(rows))
+    up, down = _row_masks(rows), _row_masks(zip(*rows))
+    covers = [(a, b) for a, b in leq_pairs(rows) if up[a] & down[b] == 1 << a | 1 << b]
+    return rows, tuple(covers)
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,7 @@ def all_posets(n: int) -> tuple:
 @lru_cache(maxsize=None)
 def _certified_orders(n: int) -> tuple:
     """Every partial order on n labeled points, as ``core._partial_order``
-    certifies it: (leq, strict pairs).
+    certifies it: (leq, covers).
 
     Deterministic order: bit p of a poset's mask is the p-th non-reflexive
     pair, row-major, and the posets come in ascending order of mask.  A
@@ -420,7 +420,10 @@ def _table_orders(
     ``_certified_orders(n)``) of its orders in the range."""
     tables = all_semigroup_tables(n)
     offsets = ordered_offsets(n)
-    lo, hi = integers(positions, "positions") if positions else (0, offsets[-1])
+    try:
+        lo, hi = (0, offsets[-1]) if positions is None else integers(positions, "positions")
+    except (TypeError, ValueError):
+        raise BadEnumeration(f"positions {positions!r} is not a pair of integers") from None
     if not 0 <= lo <= hi <= offsets[-1]:
         raise BadEnumeration(f"positions {lo}..{hi} outside 0..{offsets[-1]}")
     for t in range(bisect_right(offsets, lo) - 1, bisect_left(offsets, hi)):

@@ -9,15 +9,16 @@ embedding recovers f.  The extension's morphism laws are verified, not
 assumed: joins in an arbitrary target need not distribute over products,
 and a failure raises NotMorphism.
 
-P(F)'s table is built a row at a time.  Each singleton row {a}*B, over
-every subset B, comes from ``core.product_mask``; taking subsets in
-ascending mask order, the row of A = {a} + R with a least in A is the
-element-wise union of the rows of R and of {a}, both built before it.  The
-carrier, its positions, the inclusion order and the display names depend
-only on |F| (and F's names), so they are computed once per size, the order
-certified by ``core._partial_order`` and the names checked once.  Every
-table is then validated like any input: associativity on every triple, a
-row at a time, and compatibility of the inclusion order.
+P(F)'s table is built a row at a time, taking subsets in ascending mask
+order, from unions alone.  In a singleton row, {a}*B = {a}*(B - {b}) | {ab}
+with b least in B, an entry built before it; the row of A = {a} + R with a
+least in A is the element-wise union of the rows of R and of {a}, both
+built before it.  The carrier, its positions, the inclusion order and the
+display names depend only on |F| (and F's names), so they are computed
+once per size, the order certified by ``core._partial_order`` (with its
+covers) and the names checked once.  Every table is then validated like
+any input: associativity on every triple, a row at a time, and
+compatibility of the inclusion order on its covers.
 
 Consecutive calls on one F share a single build and validation of P(F),
 while the size guard runs on every call.
@@ -49,7 +50,6 @@ from .core import (
     above_masks,
     bits,
     mask_of,
-    product_mask,
     validate_semigroup,
 )
 from .elements import forall_exists
@@ -89,7 +89,8 @@ def _inclusion(n: int) -> tuple[tuple[int, ...], tuple[int, ...], CertifiedOrder
     nonempty subsets of 0..n-1, sorted by size then lexicographically, the
     carrier position of each subset mask, and the order whose pairs (i, j),
     i != j, have the i-th subset inside the j-th, certified by
-    ``core._partial_order``."""
+    ``core._partial_order``; its covers are the pairs with one element
+    more in the j-th subset."""
     subsets = tuple(mask_of(c) for k in range(1, n + 1) for c in combinations(range(n), k))
     position = [0] * (1 << n)
     for i, m in enumerate(subsets):
@@ -129,18 +130,21 @@ def power_ordered_semigroup(f: FiniteSemigroup) -> OrderedSemigroup:
 def _power_structure(f: FiniteSemigroup) -> OrderedSemigroup:
     n = f.size
     subsets, position, inclusion = _inclusion(n)
-    # products[A] lists the masks of A*B over the carrier's B, A in ascending
-    # mask order: a singleton row comes from product_mask, and A = {a} + R
-    # with a least in A gives A*B = R*B | a*B, a union of two earlier rows
-    products = [None] * (1 << n)
-    for m in range(1, 1 << n):
+    # rows[A][B] is the mask of A*B, A and B in ascending mask order, each
+    # entry the union of two earlier ones, with a least in A and b least in
+    # B: {a}*B = {a}*(B - {b}) | {ab}, and A*B = (A - {a})*B | {a}*B
+    full = 1 << n
+    rows = [None] * full
+    for m in range(1, full):
         low = m & -m
         if m == low:
-            products[m] = [product_mask(f, m, b) for b in subsets]
+            ta, row = f.table[low.bit_length() - 1], [0] * full
+            for b in range(1, full):
+                row[b] = row[b & b - 1] | 1 << ta[(b & -b).bit_length() - 1]
+            rows[m] = row
         else:
-            products[m] = list(map(or_, products[m ^ low], products[low]))
-    at = position.__getitem__
-    table = tuple(tuple(map(at, products[a])) for a in subsets)
+            rows[m] = list(map(or_, rows[m ^ low], rows[low]))
+    table = tuple(tuple(position[rows[a][b]] for b in subsets) for a in subsets)
     power = validate_semigroup(len(subsets), table)
     return _ordered(power, inclusion, _subset_names(n, f.names))
 

@@ -14,7 +14,8 @@ small orders.  Run as a script, this file first compares ``all_posets(5)``
 with ``poset_scan(5)``, element by element and in order, and checks that
 the lex-leader search finds the 1,915 table classes of order 5 and that
 their orbits are the 183,732 tables of ``tables_dfs(5)`` (pinned as
-``TABLES_5_SHA``; the labeled search takes minutes at order 5).  It then
+``TABLES_5_SHA``; the labeled search takes minutes at order 5), and
+compares P(F) with ``power_oracle`` for each of the 1,915 leaders.  It then
 compares the other oracles on every ordered semigroup of order 4, and
 checks there that the congruence generated by the complete semilattice
 axioms equals N, the filter-equality relation.  It also runs
@@ -24,12 +25,12 @@ compares the verdict and the ``NotCompatible`` witness with
 with the orders ``_compatible_orders_flat`` lists for each table.  It
 builds P(F) for all 3,492 semigroups F of order 4 and compares its table,
 order pairs and names with ``power_oracle``, which computes each product
-of two subsets on its own through ``product_mask`` (the package takes only
-the singleton rows from ``product_mask`` and unions the others).  Last,
-it relabels every structure by one seeded permutation and asks every
-check for the same verdicts (``relabel_mismatches``), and meets every
-structure with its dual, which the stream also holds, to ask for the
-mirrored verdicts (``DualPairs``):
+of two subsets on its own through ``product_mask`` (the package builds
+every entry as the union of two earlier ones).  Last, it relabels every
+structure by one seeded permutation and asks every check for the same
+verdicts (``relabel_mismatches``), and meets every structure with its
+dual, which the stream also holds, to ask for the mirrored verdicts
+(``DualPairs``):
 
     PYTHONPATH=src python -X dev -W error tests/order4_oracles.py
 
@@ -61,6 +62,7 @@ from ordsgp import (
     predicate,
     relation_properties,
     serialize_document,
+    validate_semigroup,
     validate_structure,
 )
 from ordsgp.classification import CHECKS, PREDICATE_ORDER
@@ -69,6 +71,7 @@ from ordsgp.core import _relabel, leq_pairs, mask_of, product_mask
 from ordsgp.enumeration import (
     DEFAULT_SAMPLE_SEED,
     _compatible_orders_flat,
+    _flat_to_rows,
     _labeled_tables,
     _lex_leader_tables,
     all_posets,
@@ -258,12 +261,12 @@ def power_oracle(f):
     return table, pairs, names
 
 
-def power_mismatch(order: int):
-    """The first F of the order whose ``power_ordered_semigroup`` differs
-    from ``power_oracle`` in its table, order pairs or names, as a message;
-    None, and the count of F, when all agree."""
+def power_mismatch(semigroups):
+    """The first F whose ``power_ordered_semigroup`` differs from
+    ``power_oracle`` in its table, order pairs or names, as a message; None,
+    and the count of F, when all agree."""
     count = 0
-    for f in enumerate_semigroups(order):
+    for f in semigroups:
         p = power_ordered_semigroup(f)
         if (p.table, p.order_pairs(), p.names) != power_oracle(f):
             return f"F with table {f.table}", count
@@ -416,12 +419,17 @@ def main(order: int = 4) -> int:
         print(f"order 5: {len(leaders)} classes, {len(tables)} tables, not the labeled search's")
         return 1
     print(f"order 5: {len(leaders)} table classes, whose orbits are the labeled search's tables")
+    mismatch, count = power_mismatch(validate_semigroup(5, _flat_to_rows(5, t)) for t in leaders)
+    if mismatch:
+        print(f"power structure mismatch on {mismatch}")
+        return 1
+    print(f"order 5: {count} power structures P(F) of the lex leaders, equal to the per-cell one")
     mismatch, pairs = validator_mismatch(order)
     if mismatch:
         print(f"validator mismatch on {mismatch}")
         return 1
     print(f"order {order}: {pairs} (table, poset) pairs, the validator agrees")
-    mismatch, count = power_mismatch(order)
+    mismatch, count = power_mismatch(enumerate_semigroups(order))
     if mismatch:
         print(f"power structure mismatch on {mismatch}")
         return 1

@@ -35,7 +35,7 @@ from ordsgp.errors import (
 from ordsgp.core import _check_associative
 
 from conftest import all_ordered_fixtures, make_lz2, make_sl2
-from order4_oracles import associativity_oracle
+from order4_oracles import associativity_oracle, compatibility_oracle
 
 
 def brute_valid(size, table, pairs):
@@ -199,7 +199,8 @@ def _outcome(call):
 
 def test_validator_against_brute_force_on_every_pair_up_to_order_3():
     """Every (table, poset) pair of order <= 3, compatible or not, through
-    validate_structure twice: the verdict is brute_valid's, and the second
+    validate_structure twice: the verdict is brute_valid's, the
+    ``NotCompatible`` witness is ``compatibility_oracle``'s, and the second
     call (a hit in the order memo) gives the first call's result."""
     from ordsgp import enumerate_semigroups
     from ordsgp.core import _partial_order, leq_pairs
@@ -210,15 +211,17 @@ def test_validator_against_brute_force_on_every_pair_up_to_order_3():
     _partial_order.cache_clear()
     counts = {True: 0, False: 0}
     for n in (1, 2, 3):
-        orders = [leq_pairs(leq) for leq in all_posets(n)]
+        orders = [(leq, leq_pairs(leq)) for leq in all_posets(n)]
         for f in enumerate_semigroups(n):
-            for pairs in orders:
+            for leq, pairs in orders:
                 first = _outcome(lambda: validate_structure(n, f.table, pairs))
                 again = _outcome(lambda: validate_structure(n, f.table, pairs))
                 assert first == again, (f.table, pairs)
                 valid = isinstance(first, OrderedSemigroup)
                 assert valid == brute_valid(n, f.table, pairs), (f.table, pairs)
                 assert not valid or first.order_pairs() == pairs
+                witness = None if valid else first[1]["witness"]
+                assert witness == compatibility_oracle(f.table, leq), (f.table, pairs)
                 counts[valid] += 1
     assert counts == {True: 1 + 20 + 971, False: 0 + 4 + 113 * 19 - 971}
     # one miss per distinct order: the memo key is the normalized input
@@ -240,6 +243,29 @@ def test_validator_against_brute_force_on_every_pair_up_to_order_3():
     assert not brute_valid(2, sl2, [(0, 1), (1, 0)])
     assert not brute_valid(3, ch3, [(0, 1), (1, 2)])
     assert brute_valid(3, ch3, closed.order_pairs())
+
+
+def _hasse(leq):
+    """The strict pairs of an order that are not the composite of two
+    strict pairs, sorted."""
+    n = len(leq)
+    strict = {(a, b) for a in range(n) for b in range(n) if a != b and leq[a][b]}
+    composite = {(a, c) for a, b in strict for b2, c in strict if b == b2}
+    return sorted(strict - composite)
+
+
+def test_certified_covers_are_the_hasse_diagram():
+    """The covers that ``_partial_order`` certifies, for every poset of
+    order 4 and P(F)'s inclusion order at |F| <= 4, are the strict pairs
+    less their composites; the inclusion order has n * 2^(n-1) - n."""
+    from ordsgp.enumeration import _certified_orders
+    from ordsgp.power import _inclusion
+
+    certificates = [*_certified_orders(4), *(_inclusion(n)[2] for n in (1, 2, 3, 4))]
+    assert len(certificates) == 219 + 4
+    for leq, covers in certificates:
+        assert list(covers) == _hasse(leq), leq
+    assert [len(_inclusion(n)[2][1]) for n in (1, 2, 3, 4, 5)] == [0, 2, 9, 28, 75]
 
 
 def test_fault_precedence():
@@ -327,6 +353,25 @@ def test_element_set_binding():
     lz2 = make_lz2()
     with pytest.raises(ValueError):
         down_closure(sl2, lz2.subset([0]))
+
+
+def test_element_set_membership_answers_as_its_members_do():
+    """``in`` on an ElementSet gives the answer of ``in`` on its members for
+    any item, and never raises: 1.0 and True equal 1, and a string, None or
+    an index outside the carrier is not a member."""
+    s = validate_structure(2, [[0, 0], [0, 1]], [(0, 1)])
+    t = s.subset([1])
+    for item, member in [
+        (1, True),
+        (True, True),
+        (1.0, True),
+        ("1", False),
+        (None, False),
+        (-1, False),
+        (s.size, False),
+    ]:
+        assert (item in t) is member, item
+        assert (item in t.members) is member, item
 
 
 def test_dual_structure_reverses_products():

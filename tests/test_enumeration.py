@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import sys
 import tracemalloc
 
@@ -32,7 +33,13 @@ from ordsgp.enumeration import (
     resume_token,
     sample_ordered_semigroups,
 )
-from ordsgp.errors import InvariantViolation, NotAssociative, NotCompatible, SizeLimit
+from ordsgp.errors import (
+    BadEnumeration,
+    InvariantViolation,
+    NotAssociative,
+    NotCompatible,
+    SizeLimit,
+)
 from ordsgp.report import ConditionResult, make_bundle
 from ordsgp.sweep import CHECK_IDS, sweep, sweep_order, table_ranges
 
@@ -326,8 +333,13 @@ def test_positions_slice_the_stream():
     for lo in range(21):
         for hi in range(lo, 21):
             assert list(enumerate_ordered_semigroups(2, positions=(lo, hi))) == full[lo:hi]
-    for bad in [(-1, 3), (5, 4), (0, 21), (0.5, 3)]:
-        with pytest.raises(ValueError):
+    for bad in [(-1, 3), (5, 4), (0, 21)]:
+        with pytest.raises(BadEnumeration, match="outside 0..20"):
+            list(enumerate_ordered_semigroups(2, positions=bad))
+    # only None means the whole stream; anything but two integers is refused
+    for bad in [5, (0, 3, 5), (1,), 0, (), (0.5, 3)]:
+        message = f"positions {re.escape(repr(bad))} is not a pair of integers"
+        with pytest.raises(BadEnumeration, match=message):
             list(enumerate_ordered_semigroups(2, positions=bad))
 
 

@@ -224,13 +224,16 @@ def test_power_correspondence_examples():
 
 
 def test_power_structure_against_the_per_cell_oracle():
-    """P(F) for every F of order <= 3, every 100th F of order 4 and one F
-    with display names has the table, order pairs and names of the per-cell
-    construction."""
+    """P(F) for every F of order <= 3, every 100th F of order 4, one F
+    with display names and the Brandt semigroup B2 of order 5 has the
+    table, order pairs and names of the per-cell construction."""
+    b2 = [list(map(int, row)) for row in ("00000", "00012", "01200", "00034", "03400")]
     semigroups = [f for n in (1, 2, 3) for f in enumerate_semigroups(n)]
     semigroups += list(enumerate_semigroups(4))[::100]
     semigroups.append(validate_semigroup(3, make_z3().table, names=("e", "a", "b")))
-    assert len(semigroups) == 1 + 8 + 113 + 35 + 1
+    semigroups.append(validate_semigroup(5, b2))
+    assert len(semigroups) == 1 + 8 + 113 + 35 + 1 + 1
+    assert power_ordered_semigroup(semigroups[-1]).size == 31
     for f in semigroups:
         p = power_ordered_semigroup(f)
         assert (p.table, p.order_pairs(), p.names) == power_oracle(f), f.table
