@@ -23,10 +23,24 @@ ascending lexicographic order, so a counterexample is the least failing
 tuple.  Membership t in (XSY] is the same search, for x with t <= X*x*Y.
 The remaining conditions are first-failure scans in the same ascending
 order: ``elements.first_failure`` for Green's relations and inverses, and
-short loops for the principal-ideal and class comparisons.  No condition
-is computed from another condition's result: conditions share terms,
-helpers and the regularity premise, never a verdict, so the sides of a
-check stay independent.
+short loops for the principal-ideal and class comparisons.
+
+What the checks of one structure share is exactly this:
+- the same condition, evaluated once and read by every check that states
+  it: the carrier-wide scans of the named specs without witnesses
+  (``elements.carrier_scan``: regular, completely regular, group like,
+  left group like, h-commutative), the Clifford condition and the left
+  Clifford condition, each under its own key in the structure's cache;
+- the kernels: the order masks, the one-sided multiples and their
+  down-closures, the idempotents, Green's relations, the filters and the
+  complete semilattice congruences.
+Different conditions never share a verdict, not even two conditions of
+one bundle: a scan over a class mask, one that returns witnesses, and the
+closedness and group-like tests of a class are never kept, so CR-HCLASS's
+H-class and union conditions, or CL-DECOMP's least-CSC and some-CSC
+conditions, each run their own scans.  Two conditions read one entry only
+where they state the same conjunct, as both sides of LCL-LEASTCSC conjoin
+regularity, and no condition is computed from another one's result.
 
 Predicates with a regularity premise (left/right group like, Clifford,
 left Clifford, inverse) share the checks' regular premise: they raise
@@ -44,12 +58,11 @@ from . import limits
 from .congruence import complete_semilattice_congruences, least_csc, relation_properties
 from .core import (
     OrderedSemigroup,
+    _cached,
     bits,
-    down_mask,
+    down_multiples,
     full_mask,
-    left_multiples,
     product_mask,
-    right_multiples,
     sandwich_mask,
 )
 from .elements import (
@@ -57,6 +70,7 @@ from .elements import (
     H_COMMUTATIVE,
     REGULAR,
     _then,
+    carrier_scan,
     first_failure,
     forall_exists,
     idempotent_mask,
@@ -140,7 +154,7 @@ def _classes_all(s, rel, test):
     return True, None, {}
 
 
-def _clifford(s, witnesses=False):
+def _clifford_scan(s, witnesses):
     """For every a and ordered idempotent e: ae <= e*u*a and ea <= a*v*e."""
     return witness_scan(
         s,
@@ -151,20 +165,26 @@ def _clifford(s, witnesses=False):
     )
 
 
+def _clifford(s):
+    """``_clifford_scan`` without witnesses, once per structure."""
+    return s._cache.get("clifford") or _cached(s, "clifford", lambda: _clifford_scan(s, False))
+
+
 def _compare_aS_Sa(s, elems, equal: bool):
     """(aS] = (Sa] (equal) or (aS] inside (Sa] for each a; detail: a and the least outlier."""
+    Sa, aS = down_multiples(s)
     for a in elems:
-        aS = down_mask(s, right_multiples(s, a))
-        Sa = down_mask(s, left_multiples(s, a))
-        outliers = aS ^ Sa if equal else aS & ~Sa
+        outliers = aS[a] ^ Sa[a] if equal else aS[a] & ~Sa[a]
         if outliers:
             return False, (a, next(bits(outliers))), {}
     return True, None, {}
 
 
 def _left_clifford(s):
-    """(aS] is contained in (Sa] for every a."""
-    return _compare_aS_Sa(s, range(s.size), False)
+    """(aS] is contained in (Sa] for every a, once per structure."""
+    return s._cache.get("left_clifford") or _cached(
+        s, "left_clifford", lambda: _compare_aS_Sa(s, range(s.size), False)
+    )
 
 
 def _inverse(s):
@@ -192,7 +212,7 @@ def _relation_pairs(s, ok):
 PREMISES: dict[str, tuple[Callable, str]] = {
     "regular": (is_regular_structure, "requires a regular structure"),
     "h_commutative": (
-        lambda s: forall_exists(s, *H_COMMUTATIVE)[0],
+        lambda s: carrier_scan(s, H_COMMUTATIVE)[0],
         "requires an h-commutative structure",
     ),
 }
@@ -222,13 +242,13 @@ PREDICATES: dict[str, Callable] = {
         ("left", lambda: _simple(s, Side.LEFT)),
         ("right", lambda: _simple(s, Side.RIGHT)),
     ),
-    "clifford": lambda s: _clifford(s, witnesses=True),
+    "clifford": lambda s: _clifford_scan(s, True),
     "left_clifford": _left_clifford,
     "inverse": _inverse,
     "h_commutative": lambda s: forall_exists(s, *H_COMMUTATIVE, witnesses=True),
     "completely_simple": lambda s: _conjunction(
         ("simple", lambda: _simple(s, Side.TWO_SIDED)),
-        ("completely_regular", lambda: forall_exists(s, *COMPLETELY_REGULAR)),
+        ("completely_regular", lambda: carrier_scan(s, COMPLETELY_REGULAR)),
     ),
 }
 
@@ -286,7 +306,7 @@ def _check(check_id: str, premise: str | None = None, groups=None):
 @_check("CR-EQ5")
 def _cr_eq5(s):
     return (
-        _cond("a in (a^2 S a^2] for all a", forall_exists(s, *COMPLETELY_REGULAR)),
+        _cond("a in (a^2 S a^2] for all a", carrier_scan(s, COMPLETELY_REGULAR)),
         _cond(
             "a in (a^2 S a] and a in (a S a^2] for all a",
             forall_exists(s, 1, lambda tb, a: ((a, tb[a][a], a), (a, a, tb[a][a]))),
@@ -301,7 +321,7 @@ def _cr_eq5(s):
         ),
         _cond(
             "regular, and a in (a^2 S] and a in (S a^2] for all a",
-            _then(forall_exists(s, *REGULAR), forall_exists, s, 1, lambda tb, a: ((a, tb[a][a], None), (a, None, tb[a][a]))),
+            _then(carrier_scan(s, REGULAR), forall_exists, s, 1, lambda tb, a: ((a, tb[a][a], None), (a, None, tb[a][a]))),
         ),
     )
 
@@ -314,7 +334,7 @@ def _gl_char(s):
     return (
         _cond(
             "group like: a <= xb and a <= by solvable for all a, b",
-            forall_exists(s, *GROUP_LIKE),
+            carrier_scan(s, GROUP_LIKE),
         ),
         _cond(
             "a in (b S b] for all a, b",
@@ -322,7 +342,7 @@ def _gl_char(s):
         ),
         _cond(
             "left group like: regular and a <= xb solvable for all a, b",
-            _regular_then(s, forall_exists, *LEFT_GROUP_LIKE),
+            _regular_then(s, carrier_scan, LEFT_GROUP_LIKE),
         ),
         _cond(
             "a in (a S b] for all a, b",
@@ -335,7 +355,7 @@ def _gl_char(s):
 def _gl_hrel(s):
     ids = green_relation(s, "H").class_ids
     return (
-        _cond("group like", forall_exists(s, *GROUP_LIKE)),
+        _cond("group like", carrier_scan(s, GROUP_LIKE)),
         _cond(
             "all ordered idempotents lie in one H-class",
             first_failure(
@@ -364,8 +384,8 @@ def _inv_comm(s):
 @_check("CR-HCOMM", "h_commutative")
 def _cr_hcomm(s):
     return (
-        _cond("regular", forall_exists(s, *REGULAR)),
-        _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
+        _cond("regular", carrier_scan(s, REGULAR)),
+        _cond("completely regular", carrier_scan(s, COMPLETELY_REGULAR)),
     )
 
 
@@ -380,7 +400,7 @@ def _cr_inv(s):
         )
 
     return (
-        _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
+        _cond("completely regular", carrier_scan(s, COMPLETELY_REGULAR)),
         _cond(
             "each a has an ordered inverse a' with aa' <= a'ua and a'a <= ava'",
             first_failure(((a,) for a in range(s.size)), has_inverse),
@@ -406,7 +426,7 @@ def _union_of_group_like(s):
 @_check("CR-HCLASS")
 def _cr_hclass(s):
     return (
-        _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
+        _cond("completely regular", carrier_scan(s, COMPLETELY_REGULAR)),
         _cond(
             "every H-class is a group like ordered subsemigroup",
             _classes_all(s, green_relation(s, "H"), _group_like_subsemigroup),
@@ -442,7 +462,7 @@ def _cl_hcomm(s):
         _cond("clifford: ae <= eua and ea <= ave solvable", _clifford(s)),
         _cond(
             "h-commutative: ab <= bxa solvable for all a, b",
-            forall_exists(s, *H_COMMUTATIVE),
+            carrier_scan(s, H_COMMUTATIVE),
         ),
     )
 
@@ -457,7 +477,7 @@ def _cl_cresef(s):
         _cond(
             "completely regular, and eSf inside (f S e] for all ordered idempotents",
             _then(
-                forall_exists(s, *COMPLETELY_REGULAR),
+                carrier_scan(s, COMPLETELY_REGULAR),
                 witness_scan,
                 s,
                 e_s_f,
@@ -473,7 +493,7 @@ def _cl_crinv(s):
         _cond("regular with the clifford condition", _regular_then(s, _clifford)),
         _cond(
             "completely regular and inverse",
-            _then(forall_exists(s, *COMPLETELY_REGULAR), _inverse, s),
+            _then(carrier_scan(s, COMPLETELY_REGULAR), _inverse, s),
         ),
     )
 
@@ -562,7 +582,7 @@ def _cr_leastcsc(s):
     j = green_relation(s, "J")
     props = relation_properties(s, j)
     return (
-        _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
+        _cond("completely regular", carrier_scan(s, COMPLETELY_REGULAR)),
         ConditionResult(
             "J equals the least complete semilattice congruence",
             j.class_ids == least_csc(s).class_ids,
@@ -578,7 +598,7 @@ def _cr_leastcsc(s):
 @_check("CR-CSDECOMP")
 def _cr_csdecomp(s):
     return (
-        _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
+        _cond("completely regular", carrier_scan(s, COMPLETELY_REGULAR)),
         _cond(
             "some complete semilattice congruence has completely simple classes",
             _exists_csc_with_classes(s, _completely_simple_class),
@@ -600,7 +620,7 @@ def _cr_hclass_gl(s):
         )
 
     return (
-        _cond("completely regular", forall_exists(s, *COMPLETELY_REGULAR)),
+        _cond("completely regular", carrier_scan(s, COMPLETELY_REGULAR)),
         _cond("every H-class is product-closed", closed),
         _cond(
             "every H-class is a group like ordered subsemigroup",
@@ -659,7 +679,7 @@ def _lcl_leastcsc(s):
         ),
         _cond(
             "regular, and L is the least complete semilattice congruence",
-            _then(forall_exists(s, *REGULAR), l_is_least),
+            _then(carrier_scan(s, REGULAR), l_is_least),
         ),
     )
 

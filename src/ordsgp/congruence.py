@@ -43,9 +43,13 @@ class RelationProperties:
 def relation_properties(s: OrderedSemigroup, rho: EquivalenceRelation) -> RelationProperties:
     if rho.structure is not s and rho.structure != s:
         raise NotPartition("relation is bound to a different structure")
-    ids = rho.class_ids
-    if len(ids) != s.size:
+    if len(rho.class_ids) != s.size:
         raise NotPartition("class ids do not cover the carrier")
+    return _properties(s, rho.class_ids)
+
+
+def _properties(s: OrderedSemigroup, ids) -> RelationProperties:
+    """``relation_properties`` of the partition with one class id per element."""
     table = s.table
     n = s.size
     ces: dict = {}
@@ -163,19 +167,20 @@ def complete_semilattice_congruences(s: OrderedSemigroup) -> list[EquivalenceRel
 
     The candidates are the coarsenings of the generated congruence G
     (``_generated_congruence_ids``), one per partition of its k classes;
-    each goes through ``relation_properties``.  G's classes are numbered
-    in the order of their least elements, so the candidates come in the
-    order of a scan of every partition of the carrier.  The ``partitions``
-    guard bounds k.
+    each candidate's class ids go through the loops of
+    ``relation_properties``, and only a candidate that passes becomes an
+    EquivalenceRelation.  G's classes are numbered in the order of their
+    least elements, so the candidates come in the order of a scan of every
+    partition of the carrier.  The ``partitions`` guard bounds k.
     """
 
     def build():
         g = _generated_congruence_ids(s)
         found = []
         for rgs in enumerate_partitions(max(g) + 1):
-            rel = EquivalenceRelation.from_class_ids(s, [rgs[c] for c in g])
-            if relation_properties(s, rel).complete_semilattice:
-                found.append(rel)
+            ids = [rgs[c] for c in g]
+            if _properties(s, ids).complete_semilattice:
+                found.append(EquivalenceRelation.from_class_ids(s, ids))
         return found
 
     return list(_cached(s, "cscs", build))

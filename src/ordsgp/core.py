@@ -16,10 +16,12 @@ through.  Subsets of the carrier are ElementSet values; downward closure
 
 and the setwise product A*B = {a*b : a in A, b in B} are the primitives
 every higher-level computation is built from.  ``product_mask`` is the one
-A*B: aS, Sa, xSy, the principal ideals, the filters and product-closedness
-are all computed through it.  The power structure's table, which holds A*B
-for every pair of subsets, takes each entry as the union of two earlier
-ones instead: {a}*B = {a}*(B - {b}) | {ab} and (R + {a})*B = R*B | {a}*B.
+A*B: aS, Sa, xSy, the principal ideals inside a subset, the filters and
+product-closedness are all computed through it, and the principal ideals
+of S come from the cached aS and Sa.  The power structure's table, which
+holds A*B for every pair of subsets, takes each entry as the union of two
+earlier ones instead: {a}*B = {a}*(B - {b}) | {ab} and
+(R + {a})*B = R*B | {a}*B.
 Pair loops remain only where a pair is the answer: ``induced_substructure``,
 ``ideals.is_ideal`` and the decomposition's product condition report the
 least failing pair, and the unordered deciders of ``power`` stay
@@ -387,6 +389,9 @@ def _partial_order(
 
 
 def _cached(s, key, build):
+    """The structure's cache entry under key, built by ``build()`` on a miss.
+    The hot kernels read ``s._cache.get(key) or _cached(...)``, so a hit
+    makes no closure and no call."""
     cache = s._cache
     value = cache.get(key)
     if value is None:
@@ -405,12 +410,12 @@ def _row_masks(rows) -> tuple[int, ...]:
 
 def below_masks(s: OrderedSemigroup) -> tuple[int, ...]:
     """below[i] = mask of {t : t <= i}, the principal down-set (i]."""
-    return _cached(s, "below", lambda: _row_masks(zip(*s.leq)))
+    return s._cache.get("below") or _cached(s, "below", lambda: _row_masks(zip(*s.leq)))
 
 
 def above_masks(s: OrderedSemigroup) -> tuple[int, ...]:
     """above[i] = mask of {x : i <= x}."""
-    return _cached(s, "above", lambda: _row_masks(s.leq))
+    return s._cache.get("above") or _cached(s, "above", lambda: _row_masks(s.leq))
 
 
 def _union(masks: tuple[int, ...], mask: int) -> int:
@@ -448,25 +453,36 @@ def product_mask(s: FiniteSemigroup, amask: int, bmask: int) -> int:
     return out
 
 
-def left_multiples(s: OrderedSemigroup, a: int) -> int:
-    """Mask of S*a."""
-    full = full_mask(s)
-    return _cached(
-        s, "left_multiples", lambda: tuple(product_mask(s, full, 1 << e) for e in range(s.size))
-    )[a]
+def left_multiples(s: OrderedSemigroup) -> tuple[int, ...]:
+    """The mask of S*a for every a."""
+    return s._cache.get("left_multiples") or _cached(
+        s, "left_multiples", lambda: tuple(product_mask(s, full_mask(s), 1 << e) for e in range(s.size))
+    )
 
 
-def right_multiples(s: OrderedSemigroup, a: int) -> int:
-    """Mask of a*S."""
-    full = full_mask(s)
-    return _cached(
-        s, "right_multiples", lambda: tuple(product_mask(s, 1 << e, full) for e in range(s.size))
-    )[a]
+def right_multiples(s: OrderedSemigroup) -> tuple[int, ...]:
+    """The mask of a*S for every a."""
+    return s._cache.get("right_multiples") or _cached(
+        s, "right_multiples", lambda: tuple(product_mask(s, 1 << e, full_mask(s)) for e in range(s.size))
+    )
+
+
+def down_multiples(s: OrderedSemigroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The masks of (Sa] for every a, and of (aS] for every a."""
+
+    def build():
+        below = below_masks(s)
+        return tuple(
+            tuple(_union(below, m) for m in multiples(s))
+            for multiples in (left_multiples, right_multiples)
+        )
+
+    return s._cache.get("down_multiples") or _cached(s, "down_multiples", build)
 
 
 def sandwich_mask(s: OrderedSemigroup, x: int, y: int) -> int:
     """Mask of x*S*y."""
-    return product_mask(s, right_multiples(s, x), 1 << y)
+    return product_mask(s, right_multiples(s)[x], 1 << y)
 
 
 def _require_elements(s: FiniteSemigroup, *elements: int) -> None:

@@ -19,10 +19,15 @@ inequalities at once (the z of ``group_component``, CR-INV's ordered
 inverse, the h of CR-HCLASS-GL) the search is an ``any`` over the
 candidates, inside a ``first_failure`` predicate when it is a condition.
 The principal-ideal comparisons of ``classification`` and the congruence
-flags of ``congruence.relation_properties``, which runs on every candidate
-complete semilattice congruence, keep short loops of their own that return
-the same triple or flags in the same ascending order.  A condition shares
-no result with any other condition.
+flags of ``congruence.relation_properties``, whose loops run on the class
+ids of every candidate complete semilattice congruence, keep short loops
+of their own that return the same triple or flags in the same ascending
+order.
+
+``carrier_scan`` keeps one result per structure and named spec: the scan
+of the whole carrier without witnesses, which several checks state as the
+same condition.  A scan over a mask or one that returns witnesses runs on
+every call, and no condition reads the result of a different condition.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ class ElementRegularity:
 
 
 def idempotent_mask(s: OrderedSemigroup) -> int:
-    return _cached(
+    return s._cache.get("idempotents") or _cached(
         s, "idempotents", lambda: mask_of(e for e in range(s.size) if s.leq[e][s.table[e][e]])
     )
 
@@ -95,7 +100,7 @@ def witness_scan(s: OrderedSemigroup, args, terms, xs=None, witnesses=False):
     each tuple to its least witness per term, is filled only when requested.
     """
     table, leq = s.table, s.leq
-    columns = _cached(s, "columns", lambda: tuple(zip(*table)))
+    columns = s._cache.get("columns") or _cached(s, "columns", lambda: tuple(zip(*table)))
     same = range(s.size)
     xs = same if xs is None else xs
     wits = {}
@@ -125,6 +130,14 @@ def forall_exists(s: OrderedSemigroup, arity: int, terms, t=None, witnesses=Fals
     return witness_scan(s, product(xs, repeat=arity), terms, xs, witnesses)
 
 
+def carrier_scan(s: OrderedSemigroup, spec):
+    """``forall_exists`` of a named (arity, terms) spec over the whole
+    carrier, without witnesses, once per structure: the result is kept in
+    the structure's cache under the spec.  A scan over a mask or one that
+    returns witnesses is never kept."""
+    return s._cache.get(spec) or _cached(s, spec, lambda: forall_exists(s, *spec))
+
+
 def first_failure(args, ok):
     """The first argument tuple (in the order given) for which ok fails."""
     for argt in args:
@@ -139,8 +152,8 @@ def _then(first, rest, *args):
 
 
 def is_regular_structure(s: OrderedSemigroup) -> bool:
-    """Every element is regular (cached per structure)."""
-    return _cached(s, "regular", lambda: forall_exists(s, *REGULAR)[0])
+    """Every element is regular."""
+    return carrier_scan(s, REGULAR)[0]
 
 
 def element_regularity(s: OrderedSemigroup, a: int) -> ElementRegularity:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
+from operator import or_
 
 from . import limits
 from .core import (
@@ -24,16 +25,18 @@ from .core import (
     _cached,
     _require_bound,
     _require_elements,
+    _union,
+    below_masks,
     bits,
     down_mask,
-    full_mask,
+    down_multiples,
     left_multiples,
     product_mask,
     right_multiples,
     sandwich_mask,
     up_mask,
 )
-from .elements import REGULAR, first_failure, forall_exists, idempotent_mask
+from .elements import REGULAR, carrier_scan, first_failure, idempotent_mask
 from .errors import EmptySet, NotIdempotent, NotRegular
 from .report import ConditionGroup, _cond, make_bundle
 
@@ -108,7 +111,8 @@ def _principal_mask_in(s: OrderedSemigroup, t: int, a: int, side: Side) -> int:
     """The principal ideal of a inside the carrier mask t.
 
     left: ({a} u Ta]   right: ({a} u aT]   two-sided: ({a} u Ta u aT u TaT],
-    each intersected with T; with T the carrier, the principal ideal of S.
+    each intersected with T.  The principal ideals of S itself come from
+    the cached multiples (``_principal_masks``).
     """
     seed = 1 << a
     ta = product_mask(s, t, seed) if side in (Side.LEFT, Side.TWO_SIDED) else 0
@@ -118,12 +122,21 @@ def _principal_mask_in(s: OrderedSemigroup, t: int, a: int, side: Side) -> int:
 
 
 def _principal_masks(s: OrderedSemigroup, side: Side) -> tuple[int, ...]:
-    full = full_mask(s)
-    return _cached(
-        s,
-        f"principal_{side.value}",
-        lambda: tuple(_principal_mask_in(s, full, a, side) for a in range(s.size)),
-    )
+    """Every principal ideal of the side, from the cached multiples: (a] u
+    (Sa], (a] u (aS], and for two-sided also (SaS], with SaS the union of
+    xS over x in Sa, under one down-closure."""
+
+    def build():
+        below = below_masks(s)
+        sa, as_ = down_multiples(s)
+        if side is Side.LEFT:
+            return tuple(map(or_, below, sa))
+        if side is Side.RIGHT:
+            return tuple(map(or_, below, as_))
+        sas = (_union(right_multiples(s), m) for m in left_multiples(s))
+        return tuple(b | l | r | down_mask(s, m) for b, l, r, m in zip(below, sa, as_, sas))
+
+    return _cached(s, ("principal", side), build)
 
 
 def principal_ideal(s: OrderedSemigroup, a: int, side: Side) -> ElementSet:
@@ -182,16 +195,16 @@ _GREEN_SIDES = {"L": Side.LEFT, "R": Side.RIGHT, "J": Side.TWO_SIDED}
 
 def green_relation(s: OrderedSemigroup, kind: str) -> EquivalenceRelation:
     """Green's relation L, R, J (principal-ideal equality) or H (= L meet R)."""
+    return s._cache.get(("green", kind)) or _cached(s, ("green", kind), lambda: _green(s, kind))
 
-    def build():
-        if kind in _GREEN_SIDES:
-            return EquivalenceRelation.from_class_ids(s, _principal_masks(s, _GREEN_SIDES[kind]))
-        if kind == "H":
-            lrel, rrel = green_relation(s, "L"), green_relation(s, "R")
-            return EquivalenceRelation.from_class_ids(s, zip(lrel.class_ids, rrel.class_ids))
-        raise ValueError(f"unknown Green relation kind: {kind!r}")
 
-    return _cached(s, ("green", kind), build)
+def _green(s: OrderedSemigroup, kind: str) -> EquivalenceRelation:
+    if kind in _GREEN_SIDES:
+        return EquivalenceRelation.from_class_ids(s, _principal_masks(s, _GREEN_SIDES[kind]))
+    if kind == "H":
+        lrel, rrel = green_relation(s, "L"), green_relation(s, "R")
+        return EquivalenceRelation.from_class_ids(s, zip(lrel.class_ids, rrel.class_ids))
+    raise ValueError(f"unknown Green relation kind: {kind!r}")
 
 
 def _filter_masks(s: OrderedSemigroup) -> tuple[int, ...]:
@@ -250,7 +263,7 @@ def idempotent_ideal_identities(s: OrderedSemigroup, e: int, f: int):
     identity.
     """
     _require_elements(s, e, f)
-    regular, counterexample, _ = forall_exists(s, *REGULAR)
+    regular, counterexample, _ = carrier_scan(s, REGULAR)
     if not regular:
         raise NotRegular(counterexample[0])
     idem = idempotent_mask(s)
@@ -260,9 +273,8 @@ def idempotent_ideal_identities(s: OrderedSemigroup, e: int, f: int):
         raise NotIdempotent(f)
 
     n = s.size
-    eS = down_mask(s, right_multiples(s, e))
-    Se = down_mask(s, left_multiples(s, e))
-    Sf = down_mask(s, left_multiples(s, f))
+    Sa, aS = down_multiples(s)
+    eS, Se, Sf = aS[e], Sa[e], Sa[f]
 
     def identity(side, image, other):
         # (image of I] = I n other for every ideal I of the side; a failure

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -22,8 +23,10 @@ class PredicateResult:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class ConditionResult:
+# ConditionResult and BundleResult are built for every condition and check
+# of a sweep, so they are named tuples: immutable, and cheaper to make than
+# frozen dataclasses.
+class ConditionResult(NamedTuple):
     label: str
     holds: bool
     detail: tuple | None = None
@@ -47,8 +50,7 @@ class ConditionGroup:
     indices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BundleResult:
+class BundleResult(NamedTuple):
     bundle_id: str
     conditions: tuple[ConditionResult, ...]
     agree: bool
@@ -68,10 +70,13 @@ def _group_ok(group: ConditionGroup, conditions) -> bool:
 
 
 def make_bundle(bundle_id: str, conditions, groups=None) -> BundleResult:
+    """Judge the conditions under the groups; the default is one
+    equivalence of all of them."""
     conditions = tuple(conditions)
     if groups is None:
-        groups = (ConditionGroup("equivalence", tuple(range(len(conditions)))),)
-    agree = all(_group_ok(g, conditions) for g in groups)
+        agree = len({c.holds for c in conditions}) == 1
+    else:
+        agree = all(_group_ok(g, conditions) for g in groups)
     return BundleResult(bundle_id, conditions, agree)
 
 

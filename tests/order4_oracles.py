@@ -18,7 +18,10 @@ their orbits are the 183,732 tables of ``tables_dfs(5)`` (pinned as
 compares P(F) with ``power_oracle`` for each of the 1,915 leaders.  It then
 compares the other oracles on every ordered semigroup of order 4, and
 checks there that the congruence generated by the complete semilattice
-axioms equals N, the filter-equality relation.  It also runs
+axioms equals N, the filter-equality relation, and that the principal
+left, right and two-sided ideals, which the package builds from the
+cached one-sided multiples, equal ``_principal_mask_in`` over the whole
+carrier.  It also runs
 every (table, poset) pair of order 4 through ``validate_structure`` and
 compares the verdict and the ``NotCompatible`` witness with
 ``compatibility_oracle``, a scan of the definition, and the accepted pairs
@@ -67,7 +70,7 @@ from ordsgp import (
 )
 from ordsgp.classification import CHECKS, PREDICATE_ORDER
 from ordsgp.congruence import _generated_congruence_ids
-from ordsgp.core import _relabel, leq_pairs, mask_of, product_mask
+from ordsgp.core import _relabel, full_mask, leq_pairs, mask_of, product_mask
 from ordsgp.enumeration import (
     DEFAULT_SAMPLE_SEED,
     _compatible_orders_flat,
@@ -77,6 +80,7 @@ from ordsgp.enumeration import (
     all_posets,
 )
 from ordsgp.errors import NotApplicable, NotCompatible
+from ordsgp.ideals import _principal_mask_in, _principal_masks
 
 
 # SHA-256 (``table_list_sha``) of ``list(tables_dfs(5))``, 183,732 tables
@@ -394,9 +398,21 @@ class DualPairs:
         return [f"{name} on the dual" for name, a, b in zip(names, own, expected) if a != b]
 
 
+def principal_mismatches(s) -> list[str]:
+    """The sides whose principal ideals, built from the cached multiples,
+    differ from ``_principal_mask_in`` over the whole carrier."""
+    full = full_mask(s)
+    return [
+        f"{side.value} principal ideals"
+        for side in Side
+        if list(_principal_masks(s, side))
+        != [_principal_mask_in(s, full, a, side) for a in range(s.size)]
+    ]
+
+
 def mismatches(s):
     """The names of the oracles the package disagrees with on s."""
-    found = []
+    found = principal_mismatches(s)
     if [rel.class_ids for rel in complete_semilattice_congruences(s)] != csc_oracle(s):
         found.append("complete semilattice congruences")
     if _generated_congruence_ids(s) != n_relation(s).class_ids:
@@ -453,6 +469,10 @@ def main(order: int = 4) -> int:
     print(
         f"order {order}: {count} ordered semigroups, every oracle agrees, "
         "relabeling and duality included"
+    )
+    print(
+        f"order {order}: {count} ordered semigroups, principal L, R and J ideals "
+        "from the multiples equal to _principal_mask_in"
     )
     return 0
 

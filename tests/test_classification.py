@@ -1,5 +1,7 @@
 """Predicates, bundles, and the classification report."""
 
+from collections import Counter
+
 import pytest
 
 from ordsgp import (
@@ -21,9 +23,10 @@ from ordsgp.classification import (
     REGULAR,
     _simple,
 )
+from ordsgp import elements
 from ordsgp import sweep as sweep_module
 from ordsgp.elements import first_failure, forall_exists
-from ordsgp.core import mask_of
+from ordsgp.core import OrderedSemigroup, full_mask, mask_of
 from ordsgp.errors import NotApplicable, UnknownBundle, UnknownPredicate
 from ordsgp.ideals import Side
 from ordsgp.report import ConditionResult, make_bundle
@@ -31,6 +34,7 @@ from ordsgp.sweep import sweep_order
 
 from conftest import (
     all_ordered_fixtures,
+    differential_structures,
     make_b2,
     make_lz2,
     make_n2,
@@ -257,3 +261,59 @@ def test_restricted_scans_match_induced_substructures():
             restricted = forall_exists(s, *LEFT_GROUP_LIKE, mask)[0]
             induced = forall_exists(sub, *LEFT_GROUP_LIKE)[0]
             assert restricted == induced, (name, members)
+
+
+def fresh(s):
+    """A copy of s with an empty per-structure cache."""
+    return OrderedSemigroup(s.size, s.table, s.names, leq=s.leq)
+
+
+def run_checks(s, check_ids):
+    """check id -> BundleResult, or the premise note where the check refuses s."""
+    results = {}
+    for check_id in check_ids:
+        try:
+            results[check_id] = CHECKS[check_id](s)
+        except NotApplicable as exc:
+            results[check_id] = exc.reason
+    return results
+
+
+def test_check_results_do_not_depend_on_cache_order():
+    """Each check alone on an empty cache gives the result it gives inside
+    a full run in registry order and inside one in reverse order, so no
+    check reads an entry that only an earlier check left."""
+    count = 0
+    for s in differential_structures():
+        forward = run_checks(fresh(s), CHECK_IDS)
+        backward = run_checks(fresh(s), CHECK_IDS[::-1])
+        for check_id in CHECK_IDS:
+            alone = run_checks(fresh(s), (check_id,))[check_id]
+            assert alone == forward[check_id] == backward[check_id], (check_id, s.table, s.leq)
+        count += 1
+    assert count == 1 + 20 + 971 + 1000
+
+
+def test_carrier_conditions_are_scanned_once_per_structure(monkeypatch):
+    """One check_structure scans the whole carrier for complete regularity
+    once; a scan over a mask and a predicate, which asks for witnesses,
+    scan again on every call."""
+    real = elements.witness_scan
+    scans = Counter()
+
+    def counting(s, args, terms, xs=None, witnesses=False):
+        if terms is COMPLETELY_REGULAR[1]:
+            scans["carrier" if xs == range(s.size) else "mask"] += 1
+        return real(s, args, terms, xs, witnesses)
+
+    monkeypatch.setattr(elements, "witness_scan", counting)
+    for name, s in all_ordered_fixtures():
+        s = fresh(s)
+        scans.clear()
+        sweep_module.check_structure(s)
+        assert scans["carrier"] == 1, name
+        masked = scans["mask"]
+        for _ in range(2):
+            forall_exists(s, *COMPLETELY_REGULAR, full_mask(s))
+            predicate(s, "completely_regular")
+        assert scans == {"carrier": 3, "mask": masked + 2}, name

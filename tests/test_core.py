@@ -410,8 +410,8 @@ def test_setwise_products_against_set_oracles():
             return {u for u in carrier for v in xs if leq[u][v]}
 
         for a in carrier:
-            assert left_multiples(s, a) == _as_mask(tb[x][a] for x in carrier)
-            assert right_multiples(s, a) == _as_mask(tb[a][x] for x in carrier)
+            assert left_multiples(s)[a] == _as_mask(tb[x][a] for x in carrier)
+            assert right_multiples(s)[a] == _as_mask(tb[a][x] for x in carrier)
             for b in carrier:
                 assert sandwich_mask(s, a, b) == _as_mask(tb[tb[a][x]][b] for x in carrier)
 

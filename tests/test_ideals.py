@@ -147,7 +147,11 @@ def test_enumerate_ideals_size_guard(monkeypatch):
 
 
 def test_principal_ideal_minimality_against_enumeration():
-    for name, s in all_ordered_fixtures():
+    """Each principal ideal is the meet of the ideals that hold its
+    generator, on the fixtures and on every structure of
+    ``differential_structures``."""
+    structures = itertools.chain(all_ordered_fixtures(), (("", s) for s in differential_structures()))
+    for name, s in structures:
         if s.size > 5:
             continue
         for side in Side:
@@ -157,7 +161,7 @@ def test_principal_ideal_minimality_against_enumeration():
                 for ideal in ideals:
                     if a in ideal:
                         meet = ideal.mask if meet is None else meet & ideal.mask
-                assert meet == principal_ideal(s, a, side).mask, (name, a, side)
+                assert meet == principal_ideal(s, a, side).mask, (name or serialize_document(s), a, side)
 
 
 def test_regular_case_left_ideal_formula():
