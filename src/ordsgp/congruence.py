@@ -2,9 +2,16 @@
 complete-semilattice decompositions.
 
 A semilattice congruence is a congruence with a ~ a*a and a*b ~ b*a; it is
-complete when a <= b forces a ~ a*b.  Decomposing by such a congruence
-produces a semilattice Y of classes ordered by beta <= alpha iff
-beta*alpha = beta in Y, and four conditions are verified verbatim:
+complete when a <= b forces a ~ a*b.  Every complete semilattice
+congruence contains the congruence G that these pairs generate, and an
+equivalence that contains G meets the semilattice and completeness axioms
+by containing it; it is a congruence of S exactly when the partition it
+makes of the G-classes is a congruence of the quotient S/G.  So the
+complete semilattice congruences are found on S/G alone, and
+``relation_properties`` judges the relations that come from elsewhere,
+such as Green's J and L.  Decomposing by such a congruence produces a
+semilattice Y of classes ordered by beta <= alpha iff beta*alpha = beta in
+Y, and four conditions are verified verbatim:
 disjointness, cover, S_alpha * S_beta inside S_{alpha beta}, and the
 linkage S_beta meets (S_alpha] only when beta <= alpha.
 """
@@ -16,8 +23,8 @@ from itertools import combinations, product
 from typing import Iterator
 
 from . import limits
-from .core import OrderedSemigroup, _cached, bits, down_mask
-from .elements import first_failure
+from .core import OrderedSemigroup, _cached, bits, down_mask, integers
+from .elements import _then, first_failure
 from .errors import InvariantViolation, NotCompleteSemilattice, NotPartition
 from .ideals import EquivalenceRelation, _first_appearance, n_relation
 from .report import ConditionResult, _cond
@@ -41,65 +48,39 @@ class RelationProperties:
 
 
 def relation_properties(s: OrderedSemigroup, rho: EquivalenceRelation) -> RelationProperties:
+    """The congruence flags of rho, each failed one with its least
+    counterexample.
+
+    Each axiom is one ``first_failure`` scan, in ascending order: left and
+    right compatibility (c*a ~ c*b and a*c ~ b*c) over the triples
+    (a, b, c) with a < b in one class; a ~ a*a over (a, a) and, once that
+    holds, a*b ~ b*a over a < b; completeness, a ~ a*b, over the pairs
+    a <= b with a != b.  A scan that fails names its tuple under its flag
+    even where a flag it builds on has failed too.
+    """
     if rho.structure is not s and rho.structure != s:
         raise NotPartition("relation is bound to a different structure")
     if len(rho.class_ids) != s.size:
         raise NotPartition("class ids do not cover the carrier")
-    return _properties(s, rho.class_ids)
-
-
-def _properties(s: OrderedSemigroup, ids) -> RelationProperties:
-    """``relation_properties`` of the partition with one class id per element."""
-    table = s.table
-    n = s.size
-    ces: dict = {}
-
-    left = True
-    right = True
-    for a in range(n):
-        for b in range(a + 1, n):
-            if ids[a] != ids[b]:
-                continue
-            for c in range(n):
-                if left and ids[table[c][a]] != ids[table[c][b]]:
-                    left = False
-                    ces["left_congruence"] = (a, b, c)
-                if right and ids[table[a][c]] != ids[table[b][c]]:
-                    right = False
-                    ces["right_congruence"] = (a, b, c)
-            if not (left or right):
-                break
-    congruence = left and right
-
-    band = True
-    for a in range(n):
-        if ids[a] != ids[table[a][a]]:
-            band = False
-            ces["semilattice"] = (a, a)
-            break
-    if band:
-        for a in range(n):
-            for b in range(n):
-                if ids[table[a][b]] != ids[table[b][a]]:
-                    band = False
-                    ces["semilattice"] = (a, b)
-                    break
-            if not band:
-                break
-    semilattice = congruence and band
-
-    complete_part = True
-    for a in range(n):
-        for b in range(n):
-            if a != b and s.leq[a][b] and ids[a] != ids[table[a][b]]:
-                complete_part = False
-                ces["complete_semilattice"] = (a, b)
-                break
-        if not complete_part:
-            break
-    complete = semilattice and complete_part
-
-    return RelationProperties(left, right, congruence, semilattice, complete, ces)
+    ids, tb, n = rho.class_ids, s.table, s.size
+    same = [(a, b, c) for a, b in combinations(range(n), 2) if ids[a] == ids[b] for c in range(n)]
+    scans = {
+        "left_congruence": first_failure(same, lambda a, b, c: ids[tb[c][a]] == ids[tb[c][b]]),
+        "right_congruence": first_failure(same, lambda a, b, c: ids[tb[a][c]] == ids[tb[b][c]]),
+        "semilattice": _then(
+            first_failure(((a, a) for a in range(n)), lambda a, _: ids[a] == ids[tb[a][a]]),
+            first_failure,
+            combinations(range(n), 2),
+            lambda a, b: ids[tb[a][b]] == ids[tb[b][a]],
+        ),
+        "complete_semilattice": first_failure(
+            s.order_pairs(), lambda a, b: ids[a] == ids[tb[a][b]]
+        ),
+    }
+    left, right, band, complete = (holds for holds, _, _ in scans.values())
+    flags = (left, right, left and right, left and right and band)
+    found = {flag: least for flag, (holds, least, _) in scans.items() if not holds}
+    return RelationProperties(*flags, flags[3] and complete, found)
 
 
 def least_csc(s: OrderedSemigroup) -> EquivalenceRelation:
@@ -108,7 +89,12 @@ def least_csc(s: OrderedSemigroup) -> EquivalenceRelation:
 
 
 def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """All partitions of 0..n-1 as restricted-growth strings, lexicographic."""
+    """All partitions of 0..n-1 as restricted-growth strings, lexicographic;
+    none for n = 0.  An n that is not an integer or is negative is a
+    ValueError naming it."""
+    (n,) = integers([n], "n")
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
     limits.check("partitions", n)
 
     def rec(prefix: list[int], used: int):
@@ -161,27 +147,43 @@ def _generated_congruence_ids(s: OrderedSemigroup) -> tuple[int, ...]:
     return _first_appearance(least)
 
 
+def _quotient_table(s: OrderedSemigroup, ids) -> tuple[tuple[int, ...], ...]:
+    """The table of the classes 0..k-1 of a congruence given by its class
+    ids: the product of two classes is the class of the product of their
+    least elements."""
+    reps = [ids.index(c) for c in range(max(ids) + 1)]
+    table = s.table
+    return tuple(tuple(ids[table[x][y]] for y in reps) for x in reps)
+
+
 def complete_semilattice_congruences(s: OrderedSemigroup) -> list[EquivalenceRelation]:
     """Every complete semilattice congruence, in lexicographic
     restricted-growth order.
 
-    The candidates are the coarsenings of the generated congruence G
-    (``_generated_congruence_ids``), one per partition of its k classes;
-    each candidate's class ids go through the loops of
-    ``relation_properties``, and only a candidate that passes becomes an
-    EquivalenceRelation.  G's classes are numbered in the order of their
-    least elements, so the candidates come in the order of a scan of every
-    partition of the carrier.  The ``partitions`` guard bounds k.
+    Every one is a coarsening of the generated congruence G
+    (``_generated_congruence_ids``), and a relation rho that contains G
+    holds (a, a*a), (a*b, b*a) and (a, a*b) for a <= b, so it is a
+    semilattice congruence and complete as soon as it is a congruence.
+    It is a congruence of S exactly when rho/G is a congruence of the
+    quotient Y = S/G.  So the scan runs over the partitions of Y's k
+    classes and keeps one exactly when, for classes alpha < beta in one
+    block and every gamma, alpha*gamma and beta*gamma lie in one block; Y
+    is commutative, so one side is enough.  G's classes are numbered in
+    the order of their least elements, so the congruences come in the
+    order of a scan of every partition of the carrier.  The
+    ``partitions`` guard bounds k.
     """
 
     def build():
         g = _generated_congruence_ids(s)
-        found = []
-        for rgs in enumerate_partitions(max(g) + 1):
-            ids = [rgs[c] for c in g]
-            if _properties(s, ids).complete_semilattice:
-                found.append(EquivalenceRelation.from_class_ids(s, ids))
-        return found
+        y = _quotient_table(s, g)
+        # alpha < beta with the cells (alpha*gamma, beta*gamma) of every gamma
+        rows = [(a, b, tuple(zip(y[a], y[b]))) for a, b in combinations(range(len(y)), 2)]
+        return [
+            EquivalenceRelation.from_class_ids(s, [rgs[c] for c in g])
+            for rgs in enumerate_partitions(len(y))
+            if all(rgs[p] == rgs[q] for a, b, cells in rows if rgs[a] == rgs[b] for p, q in cells)
+        ]
 
     return list(_cached(s, "cscs", build))
 
@@ -202,9 +204,9 @@ def decompose(s: OrderedSemigroup, rho: EquivalenceRelation) -> Decomposition:
 
     Builds the quotient semilattice Y with its order and verifies the four
     decomposition conditions verbatim.  The quotient product of two classes
-    is the class of the product of their least elements: rho is a
-    congruence, so every product of the two classes lies in that class,
-    which the third condition checks.
+    is the class of the product of their least elements
+    (``_quotient_table``): rho is a congruence, so every product of the two
+    classes lies in that class, which the third condition checks.
     """
     props = relation_properties(s, rho)
     for flag in (
@@ -216,12 +218,9 @@ def decompose(s: OrderedSemigroup, rho: EquivalenceRelation) -> Decomposition:
         if not getattr(props, flag):
             raise NotCompleteSemilattice(flag, props.counterexamples.get(flag))
 
-    ids = rho.class_ids
     k = rho.num_classes()
     table = s.table
-
-    reps = [next(iter(c)) for c in rho.classes]
-    qtable = tuple(tuple(ids[table[x][y]] for y in reps) for x in reps)
+    qtable = _quotient_table(s, rho.class_ids)
 
     qorder = tuple(
         tuple(qtable[alpha][beta] == alpha for beta in range(k)) for alpha in range(k)

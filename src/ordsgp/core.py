@@ -268,7 +268,11 @@ def _check_names(size: int, names) -> tuple[str, ...] | None:
 
 
 def validate_semigroup(size: int, table, names=None) -> FiniteSemigroup:
-    """Check associativity and build a FiniteSemigroup."""
+    """Check associativity and build a FiniteSemigroup.  The size goes
+    through ``integers``, so a float or a string is a ValueError naming it
+    and a bool counts as 0 or 1, as in a table."""
+    if type(size) is not int:  # the stream validates thousands of tables
+        (size,) = integers([size], "size")
     tbl = _check_table(size, table)
     _check_associative(size, tbl)
     return FiniteSemigroup(size, tbl, _check_names(size, names))
@@ -289,6 +293,7 @@ def validate_structure(
     which case the transitive closure is taken before validation.
     """
     f = validate_semigroup(size, table)
+    size = f.size
     pairs = []
     for a, b in leq_pairs:
         try:

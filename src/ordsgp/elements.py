@@ -18,11 +18,8 @@ Each term has its own witness.  Where one witness must satisfy several
 inequalities at once (the z of ``group_component``, CR-INV's ordered
 inverse, the h of CR-HCLASS-GL) the search is an ``any`` over the
 candidates, inside a ``first_failure`` predicate when it is a condition.
-The principal-ideal comparisons of ``classification`` and the congruence
-flags of ``congruence.relation_properties``, whose loops run on the class
-ids of every candidate complete semilattice congruence, keep short loops
-of their own that return the same triple or flags in the same ascending
-order.
+The principal-ideal comparisons of ``classification`` keep short loops of
+their own that return the same triple in the same ascending order.
 
 ``carrier_scan`` keeps one result per structure and named spec: the scan
 of the whole carrier without witnesses, which several checks state as the

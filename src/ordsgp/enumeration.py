@@ -239,10 +239,15 @@ def _strict_pairs(n: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(n) for b in range(n) if a != b]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def all_posets(n: int) -> tuple:
     """Every partial order on n labeled points, as leq matrices: the leq of
-    each certificate of ``_certified_orders(n)``, in the same positions."""
+    each certificate of ``_certified_orders(n)``, in the same positions.
+    An n that is not an integer or is negative is a ValueError naming it;
+    the cache is typed, so 2.0 reaches the check and not the entry of 2."""
+    (n,) = integers([n], "n")
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
     return tuple(leq for leq, _ in _certified_orders(n))
 
 

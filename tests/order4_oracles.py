@@ -6,9 +6,10 @@ table on n labeled elements, and ``canonical_form`` the least relabeling of
 a structure under all n! carrier permutations; the lex-leader search is
 held to both.  ``poset_scan`` tries all 2^(n*n - n) sets of
 non-reflexive pairs against the definition of a partial order,
-``csc_oracle`` scans all Bell(n) partitions of the carrier and
-``ideal_oracle`` all 2^n subsets, each through the package's definition
-checks.  ``associativity_oracle`` scans every triple of a table in
+``csc_oracle`` scans all Bell(n) partitions of the carrier through
+``relation_properties_oracle``, the flag-and-break loops over the
+congruence definitions, and ``ideal_oracle`` all 2^n subsets through the
+package's ideal check.  ``associativity_oracle`` scans every triple of a table in
 lexicographic order.  The tier-1 tests compare the package with them on
 small orders.  Run as a script, this file first compares ``all_posets(5)``
 with ``poset_scan(5)``, element by element and in order, and checks that
@@ -21,7 +22,8 @@ checks there that the congruence generated by the complete semilattice
 axioms equals N, the filter-equality relation, and that the principal
 left, right and two-sided ideals, which the package builds from the
 cached one-sided multiples, equal ``_principal_mask_in`` over the whole
-carrier.  It also runs
+carrier, and that ``relation_properties`` equals its oracle, flags and
+counterexamples, on Green's L, R, J and H and on N.  It also runs
 every (table, poset) pair of order 4 through ``validate_structure`` and
 compares the verdict and the ``NotCompatible`` witness with
 ``compatibility_oracle``, a scan of the definition, and the accepted pairs
@@ -50,8 +52,8 @@ from itertools import combinations, permutations
 
 from ordsgp import (
     ElementSet,
-    EquivalenceRelation,
     OrderedSemigroup,
+    RelationProperties,
     Side,
     complete_semilattice_congruences,
     dual_structure,
@@ -59,6 +61,7 @@ from ordsgp import (
     enumerate_ordered_semigroups,
     enumerate_partitions,
     enumerate_semigroups,
+    green_relation,
     is_ideal,
     n_relation,
     power_ordered_semigroup,
@@ -196,14 +199,77 @@ def poset_scan(n: int) -> list:
     return found
 
 
+def relation_properties_oracle(s, ids) -> RelationProperties:
+    """``relation_properties`` of the partition with one class id per
+    element, from flag-and-break loops over the definitions: each flag's
+    counterexample is its least failing tuple, left and right compatibility
+    over (a, b, c) with a < b in one class, a ~ a*a and then a*b ~ b*a over
+    all (a, b), and completeness over the pairs a <= b, a != b."""
+    table = s.table
+    n = s.size
+    ces: dict = {}
+
+    left = True
+    right = True
+    for a in range(n):
+        for b in range(a + 1, n):
+            if ids[a] != ids[b]:
+                continue
+            for c in range(n):
+                if left and ids[table[c][a]] != ids[table[c][b]]:
+                    left = False
+                    ces["left_congruence"] = (a, b, c)
+                if right and ids[table[a][c]] != ids[table[b][c]]:
+                    right = False
+                    ces["right_congruence"] = (a, b, c)
+            if not (left or right):
+                break
+    congruence = left and right
+
+    band = True
+    for a in range(n):
+        if ids[a] != ids[table[a][a]]:
+            band = False
+            ces["semilattice"] = (a, a)
+            break
+    if band:
+        for a in range(n):
+            for b in range(n):
+                if ids[table[a][b]] != ids[table[b][a]]:
+                    band = False
+                    ces["semilattice"] = (a, b)
+                    break
+            if not band:
+                break
+    semilattice = congruence and band
+
+    complete_part = True
+    for a in range(n):
+        for b in range(n):
+            if a != b and s.leq[a][b] and ids[a] != ids[table[a][b]]:
+                complete_part = False
+                ces["complete_semilattice"] = (a, b)
+                break
+        if not complete_part:
+            break
+    complete = semilattice and complete_part
+
+    return RelationProperties(left, right, congruence, semilattice, complete, ces)
+
+
 def csc_oracle(s) -> list[tuple[int, ...]]:
     """Class ids of every complete semilattice congruence, in the
     lexicographic restricted-growth order of a Bell(n) partition scan."""
     return [
         rgs
         for rgs in enumerate_partitions(s.size)
-        if relation_properties(s, EquivalenceRelation.from_class_ids(s, rgs)).complete_semilattice
+        if relation_properties_oracle(s, rgs).complete_semilattice
     ]
+
+
+def named_relations(s):
+    """Green's L, R, J and H and the filter-equality relation N of s, by name."""
+    return [(kind, green_relation(s, kind)) for kind in "LRJH"] + [("N", n_relation(s))]
 
 
 def ideal_oracle(s, side: Side) -> list[int]:
@@ -417,6 +483,9 @@ def mismatches(s):
         found.append("complete semilattice congruences")
     if _generated_congruence_ids(s) != n_relation(s).class_ids:
         found.append("generated congruence against N")
+    for name, rel in named_relations(s):
+        if relation_properties(s, rel) != relation_properties_oracle(s, rel.class_ids):
+            found.append(f"relation_properties of {name}")
     for side in Side:
         if [ideal.mask for ideal in enumerate_ideals(s, side)] != ideal_oracle(s, side):
             found.append(f"{side.value} ideals")
@@ -473,6 +542,10 @@ def main(order: int = 4) -> int:
     print(
         f"order {order}: {count} ordered semigroups, principal L, R and J ideals "
         "from the multiples equal to _principal_mask_in"
+    )
+    print(
+        f"order {order}: {5 * count} relations L, R, J, H and N, relation_properties "
+        "equal to the oracle in every flag and counterexample"
     )
     return 0
 

@@ -27,7 +27,7 @@ from ordsgp.errors import (
 )
 
 from conftest import all_ordered_fixtures, differential_structures, make_lz2, make_sl2, make_t1
-from order4_oracles import csc_oracle
+from order4_oracles import csc_oracle, relation_properties_oracle
 
 
 def identity_rel(s):
@@ -91,6 +91,22 @@ def test_cscs_match_partition_scan():
     assert count == 1 + 20 + 971 + 1000
 
 
+def test_relation_properties_match_the_loops():
+    """The five flags and the counterexample dict, compared as dicts, of
+    every partition of every differential structure, against the
+    flag-and-break loops over the definitions."""
+    count = 0
+    for s in differential_structures():
+        for rgs in enumerate_partitions(s.size):
+            rho = EquivalenceRelation.from_class_ids(s, rgs)
+            assert relation_properties(s, rho) == relation_properties_oracle(s, rgs), (
+                serialize_document(s),
+                rgs,
+            )
+            count += 1
+    assert count == 1 + 20 * 2 + 971 * 5 + 1000 * 15
+
+
 def test_generated_congruence_is_n():
     """The congruence generated by the axiom pairs, computed from the table
     and the order, equals N, computed from the principal filters: both are
@@ -109,6 +125,18 @@ def test_enumerate_partitions_counts_and_order():
         assert len(set(parts)) == count
     with pytest.raises(SizeLimit):
         list(enumerate_partitions(10))
+    assert list(enumerate_partitions(0)) == []
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [(-1, "at least 0, got -1"), (2.0, "not an integer: 2.0"), ("3", "not an integer: '3'")],
+)
+def test_enumerate_partitions_refuses_a_bad_n(n, message):
+    """A negative n never recurses without end, a float is not read as the
+    integer it equals, and a string is no bare TypeError."""
+    with pytest.raises(ValueError, match=message):
+        list(enumerate_partitions(n))
 
 
 def test_decompose_sl2():

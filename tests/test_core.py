@@ -33,6 +33,7 @@ from ordsgp.errors import (
 )
 
 from ordsgp.core import _check_associative
+from ordsgp.enumeration import all_posets
 
 from conftest import all_ordered_fixtures, make_lz2, make_sl2
 from order4_oracles import associativity_oracle, compatibility_oracle
@@ -204,7 +205,6 @@ def test_validator_against_brute_force_on_every_pair_up_to_order_3():
     call (a hit in the order memo) gives the first call's result."""
     from ordsgp import enumerate_semigroups
     from ordsgp.core import _partial_order, leq_pairs
-    from ordsgp.enumeration import all_posets
 
     for n in (1, 2, 3):
         all_posets(n)  # fills the order memo itself on a cold start
@@ -487,3 +487,40 @@ def test_element_arguments_outside_the_carrier_are_refused(call, outside):
     }[outside]
     with pytest.raises(ValueError, match=message):
         call(s, x)
+
+
+_SIZE_ARGUMENTS = {
+    "validate_semigroup(2.0)": (
+        lambda: validate_semigroup(2.0, [[0, 0], [0, 0]]),
+        "size entry 0 is not an integer: 2.0",
+    ),
+    "validate_semigroup('2')": (
+        lambda: validate_semigroup("2", [[0, 0], [0, 0]]),
+        "size entry 0 is not an integer: '2'",
+    ),
+    "validate_structure(1.0)": (
+        lambda: validate_structure(1.0, [[0]]),
+        "size entry 0 is not an integer: 1.0",
+    ),
+    "all_posets(-1)": (lambda: all_posets(-1), "n must be at least 0, got -1"),
+    "all_posets(2.0)": (lambda: all_posets(2.0), "n entry 0 is not an integer: 2.0"),
+}
+
+
+@pytest.mark.parametrize("call, message", _SIZE_ARGUMENTS.values(), ids=_SIZE_ARGUMENTS)
+def test_size_arguments_that_are_no_count_are_refused(call, message):
+    """A size that is not an integer is a ValueError naming it, never a bare
+    TypeError, and so is a negative number of points for ``all_posets``,
+    never one empty poset; 2.0 does not reach the cached posets of 2."""
+    all_posets(2)
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_a_bool_size_counts_as_the_integer():
+    """True is read as 1, as it is in a table, and the size is an int."""
+    f = validate_semigroup(True, [[0]])
+    assert f.size == 1 and type(f.size) is int
+    s = validate_structure(True, [[0]])
+    assert s.size == 1 and type(s.size) is int
+    assert all_posets(True) == all_posets(1)
