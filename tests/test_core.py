@@ -508,7 +508,7 @@ _SIZE_ARGUMENTS = {
 
 
 @pytest.mark.parametrize("call, message", _SIZE_ARGUMENTS.values(), ids=_SIZE_ARGUMENTS)
-def test_size_arguments_that_are_no_count_are_refused(call, message):
+def test_size_arguments_that_are_not_counts_are_refused(call, message):
     """A size that is not an integer is a ValueError naming it, never a bare
     TypeError, and so is a negative number of points for ``all_posets``,
     never one empty poset; 2.0 does not reach the cached posets of 2."""
