@@ -23,24 +23,30 @@ ascending lexicographic order, so a counterexample is the least failing
 tuple.  Membership t in (XSY] is the same search, for x with t <= X*x*Y.
 The remaining conditions are first-failure scans in the same ascending
 order: ``elements.first_failure`` for Green's relations and inverses, and
-short loops for the principal-ideal and class comparisons.
+short loops for the principal-ideal and class comparisons.  A class test
+(group like, left group like, completely simple) decides a subset T with
+one pass per member b that builds the masks Tb and bT, which give
+closedness, the "for all, there is" conditions inside T and the
+principal ideals of T; its answer is a boolean.
 
 What the checks of one structure share is exactly this:
 - the same condition, evaluated once and read by every check that states
   it: the carrier-wide scans of the named specs without witnesses
   (``elements.carrier_scan``: regular, completely regular, group like,
-  left group like, h-commutative), the Clifford condition and the left
-  Clifford condition, each under its own key in the structure's cache;
+  left group like, h-commutative), the Clifford condition, the left
+  Clifford condition and the H-class condition, "every H-class is a group
+  like ordered subsemigroup", which CR-HCLASS and CR-HCLASS-GL both
+  state, each under its own key in the structure's cache;
 - the kernels: the order masks, the one-sided multiples and their
   down-closures, the idempotents, Green's relations, the filters and the
   complete semilattice congruences.
 Different conditions never share a verdict, not even two conditions of
-one bundle: a scan over a class mask, one that returns witnesses, and the
-closedness and group-like tests of a class are never kept, so CR-HCLASS's
-H-class and union conditions, or CL-DECOMP's least-CSC and some-CSC
-conditions, each run their own scans.  Two conditions read one entry only
-where they state the same conjunct, as both sides of LCL-LEASTCSC conjoin
-regularity, and no condition is computed from another one's result.
+one bundle: a scan that returns witnesses and the tests of a single class
+are never kept, so CR-HCLASS's H-class and union conditions, or
+CL-DECOMP's least-CSC and some-CSC conditions, each run their own tests.
+Two conditions read one entry only where they state the same conjunct,
+as both sides of LCL-LEASTCSC conjoin regularity, and no condition is
+computed from another one's result.
 
 Predicates with a regularity premise (left/right group like, Clifford,
 left Clifford, inverse) share the checks' regular premise: they raise
@@ -59,7 +65,10 @@ from .congruence import complete_semilattice_congruences, least_csc, relation_pr
 from .core import (
     OrderedSemigroup,
     _cached,
+    _union,
+    below_masks,
     bits,
+    columns,
     down_multiples,
     full_mask,
     product_mask,
@@ -103,9 +112,8 @@ from .report import (
 #
 # A condition returns (holds, counterexample, witnesses).  Quantified
 # conditions are (arity, terms) specs for ``forall_exists``, which ranges
-# over T^arity for an optional carrier mask T (used for classes of a
-# decomposition; None means the full carrier).  The rest are first-failure
-# scans over explicitly listed argument tuples.
+# over S^arity.  The rest are first-failure scans over explicitly listed
+# argument tuples.
 
 LEFT_GROUP_LIKE = (2, lambda tb, a, b: ((a, None, b),))  # a <= x*b
 RIGHT_GROUP_LIKE = (2, lambda tb, a, b: ((a, b, None),))  # a <= b*y
@@ -119,13 +127,13 @@ def _regular_then(s, scan, *args):
     return scan(s, *args)
 
 
-def _simple(s, side, t=None):
+def _simple(s, side):
     """No proper ideal of the given side: every principal ideal is everything."""
-    t = full_mask(s) if t is None else t
-    for a in bits(t):
-        m = _principal_mask_in(s, t, a, side)
-        if m != t:
-            return False, (a, next(bits(t & ~m))), {}
+    full = full_mask(s)
+    for a in range(s.size):
+        m = _principal_mask_in(s, full, a, side)
+        if m != full:
+            return False, (a, next(bits(full & ~m))), {}
     return True, None, {}
 
 
@@ -142,8 +150,32 @@ def _closed(s, mask: int) -> bool:
     return not product_mask(s, mask, mask) & ~mask
 
 
-def _group_like_subsemigroup(s, mask: int) -> bool:
-    return _closed(s, mask) and forall_exists(s, *GROUP_LIKE, mask)[0]
+# The class tests decide a subset T from one pass per member b that builds
+# the masks Tb and bT: T is product-closed when each lies inside T, and,
+# for a in T, a <= xb for some x in T exactly when a is in (Tb], and
+# a <= bx exactly when a is in (bT].
+
+
+def _products(s, t: int):
+    """(b, Tb, bT) for each member b of the mask t, ascending."""
+    table, cols = s.table, columns(s)
+    members = list(bits(t))
+    for b in members:
+        row, col = table[b], cols[b]
+        tb = bt = 0
+        for x in members:
+            tb |= 1 << col[x]
+            bt |= 1 << row[x]
+        yield b, tb, bt
+
+
+def _group_like_subsemigroup(s, t: int) -> bool:
+    """T is product-closed and T lies inside (Tb] and (bT] for every b in T."""
+    below = below_masks(s)
+    for _, tb, bt in _products(s, t):
+        if (tb | bt) & ~t or t & ~_union(below, tb) or t & ~_union(below, bt):
+            return False
+    return True
 
 
 def _classes_all(s, rel, test):
@@ -160,7 +192,6 @@ def _clifford_scan(s, witnesses):
         s,
         product(range(s.size), bits(idempotent_mask(s))),
         lambda tb, a, e: ((tb[a][e], e, a), (tb[e][a], a, e)),
-        None,
         witnesses,
     )
 
@@ -409,28 +440,43 @@ def _cr_inv(s):
 
 
 def _union_of_group_like(s):
-    """Is the carrier covered by product-closed group-like subsets?"""
+    """Is the carrier covered by product-closed group-like subsets?  The
+    least element that no such subset contains fails: each element a that
+    is not yet covered walks the subsets holding its powers a, a^2, ...,
+    which every closed subset holding a holds, in ascending order, up to
+    the first group-like one."""
     limits.check("ideals", s.size)
+    table, full = s.table, full_mask(s)
     covered = 0
-    full = full_mask(s)
-    for mask in range(1, full + 1):
-        if covered | mask == covered:
-            continue
-        if _group_like_subsemigroup(s, mask):
-            covered |= mask
-            if covered == full:
-                return True, None, {}
-    return False, (next(bits(full & ~covered)),), {}
+    while covered != full:
+        low = ~covered & (covered + 1)  # the least element not yet covered
+        a = low.bit_length() - 1
+        powers, p = low, table[a][a]
+        while not (powers >> p) & 1:  # a, a^2, ... up to the first repeat
+            powers |= 1 << p
+            p = table[p][a]
+        others = full & ~powers
+        rest = 0
+        while not _group_like_subsemigroup(s, rest | powers):
+            rest = (rest - others) & others  # the next subset of the others
+            if not rest:
+                return False, (a,), {}
+        covered |= rest | powers
+    return True, None, {}
+
+
+def _h_classes_group_like(s):
+    """Every H-class is a group like ordered subsemigroup, once per structure."""
+    return s._cache.get("h_group_like") or _cached(
+        s, "h_group_like", lambda: _classes_all(s, green_relation(s, "H"), _group_like_subsemigroup)
+    )
 
 
 @_check("CR-HCLASS")
 def _cr_hclass(s):
     return (
         _cond("completely regular", carrier_scan(s, COMPLETELY_REGULAR)),
-        _cond(
-            "every H-class is a group like ordered subsemigroup",
-            _classes_all(s, green_relation(s, "H"), _group_like_subsemigroup),
-        ),
+        _cond("every H-class is a group like ordered subsemigroup", _h_classes_group_like(s)),
         _cond(
             "carrier is a union of group like ordered subsemigroups",
             _union_of_group_like(s),
@@ -561,20 +607,35 @@ def _exists_csc_with_classes(s, test):
     return False, None, {}
 
 
-def _left_group_like_class(s, mask: int) -> bool:
-    return (
-        _closed(s, mask)
-        and forall_exists(s, *REGULAR, mask)[0]
-        and forall_exists(s, *LEFT_GROUP_LIKE, mask)[0]
-    )
+def _left_group_like_class(s, t: int) -> bool:
+    """T is product-closed, T lies inside (Tb] for every b in T, and each
+    a in T is regular in T: a <= axa for some x in T, so a is in (aTa]."""
+    below, leq, col = below_masks(s), s.leq, columns(s)
+    for b, tb, bt in _products(s, t):
+        if (tb | bt) & ~t or t & ~_union(below, tb):
+            return False
+        if not any(leq[b][col[b][m]] for m in bits(bt)):  # b in ((bT)b]
+            return False
+    return True
 
 
-def _completely_simple_class(s, mask: int) -> bool:
-    return (
-        _closed(s, mask)
-        and _simple(s, Side.TWO_SIDED, mask)[0]
-        and forall_exists(s, *COMPLETELY_REGULAR, mask)[0]
-    )
+def _completely_simple_class(s, t: int) -> bool:
+    """T is product-closed, has no proper two-sided ideal of its own, since
+    ({b} u Tb u bT u TbT] meets T in T for every b in T, and each a in T
+    is completely regular in T: a is in (a^2 T a^2]."""
+    below, leq, table, col = below_masks(s), s.leq, s.table, columns(s)
+    left, right = [0] * s.size, [0] * s.size
+    for b, tb, bt in _products(s, t):
+        if (tb | bt) & ~t:
+            return False
+        left[b], right[b] = tb, bt
+    for b in bits(t):
+        # ({b} u Tb u bT u (Tb)T], where (Tb)T is the union of mT over m in Tb
+        ideal = 1 << b | left[b] | right[b] | _union(right, left[b])
+        bb = table[b][b]
+        if t & ~_union(below, ideal) or not any(leq[b][col[bb][m]] for m in bits(right[bb])):
+            return False
+    return True
 
 
 @_check("CR-LEASTCSC", groups=(ConditionGroup("implication", (0, 1, 2)),))
@@ -622,10 +683,7 @@ def _cr_hclass_gl(s):
     return (
         _cond("completely regular", carrier_scan(s, COMPLETELY_REGULAR)),
         _cond("every H-class is product-closed", closed),
-        _cond(
-            "every H-class is a group like ordered subsemigroup",
-            _classes_all(s, h, _group_like_subsemigroup),
-        ),
+        _cond("every H-class is a group like ordered subsemigroup", _h_classes_group_like(s)),
         _cond(
             "every a has h in its H-class with a <= aha, a <= a^2 h, a <= h a^2",
             _then(

@@ -23,7 +23,7 @@ from itertools import combinations, product
 from typing import Iterator
 
 from . import limits
-from .core import OrderedSemigroup, _cached, bits, down_mask, integers
+from .core import OrderedSemigroup, _cached, bits, columns, down_mask, integers
 from .elements import _then, first_failure
 from .errors import InvariantViolation, NotCompleteSemilattice, NotPartition
 from .ideals import EquivalenceRelation, _first_appearance, n_relation
@@ -114,37 +114,31 @@ def _generated_congruence_ids(s: OrderedSemigroup) -> tuple[int, ...]:
     pairs (a, a*a), (a*b, b*a) and (a, a*b) for a <= b.
 
     Every complete semilattice congruence contains these pairs, so it is a
-    coarsening of G.  G is computed from the table and the order alone:
-    merge the classes of each pair, then merge (c*x, c*r) and (x*c, r*c)
-    for every x whose class has the least element r until nothing changes.
+    coarsening of G.  G is computed from the table and the order alone, as
+    a union-find forest whose roots are the least elements of their
+    classes: each pair that joins two classes brings in the pairs
+    (c*x, c*y) and (x*c, y*c) of the two roots x and y for every c.
     """
     n = s.size
-    table, leq = s.table, s.leq
-    least = list(range(n))  # the least element of each element's class
-
-    def merge(x, y):
-        x, y = least[x], least[y]
-        if x == y:
-            return False
-        lo, hi = min(x, y), max(x, y)
-        least[:] = [lo if v == hi else v for v in least]
-        return True
-
-    for a in range(n):
-        for b in range(n):
-            if a == b or leq[a][b]:
-                merge(a, table[a][b])
-            if a < b:
-                merge(table[a][b], table[b][a])
-    changed = True
-    while changed:
-        changed = False
-        for x in range(n):
-            r = least[x]
-            if r != x:
-                for c in range(n):
-                    changed |= merge(table[c][x], table[c][r]) | merge(table[x][c], table[r][c])
-    return _first_appearance(least)
+    table, leq, cols = s.table, s.leq, columns(s)
+    parent = list(range(n))
+    todo = [(a, table[a][b]) for a in range(n) for b in range(n) if a == b or leq[a][b]]
+    todo += [(table[a][b], table[b][a]) for a, b in combinations(range(n), 2)]
+    while todo:
+        x, y = todo.pop()
+        while parent[x] != x:  # the roots, halving the paths to them
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x != y:
+            if x > y:
+                x, y = y, x
+            parent[y] = x
+            todo += zip(cols[x], cols[y])
+            todo += zip(table[x], table[y])
+    for x in range(n):  # every element points at its root, which is least
+        parent[x] = parent[parent[x]]
+    return _first_appearance(parent)
 
 
 def _quotient_table(s: OrderedSemigroup, ids) -> tuple[tuple[int, ...], ...]:

@@ -16,12 +16,15 @@ through.  Subsets of the carrier are ElementSet values; downward closure
 
 and the setwise product A*B = {a*b : a in A, b in B} are the primitives
 every higher-level computation is built from.  ``product_mask`` is the one
-A*B: aS, Sa, xSy, the principal ideals inside a subset, the filters and
-product-closedness are all computed through it, and the principal ideals
-of S come from the cached aS and Sa.  The power structure's table, which
-holds A*B for every pair of subsets, takes each entry as the union of two
-earlier ones instead: {a}*B = {a}*(B - {b}) | {ab} and
-(R + {a})*B = R*B | {a}*B.
+A*B of two subsets: xSy, the principal ideals inside a subset and
+product-closedness are computed through it.  Where every member's
+products are needed, they are read off the table's rows and columns
+instead: aS and Sa for every a (one pass over the table, cached), from
+which the principal ideals of S come, a class's Tb and bT in the class
+tests of ``classification``, and the products of the filters' worklist.
+The power structure's table, which holds A*B for every pair of subsets,
+takes each entry as the union of two earlier ones: {a}*B =
+{a}*(B - {b}) | {ab} and (R + {a})*B = R*B | {a}*B.
 Pair loops remain only where a pair is the answer: ``induced_substructure``,
 ``ideals.is_ideal`` and the decomposition's product condition report the
 least failing pair, and the unordered deciders of ``power`` stay
@@ -437,10 +440,6 @@ def down_mask(s: OrderedSemigroup, mask: int) -> int:
     return _union(below_masks(s), mask)
 
 
-def up_mask(s: OrderedSemigroup, mask: int) -> int:
-    return _union(above_masks(s), mask)
-
-
 def product_mask(s: FiniteSemigroup, amask: int, bmask: int) -> int:
     """Mask of A*B = {a*b : a in A, b in B}."""
     table = s.table
@@ -458,18 +457,35 @@ def product_mask(s: FiniteSemigroup, amask: int, bmask: int) -> int:
     return out
 
 
+def columns(s: FiniteSemigroup) -> Table:
+    """The columns of the table: ``columns(s)[b][x]`` is x*b."""
+    return s._cache.get("columns") or _cached(s, "columns", lambda: tuple(zip(*s.table)))
+
+
+def _multiples(s: OrderedSemigroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The masks of S*a and of a*S for every a, from one pass over the table."""
+
+    def build():
+        left, right = [0] * s.size, []
+        for row in s.table:
+            r = 0
+            for y, z in enumerate(row):
+                r |= 1 << z
+                left[y] |= 1 << z
+            right.append(r)
+        return tuple(left), tuple(right)
+
+    return s._cache.get("multiples") or _cached(s, "multiples", build)
+
+
 def left_multiples(s: OrderedSemigroup) -> tuple[int, ...]:
     """The mask of S*a for every a."""
-    return s._cache.get("left_multiples") or _cached(
-        s, "left_multiples", lambda: tuple(product_mask(s, full_mask(s), 1 << e) for e in range(s.size))
-    )
+    return _multiples(s)[0]
 
 
 def right_multiples(s: OrderedSemigroup) -> tuple[int, ...]:
     """The mask of a*S for every a."""
-    return s._cache.get("right_multiples") or _cached(
-        s, "right_multiples", lambda: tuple(product_mask(s, 1 << e, full_mask(s)) for e in range(s.size))
-    )
+    return _multiples(s)[1]
 
 
 def down_multiples(s: OrderedSemigroup) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -6,7 +6,7 @@ It also holds the two scans that conditions are built on.  Both return the
 triple (holds, least counterexample, witnesses):
 
 - ``witness_scan``: at each argument tuple, for each term, the least x in
-  a carrier mask T with lhs <= left*x*right, where either factor may be
+  the carrier with lhs <= left*x*right, where either factor may be
   absent.  Candidates are tried in ascending index order, so every
   reported witness is the least one.
 - ``first_failure``: the first argument tuple at which a predicate fails;
@@ -19,12 +19,13 @@ inequalities at once (the z of ``group_component``, CR-INV's ordered
 inverse, the h of CR-HCLASS-GL) the search is an ``any`` over the
 candidates, inside a ``first_failure`` predicate when it is a condition.
 The principal-ideal comparisons of ``classification`` keep short loops of
-their own that return the same triple in the same ascending order.
+their own that return the same triple in the same ascending order, and
+its class tests decide a subset from its members' one-sided products.
 
 ``carrier_scan`` keeps one result per structure and named spec: the scan
-of the whole carrier without witnesses, which several checks state as the
-same condition.  A scan over a mask or one that returns witnesses runs on
-every call, and no condition reads the result of a different condition.
+without witnesses, which several checks state as the same condition.  A
+scan that returns witnesses runs on every call, and no condition reads
+the result of a different condition.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import ElementSet, OrderedSemigroup, _cached, _require_elements, bits, mask_of
+from .core import ElementSet, OrderedSemigroup, _cached, _require_elements, columns, mask_of
 from .errors import InvariantViolation, NotIdempotent
 
 
@@ -86,27 +87,25 @@ _FLAG_SPECS = (
 )
 
 
-def witness_scan(s: OrderedSemigroup, args, terms, xs=None, witnesses=False):
+def witness_scan(s: OrderedSemigroup, args, terms, witnesses=False):
     """Every term has a least witness at every argument tuple.
 
     ``args`` yields argument tuples in ascending order; ``terms(table,
     *args)`` lists that tuple's inequalities (lhs, left, right), each asking
-    for x with lhs <= left*x*right, where a None factor is absent.  ``xs``
-    lists the candidate witnesses in ascending order (None: the carrier).
-    Returns (holds, first failing tuple, witnesses); the witness map, from
-    each tuple to its least witness per term, is filled only when requested.
+    for x with lhs <= left*x*right, where a None factor is absent.  The
+    candidate witnesses are the carrier, in ascending order.  Returns
+    (holds, first failing tuple, witnesses); the witness map, from each
+    tuple to its least witness per term, is filled only when requested.
     """
-    table, leq = s.table, s.leq
-    columns = s._cache.get("columns") or _cached(s, "columns", lambda: tuple(zip(*table)))
-    same = range(s.size)
-    xs = same if xs is None else xs
+    table, leq, cols = s.table, s.leq, columns(s)
+    xs = range(s.size)
     wits = {}
     for argt in args:
         found = []
         for lhs, left, right in terms(table, *argt):
             above = leq[lhs]
-            row = same if left is None else table[left]
-            col = same if right is None else columns[right]
+            row = xs if left is None else table[left]
+            col = xs if right is None else cols[right]
             for x in xs:
                 if above[col[row[x]]]:
                     found.append(x)
@@ -118,20 +117,15 @@ def witness_scan(s: OrderedSemigroup, args, terms, xs=None, witnesses=False):
     return True, None, wits
 
 
-def forall_exists(s: OrderedSemigroup, arity: int, terms, t=None, witnesses=False):
-    """``witness_scan`` over every tuple in T^arity with witnesses in T.
-
-    T is the carrier mask t, or the whole carrier when t is None.
-    """
-    xs = range(s.size) if t is None else tuple(bits(t))
-    return witness_scan(s, product(xs, repeat=arity), terms, xs, witnesses)
+def forall_exists(s: OrderedSemigroup, arity: int, terms, witnesses=False):
+    """``witness_scan`` over every tuple in S^arity."""
+    return witness_scan(s, product(range(s.size), repeat=arity), terms, witnesses)
 
 
 def carrier_scan(s: OrderedSemigroup, spec):
-    """``forall_exists`` of a named (arity, terms) spec over the whole
-    carrier, without witnesses, once per structure: the result is kept in
-    the structure's cache under the spec.  A scan over a mask or one that
-    returns witnesses is never kept."""
+    """``forall_exists`` of a named (arity, terms) spec, without witnesses,
+    once per structure: the result is kept in the structure's cache under
+    the spec.  A scan that returns witnesses is never kept."""
     return s._cache.get(spec) or _cached(s, spec, lambda: forall_exists(s, *spec))
 
 
@@ -157,7 +151,7 @@ def element_regularity(s: OrderedSemigroup, a: int) -> ElementRegularity:
     _require_elements(s, a)
     witnesses = {}
     for flag, (_, terms) in _FLAG_SPECS:
-        holds, _, found = witness_scan(s, ((a,),), terms, None, True)
+        holds, _, found = witness_scan(s, ((a,),), terms, True)
         if holds:
             witnesses[flag] = found[(a,)][0]
     regular, completely_regular, left_regular, right_regular = (
@@ -197,7 +191,7 @@ def inverses_of(s: OrderedSemigroup, a: int) -> ElementSet:
 def h_commute_witness(s: OrderedSemigroup, a: int, b: int) -> int | None:
     """Least x with a*b <= b*x*a, or None."""
     _require_elements(s, a, b)
-    holds, _, found = witness_scan(s, ((a, b),), H_COMMUTATIVE[1], None, True)
+    holds, _, found = witness_scan(s, ((a, b),), H_COMMUTATIVE[1], True)
     return found[(a, b)][0] if holds else None
 
 

@@ -211,10 +211,14 @@ def _flat_to_rows(n: int, flat: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(pool.setdefault(row, row) for row in rows)
 
 
-def _check_order(n: int) -> None:
+def _check_order(n: int) -> int:
+    """The order as an int (``integers``), positive and within the
+    ``semigroups`` guard."""
+    (n,) = integers([n], "order")
     if n < 1:
         raise BadEnumeration(f"order must be a positive integer, got {n}")
     limits.check("semigroups", n)
+    return n
 
 
 _TABLE_LISTS: dict[int, tuple] = {}
@@ -223,7 +227,7 @@ _TABLE_LISTS: dict[int, tuple] = {}
 def all_semigroup_tables(n: int) -> tuple:
     """All associative flat tables on n elements, lexicographic (cached):
     the orbits of the lex-leader search's tables."""
-    _check_order(n)
+    n = _check_order(n)
     if n not in _TABLE_LISTS:
         _TABLE_LISTS[n] = tuple(_labeled_tables(n, _lex_leader_tables(n)))
     return _TABLE_LISTS[n]
@@ -231,6 +235,7 @@ def all_semigroup_tables(n: int) -> tuple:
 
 def enumerate_semigroups(n: int) -> Iterator[FiniteSemigroup]:
     """Stream of all FiniteSemigroups on n labeled elements."""
+    n = _check_order(n)
     return (validate_semigroup(n, _flat_to_rows(n, flat)) for flat in all_semigroup_tables(n))
 
 
@@ -402,7 +407,7 @@ def resume_position(n: int, token: str) -> int:
     a table that is not in ``all_semigroup_tables(n)`` and an order index
     past the table's compatible orders raise ``BadEnumeration``.
     """
-    _check_order(n)
+    n = _check_order(n)
     match = re.fullmatch(rf"o{n}:([0-{n - 1}]{{{n * n}}}):([0-9]+)", token)
     if match is None:
         raise BadEnumeration(f"bad resume token for order {n}: {token!r}")
@@ -448,7 +453,7 @@ def enumerate_ordered_semigroups(
     compatibility is checked on every yielded structure by
     ``core._ordered``, so every structure passes full validation.
     """
-    _check_order(n)
+    n = _check_order(n)
     certified = _certified_orders(n)
     return (_ordered(f, certified[k]) for f, orders in _table_orders(n, positions) for k in orders)
 
@@ -457,6 +462,7 @@ def sample_ordered_semigroups(
     n: int, count: int, seed: int = DEFAULT_SAMPLE_SEED
 ) -> Iterator[OrderedSemigroup]:
     """Deterministic sample: uniform table, then uniform compatible order."""
+    n = _check_order(n)
     tables = all_semigroup_tables(n)
     certified = _certified_orders(n)
     rng = random.Random(seed)

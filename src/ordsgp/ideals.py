@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import product
 from operator import or_
 
@@ -26,15 +27,16 @@ from .core import (
     _require_bound,
     _require_elements,
     _union,
+    above_masks,
     below_masks,
     bits,
+    columns,
     down_mask,
     down_multiples,
     left_multiples,
     product_mask,
     right_multiples,
     sandwich_mask,
-    up_mask,
 )
 from .elements import REGULAR, carrier_scan, first_failure, idempotent_mask
 from .errors import EmptySet, NotIdempotent, NotRegular
@@ -56,11 +58,12 @@ def _first_appearance(values) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class EquivalenceRelation:
-    """A partition of the carrier in restricted-growth (first-appearance) form."""
+    """A partition of the carrier in restricted-growth (first-appearance)
+    form.  ``class_ids`` is the one record of it; ``classes`` is derived
+    from it on first read."""
 
     structure: OrderedSemigroup
     class_ids: tuple[int, ...]
-    classes: tuple[ElementSet, ...]
 
     @classmethod
     def from_class_ids(cls, s: OrderedSemigroup, ids) -> "EquivalenceRelation":
@@ -69,18 +72,21 @@ class EquivalenceRelation:
         ids = tuple(ids)
         if len(ids) != s.size:
             raise ValueError("one class id per element required")
-        canon = _first_appearance(ids)
-        masks = [0] * (max(canon) + 1)
-        for elem, cid in enumerate(canon):
+        return cls(s, _first_appearance(ids))
+
+    @cached_property
+    def classes(self) -> tuple[ElementSet, ...]:
+        """The classes as ElementSets, in the order of their ids."""
+        masks = [0] * self.num_classes()
+        for elem, cid in enumerate(self.class_ids):
             masks[cid] |= 1 << elem
-        classes = tuple(ElementSet(s, m) for m in masks)
-        return cls(s, canon, classes)
+        return tuple(ElementSet(self.structure, m) for m in masks)
 
     def same(self, a: int, b: int) -> bool:
         return self.class_ids[a] == self.class_ids[b]
 
     def num_classes(self) -> int:
-        return len(self.classes)
+        return max(self.class_ids) + 1
 
     def refines(self, other: "EquivalenceRelation") -> bool:
         """True when every class of self lies inside a class of other."""
@@ -208,28 +214,29 @@ def _green(s: OrderedSemigroup, kind: str) -> EquivalenceRelation:
 
 
 def _filter_masks(s: OrderedSemigroup) -> tuple[int, ...]:
+    """N(a) for every a, each from a worklist: an element joins once, and
+    brings in its up-set (upward closure), its factors (primeness) and its
+    products with the members so far, itself included (subsemigroup)."""
+
     def build():
-        n = s.size
+        table, cols, above = s.table, columns(s), above_masks(s)
         # factors[z]: every x and y with x*y = z
-        factors = [0] * n
-        for x in range(n):
-            for y, z in enumerate(s.table[x]):
+        factors = [0] * s.size
+        for x, row in enumerate(table):
+            for y, z in enumerate(row):
                 factors[z] |= (1 << x) | (1 << y)
         out = []
-        for a in range(n):
-            mask = 1 << a
-            while True:
-                new = mask
-                # upward closure
-                new |= up_mask(s, new)
-                # subsemigroup: products of members stay inside
-                new |= product_mask(s, mask, mask)
-                # prime: a product inside pulls both factors inside
-                for z in bits(new):
-                    new |= factors[z]
-                if new == mask:
-                    break
-                mask = new
+        for a in range(s.size):
+            mask, pending = 0, 1 << a
+            while pending:
+                low = pending & -pending
+                z = low.bit_length() - 1
+                mask |= low
+                row, col = table[z], cols[z]
+                new = above[z] | factors[z]
+                for m in bits(mask):
+                    new |= 1 << row[m] | 1 << col[m]
+                pending = (pending | new) & ~mask
             out.append(mask)
         return tuple(out)
 

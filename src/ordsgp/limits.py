@@ -8,12 +8,15 @@ the number of classes of the congruence that the complete semilattice
 axioms generate (``congruence.complete_semilattice_congruences``), not the
 carrier size.  Reading any guard checks every entry: an entry without
 ``=``, a key that names no guard or a value that is not an integer raises
-``BadLimit`` naming the entry, so the CLI exits 2.
+``BadLimit`` naming the entry, so the CLI exits 2.  Each distinct value
+of the variable is parsed once per process; a bad one raises on every
+read.
 """
 
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 
 from .errors import BadLimit, SizeLimit
 
@@ -33,8 +36,16 @@ DEFAULTS = {
 
 
 def get(guard: str) -> int:
+    return _bounds(os.environ.get("ORDSGP_LIMITS", ""))[guard]
+
+
+# a value is parsed once; one that raises is not cached and raises again
+@lru_cache(maxsize=32)
+def _bounds(value: str) -> dict[str, int]:
+    """The guards with the entries of an ORDSGP_LIMITS value applied.
+    Callers share the dict and must not change it."""
     bounds = dict(DEFAULTS)
-    for item in os.environ.get("ORDSGP_LIMITS", "").split(","):
+    for item in value.split(","):
         item = item.strip()
         if not item:
             continue
@@ -46,7 +57,7 @@ def get(guard: str) -> int:
             bounds[key] = int(val)  # an entry without "=" has val ""
         except ValueError:
             raise BadLimit(f"bad ORDSGP_LIMITS entry: {item!r}") from None
-    return bounds[guard]
+    return bounds
 
 
 def check(guard: str, requested: int) -> None:

@@ -23,7 +23,10 @@ axioms equals N, the filter-equality relation, and that the principal
 left, right and two-sided ideals, which the package builds from the
 cached one-sided multiples, equal ``_principal_mask_in`` over the whole
 carrier, and that ``relation_properties`` equals its oracle, flags and
-counterexamples, on Green's L, R, J and H and on N.  It also runs
+counterexamples, on Green's L, R, J and H and on N, and that CR-HCLASS's
+cover search, ``_union_of_group_like``, equals
+``union_of_group_like_oracle``, the 2^n scan over every subset through
+the definition of a group-like subsemigroup.  It also runs
 every (table, poset) pair of order 4 through ``validate_structure`` and
 compares the verdict and the ``NotCompatible`` witness with
 ``compatibility_oracle``, a scan of the definition, and the accepted pairs
@@ -71,9 +74,9 @@ from ordsgp import (
     validate_semigroup,
     validate_structure,
 )
-from ordsgp.classification import CHECKS, PREDICATE_ORDER
+from ordsgp.classification import CHECKS, PREDICATE_ORDER, _union_of_group_like
 from ordsgp.congruence import _generated_congruence_ids
-from ordsgp.core import _relabel, full_mask, leq_pairs, mask_of, product_mask
+from ordsgp.core import _relabel, bits, full_mask, leq_pairs, mask_of, product_mask
 from ordsgp.enumeration import (
     DEFAULT_SAMPLE_SEED,
     _compatible_orders_flat,
@@ -255,6 +258,37 @@ def relation_properties_oracle(s, ids) -> RelationProperties:
     complete = semilattice and complete_part
 
     return RelationProperties(left, right, congruence, semilattice, complete, ces)
+
+
+def group_like_subset_oracle(s, mask: int) -> bool:
+    """The definition: T is closed under the product and, for all a, b in
+    T, a <= xb and a <= by for some x, y in T."""
+    members = [i for i in range(s.size) if (mask >> i) & 1]
+    table, leq = s.table, s.leq
+    if any(not (mask >> table[a][b]) & 1 for a in members for b in members):
+        return False
+    return all(
+        any(leq[a][table[x][b]] for x in members) and any(leq[a][table[b][y]] for y in members)
+        for a in members
+        for b in members
+    )
+
+
+def union_of_group_like_oracle(s):
+    """The 2^n scan for CR-HCLASS's union condition: each subset, in
+    ascending mask order, that is not inside the covered set joins it when
+    it is a group-like subsemigroup; the least element left uncovered
+    fails."""
+    covered = 0
+    full = full_mask(s)
+    for mask in range(1, full + 1):
+        if covered | mask == covered:
+            continue
+        if group_like_subset_oracle(s, mask):
+            covered |= mask
+            if covered == full:
+                return True, None, {}
+    return False, (next(bits(full & ~covered)),), {}
 
 
 def csc_oracle(s) -> list[tuple[int, ...]]:
@@ -479,6 +513,8 @@ def principal_mismatches(s) -> list[str]:
 def mismatches(s):
     """The names of the oracles the package disagrees with on s."""
     found = principal_mismatches(s)
+    if _union_of_group_like(s) != union_of_group_like_oracle(s):
+        found.append("union of group like subsemigroups")
     if [rel.class_ids for rel in complete_semilattice_congruences(s)] != csc_oracle(s):
         found.append("complete semilattice congruences")
     if _generated_congruence_ids(s) != n_relation(s).class_ids:
@@ -542,6 +578,10 @@ def main(order: int = 4) -> int:
     print(
         f"order {order}: {count} ordered semigroups, principal L, R and J ideals "
         "from the multiples equal to _principal_mask_in"
+    )
+    print(
+        f"order {order}: {count} ordered semigroups, the cover search for group like "
+        "subsemigroups equal to the 2^n scan"
     )
     print(
         f"order {order}: {5 * count} relations L, R, J, H and N, relation_properties "

@@ -1,6 +1,7 @@
 """Predicates, bundles, and the classification report."""
 
 from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -21,17 +22,22 @@ from ordsgp.classification import (
     LEFT_GROUP_LIKE,
     PREMISES,
     REGULAR,
+    _completely_simple_class,
+    _group_like_subsemigroup,
+    _left_group_like_class,
     _simple,
+    _union_of_group_like,
 )
 from ordsgp import elements
 from ordsgp import sweep as sweep_module
 from ordsgp.elements import first_failure, forall_exists
-from ordsgp.core import OrderedSemigroup, full_mask, mask_of
-from ordsgp.errors import NotApplicable, UnknownBundle, UnknownPredicate
+from ordsgp.core import OrderedSemigroup, bits
+from ordsgp.errors import NotApplicable, NotClosed, UnknownBundle, UnknownPredicate
 from ordsgp.ideals import Side
 from ordsgp.report import ConditionResult, make_bundle
 from ordsgp.sweep import sweep_order
 
+from order4_oracles import union_of_group_like_oracle
 from conftest import (
     all_ordered_fixtures,
     differential_structures,
@@ -236,31 +242,37 @@ def test_classify_reports_a_size_guard_as_not_applicable(monkeypatch):
 
 
 def test_restricted_scans_match_induced_substructures():
-    # evaluating a scan on a closed subset must agree with classifying the
-    # induced substructure
-    checks = {
-        "regular": REGULAR,
-        "completely_regular": COMPLETELY_REGULAR,
-        "group_like": GROUP_LIKE,
+    """Each class test on a subset T of S equals product-closedness plus
+    the carrier-wide conditions on the structure that S induces on T, on
+    every subset of every fixture and every differential structure."""
+    class_tests = {
+        _group_like_subsemigroup: lambda sub: forall_exists(sub, *GROUP_LIKE)[0],
+        _left_group_like_class: lambda sub: (
+            forall_exists(sub, *REGULAR)[0] and forall_exists(sub, *LEFT_GROUP_LIKE)[0]
+        ),
+        _completely_simple_class: lambda sub: (
+            _simple(sub, Side.TWO_SIDED)[0] and forall_exists(sub, *COMPLETELY_REGULAR)[0]
+        ),
     }
-    for name, s in all_ordered_fixtures():
+    closed_subsets = 0
+    for s in chain((s for _, s in all_ordered_fixtures()), differential_structures()):
         for mask in range(1, 1 << s.size):
-            members = [i for i in range(s.size) if (mask >> i) & 1]
-            if any(
-                s.prod(a, b) not in members for a in members for b in members
-            ):
-                continue
-            sub = induced_substructure(s, s.subset(members))
-            for pname, spec in checks.items():
-                restricted = forall_exists(s, *spec, mask)[0]
-                induced = forall_exists(sub, *spec)[0]
-                assert restricted == induced, (name, members, pname)
-            restricted = _simple(s, Side.TWO_SIDED, mask)[0]
-            induced = _simple(sub, Side.TWO_SIDED)[0]
-            assert restricted == induced, (name, members)
-            restricted = forall_exists(s, *LEFT_GROUP_LIKE, mask)[0]
-            induced = forall_exists(sub, *LEFT_GROUP_LIKE)[0]
-            assert restricted == induced, (name, members)
+            try:
+                sub = induced_substructure(s, s.subset(bits(mask)))
+            except NotClosed:
+                sub = None
+            closed_subsets += sub is not None
+            for test, on_sub in class_tests.items():
+                expected = sub is not None and on_sub(sub)
+                assert test(s, mask) == expected, (test.__name__, s.table, s.leq, mask)
+    assert closed_subsets == 14939
+
+
+def test_union_of_group_like_matches_the_subset_scan():
+    """The cover search gives the 2^n scan's verdict and least uncovered
+    element on every fixture and every differential structure."""
+    for s in chain((s for _, s in all_ordered_fixtures()), differential_structures()):
+        assert _union_of_group_like(s) == union_of_group_like_oracle(s), (s.table, s.leq)
 
 
 def fresh(s):
@@ -295,16 +307,15 @@ def test_check_results_do_not_depend_on_cache_order():
 
 
 def test_carrier_conditions_are_scanned_once_per_structure(monkeypatch):
-    """One check_structure scans the whole carrier for complete regularity
-    once; a scan over a mask and a predicate, which asks for witnesses,
-    scan again on every call."""
+    """One check_structure scans the carrier for complete regularity once;
+    a predicate, which asks for witnesses, scans again on every call."""
     real = elements.witness_scan
     scans = Counter()
 
-    def counting(s, args, terms, xs=None, witnesses=False):
+    def counting(s, args, terms, witnesses=False):
         if terms is COMPLETELY_REGULAR[1]:
-            scans["carrier" if xs == range(s.size) else "mask"] += 1
-        return real(s, args, terms, xs, witnesses)
+            scans["carrier"] += 1
+        return real(s, args, terms, witnesses)
 
     monkeypatch.setattr(elements, "witness_scan", counting)
     for name, s in all_ordered_fixtures():
@@ -312,8 +323,6 @@ def test_carrier_conditions_are_scanned_once_per_structure(monkeypatch):
         scans.clear()
         sweep_module.check_structure(s)
         assert scans["carrier"] == 1, name
-        masked = scans["mask"]
         for _ in range(2):
-            forall_exists(s, *COMPLETELY_REGULAR, full_mask(s))
             predicate(s, "completely_regular")
-        assert scans == {"carrier": 3, "mask": masked + 2}, name
+        assert scans == {"carrier": 3}, name

@@ -57,7 +57,7 @@ def test_relation_properties_examples():
 def test_relation_properties_wrong_structure():
     sl2, lz2 = make_sl2(), make_lz2()
     with pytest.raises(NotPartition):
-        relation_properties(sl2, identity_rel(lz2).__class__(sl2, (0,), ()))
+        relation_properties(sl2, identity_rel(lz2).__class__(sl2, (0,)))
 
 
 def test_least_csc_examples():

@@ -202,6 +202,26 @@ def test_ordered_counts():
     assert sum(1 for _ in enumerate_ordered_semigroups(3)) == 971
 
 
+_ORDER_ARGUMENTS = {
+    "all_semigroup_tables(2.0)": (lambda: all_semigroup_tables(2.0), "2.0"),
+    "enumerate_semigroups(2.0)": (lambda: enumerate_semigroups(2.0), "2.0"),
+    "sample_ordered_semigroups(2.0, 3, 1)": (
+        lambda: list(sample_ordered_semigroups(2.0, 3, 1)),
+        "2.0",
+    ),
+    "enumerate_ordered_semigroups('2')": (lambda: enumerate_ordered_semigroups("2"), "'2'"),
+}
+
+
+@pytest.mark.parametrize("call, value", _ORDER_ARGUMENTS.values(), ids=_ORDER_ARGUMENTS)
+def test_orders_that_are_not_integers_are_refused(call, value):
+    """An order that is not an integer is one ValueError naming it, never a
+    bare TypeError; 2.0 does not reach the cached tables of order 2."""
+    all_semigroup_tables(2)
+    with pytest.raises(ValueError, match=f"^order entry 0 is not an integer: {re.escape(value)}$"):
+        call()
+
+
 def test_stream_determinism():
     docs1 = [serialize_document(s) for s in enumerate_ordered_semigroups(2)]
     docs2 = [serialize_document(s) for s in enumerate_ordered_semigroups(2)]
