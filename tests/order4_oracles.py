@@ -1,5 +1,6 @@
 """Brute-force oracles for tables, posets, complete semilattice congruences,
-ideals, associativity, the power structure and the order validator.
+ideals, associativity, the power structure, the order validator and the
+cover by group-like subsemigroups.
 
 ``tables_dfs`` is the labeled table search, which finds every associative
 table on n labeled elements, and ``canonical_form`` the least relabeling of
