@@ -23,11 +23,14 @@ ascending lexicographic order, so a counterexample is the least failing
 tuple.  Membership t in (XSY] is the same search, for x with t <= X*x*Y.
 The remaining conditions are first-failure scans in the same ascending
 order: ``elements.first_failure`` for Green's relations and inverses, and
-short loops for the principal-ideal and class comparisons.  A class test
-(group like, left group like, completely simple) decides a subset T with
-one pass per member b that builds the masks Tb and bT, which give
-closedness, the "for all, there is" conditions inside T and the
-principal ideals of T; its answer is a boolean.
+short loops for the principal-ideal and class comparisons.  The
+one-sided products all come from ``core._products``, which yields (b, Tb,
+bT) for each member b of a subset T.  Over S it gives Sa and aS, from
+which ``_simple`` builds each principal ideal and stops at the first
+proper one.  Over a class it drives a class test (group like, left group
+like, completely simple): Tb and bT give closedness, the "for all, there
+is" conditions inside T and the principal ideals of T; its answer is a
+boolean.  A relation's classes are read as the masks of its class ids.
 
 What the checks of one structure share is exactly this:
 - the same condition, evaluated once and read by every check that states
@@ -65,10 +68,12 @@ from .congruence import complete_semilattice_congruences, least_csc, relation_pr
 from .core import (
     OrderedSemigroup,
     _cached,
+    _products,
     _union,
     below_masks,
     bits,
     columns,
+    down_mask,
     down_multiples,
     full_mask,
     product_mask,
@@ -95,7 +100,7 @@ from .errors import (
     UnknownPredicate,
     UnknownTheorem,
 )
-from .ideals import Side, _principal_mask_in, green_relation
+from .ideals import Side, green_relation
 from .report import (
     BundleResult,
     ClassificationReport,
@@ -128,10 +133,15 @@ def _regular_then(s, scan, *args):
 
 
 def _simple(s, side):
-    """No proper ideal of the given side: every principal ideal is everything."""
+    """No proper ideal of the given side: every principal ideal, ({a} u Sa],
+    ({a} u aS] or ({a} u Sa u aS u SaS], is everything.  The ideals are
+    built one element at a time, so the scan stops at the first proper one."""
     full = full_mask(s)
-    for a in range(s.size):
-        m = _principal_mask_in(s, full, a, side)
+    for a, sa, as_ in _products(s, full):
+        seed = as_ if side is Side.RIGHT else sa
+        if side is Side.TWO_SIDED:
+            seed |= as_ | product_mask(s, sa, full)
+        m = down_mask(s, 1 << a | seed)
         if m != full:
             return False, (a, next(bits(full & ~m))), {}
     return True, None, {}
@@ -150,23 +160,10 @@ def _closed(s, mask: int) -> bool:
     return not product_mask(s, mask, mask) & ~mask
 
 
-# The class tests decide a subset T from one pass per member b that builds
-# the masks Tb and bT: T is product-closed when each lies inside T, and,
+# The class tests decide a subset T from the masks Tb and bT of each member
+# b (``core._products``): T is product-closed when each lies inside T, and,
 # for a in T, a <= xb for some x in T exactly when a is in (Tb], and
 # a <= bx exactly when a is in (bT].
-
-
-def _products(s, t: int):
-    """(b, Tb, bT) for each member b of the mask t, ascending."""
-    table, cols = s.table, columns(s)
-    members = list(bits(t))
-    for b in members:
-        row, col = table[b], cols[b]
-        tb = bt = 0
-        for x in members:
-            tb |= 1 << col[x]
-            bt |= 1 << row[x]
-        yield b, tb, bt
 
 
 def _group_like_subsemigroup(s, t: int) -> bool:
@@ -180,9 +177,9 @@ def _group_like_subsemigroup(s, t: int) -> bool:
 
 def _classes_all(s, rel, test):
     """Every class of rel passes test; the counterexample is the first failing class."""
-    for cls_set in rel.classes:
-        if not test(s, cls_set.mask):
-            return False, tuple(cls_set), {}
+    for mask in rel.masks:
+        if not test(s, mask):
+            return False, tuple(bits(mask)), {}
     return True, None, {}
 
 
@@ -602,7 +599,7 @@ def _exists_csc_with_classes(s, test):
     """Some complete semilattice congruence has only classes passing test;
     the detail is the first such congruence's class ids."""
     for rel in complete_semilattice_congruences(s):
-        if all(test(s, cls_set.mask) for cls_set in rel.classes):
+        if all(test(s, mask) for mask in rel.masks):
             return True, tuple(rel.class_ids), {}
     return False, None, {}
 
@@ -677,7 +674,7 @@ def _cr_hclass_gl(s):
         aa, la = table[a][a], leq[a]
         return any(
             la[table[table[a][x]][a]] and la[table[aa][x]] and la[table[x][aa]]
-            for x in h.classes[h.class_ids[a]]
+            for x in bits(h.masks[h.class_ids[a]])
         )
 
     return (
@@ -689,7 +686,7 @@ def _cr_hclass_gl(s):
             _then(
                 closed,
                 first_failure,
-                ((a,) for cls_set in h.classes for a in cls_set),
+                ((a,) for mask in h.masks for a in bits(mask)),
                 has_h,
             ),
         ),

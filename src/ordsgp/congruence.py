@@ -226,7 +226,7 @@ def decompose(s: OrderedSemigroup, rho: EquivalenceRelation) -> Decomposition:
             if alpha != beta and qorder[alpha][beta] and qorder[beta][alpha]:
                 raise InvariantViolation("quotient order is not antisymmetric")
 
-    masks = [cls_set.mask for cls_set in rho.classes]
+    masks = rho.masks
     union = 0
     for m in masks:
         union |= m

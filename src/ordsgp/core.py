@@ -16,12 +16,16 @@ through.  Subsets of the carrier are ElementSet values; downward closure
 
 and the setwise product A*B = {a*b : a in A, b in B} are the primitives
 every higher-level computation is built from.  ``product_mask`` is the one
-A*B of two subsets: xSy, the principal ideals inside a subset and
-product-closedness are computed through it.  Where every member's
-products are needed, they are read off the table's rows and columns
-instead: aS and Sa for every a (one pass over the table, cached), from
-which the principal ideals of S come, a class's Tb and bT in the class
-tests of ``classification``, and the products of the filters' worklist.
+A*B of two subsets: xSy, the SaS of a two-sided principal ideal in
+``classification._simple`` and product-closedness are computed through
+it.  Where every member's products are needed, they are read off the
+table's rows and columns instead, and ``_products`` is their one builder:
+it yields (b, Tb, bT) for each member b of a subset T.  Over S it gives
+aS and Sa for every a (cached as the multiples, from which the principal
+ideals of S come) and the principal ideals that ``classification._simple``
+walks one element at a time; over a class it gives the Tb and bT of the
+class tests.  The filters' worklist is the one place that keeps its own
+product loop, since it multiplies by a set that grows a member at a time.
 The power structure's table, which holds A*B for every pair of subsets,
 takes each entry as the union of two earlier ones: {a}*B =
 {a}*(B - {b}) | {ab} and (R + {a})*B = R*B | {a}*B.
@@ -462,18 +466,26 @@ def columns(s: FiniteSemigroup) -> Table:
     return s._cache.get("columns") or _cached(s, "columns", lambda: tuple(zip(*s.table)))
 
 
+def _products(s: FiniteSemigroup, t: int) -> Iterator[tuple[int, int, int]]:
+    """(b, Tb, bT) for each member b of the mask t, ascending: the masks of
+    b's products with T, read off b's column and row."""
+    table, cols = s.table, columns(s)
+    members = list(bits(t))
+    for b in members:
+        row, col = table[b], cols[b]
+        tb = bt = 0
+        for x in members:
+            tb |= 1 << col[x]
+            bt |= 1 << row[x]
+        yield b, tb, bt
+
+
 def _multiples(s: OrderedSemigroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The masks of S*a and of a*S for every a, from one pass over the table."""
+    """The masks of S*a and of a*S for every a: ``_products`` over S, cached."""
 
     def build():
-        left, right = [0] * s.size, []
-        for row in s.table:
-            r = 0
-            for y, z in enumerate(row):
-                r |= 1 << z
-                left[y] |= 1 << z
-            right.append(r)
-        return tuple(left), tuple(right)
+        _, left, right = zip(*_products(s, full_mask(s)))
+        return left, right
 
     return s._cache.get("multiples") or _cached(s, "multiples", build)
 

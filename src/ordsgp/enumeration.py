@@ -461,8 +461,13 @@ def enumerate_ordered_semigroups(
 def sample_ordered_semigroups(
     n: int, count: int, seed: int = DEFAULT_SAMPLE_SEED
 ) -> Iterator[OrderedSemigroup]:
-    """Deterministic sample: uniform table, then uniform compatible order."""
+    """Deterministic sample: uniform table, then uniform compatible order.
+    A count that is not an integer (``integers``) or is negative is a
+    ValueError naming it."""
     n = _check_order(n)
+    (count,) = integers([count], "count")
+    if count < 0:
+        raise BadEnumeration(f"count must be at least 0, got {count}")
     tables = all_semigroup_tables(n)
     certified = _certified_orders(n)
     rng = random.Random(seed)

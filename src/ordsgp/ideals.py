@@ -1,9 +1,14 @@
 """Ideals, Green's relations, filters, and the filter-equality relation.
 
 Principal ideals include their generator, ({a} u Sa] and friends, so they
-are defined on every structure, not only regular ones.  Green's relations
-partition the carrier by equality of principal ideals; H is the common
-refinement of L and R.
+are defined on every structure, not only regular ones.  All of them are
+built at once from the cached multiples Sa and aS (``core._products`` over
+S); ``classification._simple``, which stops at the first proper one,
+builds them from the same products one element at a time.  Green's
+relations partition the carrier by equality of principal ideals; H is the
+common refinement of L and R.  An equivalence relation is its class ids,
+and its class masks are read from them.  A side argument must be a Side
+member; anything else is a ValueError naming it.
 
 A filter is a subsemigroup F that is prime (a*b in F forces a in F and
 b in F) and upward closed (c in F and c <= x force x in F).  N(a) is the
@@ -49,6 +54,13 @@ class Side(Enum):
     TWO_SIDED = "two-sided"
 
 
+def _require_side(side) -> None:
+    """Raise a ValueError naming a side argument that is not a Side member;
+    a value string such as "left" is refused too."""
+    if not isinstance(side, Side):
+        raise ValueError(f"side must be a Side, got {side!r}")
+
+
 def _first_appearance(values) -> tuple[int, ...]:
     """Number the distinct values 0, 1, ... in the order of their first appearance."""
     numbers: dict = {}
@@ -59,8 +71,8 @@ def _first_appearance(values) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class EquivalenceRelation:
     """A partition of the carrier in restricted-growth (first-appearance)
-    form.  ``class_ids`` is the one record of it; ``classes`` is derived
-    from it on first read."""
+    form.  ``class_ids`` is the one record of it; ``masks``, the class
+    masks, is derived from it on first read, and ``classes`` from them."""
 
     structure: OrderedSemigroup
     class_ids: tuple[int, ...]
@@ -75,12 +87,17 @@ class EquivalenceRelation:
         return cls(s, _first_appearance(ids))
 
     @cached_property
-    def classes(self) -> tuple[ElementSet, ...]:
-        """The classes as ElementSets, in the order of their ids."""
+    def masks(self) -> tuple[int, ...]:
+        """The class masks, in the order of their ids."""
         masks = [0] * self.num_classes()
         for elem, cid in enumerate(self.class_ids):
             masks[cid] |= 1 << elem
-        return tuple(ElementSet(self.structure, m) for m in masks)
+        return tuple(masks)
+
+    @property
+    def classes(self) -> tuple[ElementSet, ...]:
+        """The classes as ElementSets, in the order of their ids."""
+        return tuple(ElementSet(self.structure, m) for m in self.masks)
 
     def same(self, a: int, b: int) -> bool:
         return self.class_ids[a] == self.class_ids[b]
@@ -89,17 +106,12 @@ class EquivalenceRelation:
         return max(self.class_ids) + 1
 
     def refines(self, other: "EquivalenceRelation") -> bool:
-        """True when every class of self lies inside a class of other."""
-        for cls_set in self.classes:
-            ids = {other.class_ids[m] for m in cls_set}
-            if len(ids) > 1:
-                return False
-        return True
+        """True when every class of self lies inside a class of other: each
+        class of self meets exactly one class of other."""
+        return len(set(zip(self.class_ids, other.class_ids))) == self.num_classes()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        body = " | ".join(
-            ",".join(str(m) for m in cls_set) for cls_set in self.classes
-        )
+        body = " | ".join(",".join(map(str, bits(m))) for m in self.masks)
         return f"EquivalenceRelation({body})"
 
 
@@ -111,20 +123,6 @@ class IdealCheck:
 
     def __bool__(self) -> bool:
         return self.holds
-
-
-def _principal_mask_in(s: OrderedSemigroup, t: int, a: int, side: Side) -> int:
-    """The principal ideal of a inside the carrier mask t.
-
-    left: ({a} u Ta]   right: ({a} u aT]   two-sided: ({a} u Ta u aT u TaT],
-    each intersected with T.  The principal ideals of S itself come from
-    the cached multiples (``_principal_masks``).
-    """
-    seed = 1 << a
-    ta = product_mask(s, t, seed) if side in (Side.LEFT, Side.TWO_SIDED) else 0
-    at = product_mask(s, seed, t) if side in (Side.RIGHT, Side.TWO_SIDED) else 0
-    tat = product_mask(s, ta, t) if side is Side.TWO_SIDED else 0
-    return down_mask(s, seed | ta | at | tat) & t
 
 
 def _principal_masks(s: OrderedSemigroup, side: Side) -> tuple[int, ...]:
@@ -151,12 +149,14 @@ def principal_ideal(s: OrderedSemigroup, a: int, side: Side) -> ElementSet:
     left: ({a} u Sa]   right: ({a} u aS]   two-sided: ({a} u Sa u aS u SaS]
     """
     _require_elements(s, a)
+    _require_side(side)
     return ElementSet(s, _principal_masks(s, side)[a])
 
 
 def is_ideal(s: OrderedSemigroup, iset: ElementSet, side: Side) -> IdealCheck:
     """Absorption on the given side plus downward closure, with counterexample."""
     _require_bound(s, iset)
+    _require_side(side)
     if not iset.mask:
         raise EmptySet("ideal")
     imask = iset.mask
@@ -188,6 +188,7 @@ def enumerate_ideals(s: OrderedSemigroup, side: Side) -> list[ElementSet]:
     members, and every union of ideals is an ideal, so the ideals are the
     union-closure of the n principal ideals.
     """
+    _require_side(side)
     limits.check("ideals", s.size)
     found: set[int] = set()
     for p in _principal_masks(s, side):
@@ -216,7 +217,10 @@ def _green(s: OrderedSemigroup, kind: str) -> EquivalenceRelation:
 def _filter_masks(s: OrderedSemigroup) -> tuple[int, ...]:
     """N(a) for every a, each from a worklist: an element joins once, and
     brings in its up-set (upward closure), its factors (primeness) and its
-    products with the members so far, itself included (subsemigroup)."""
+    products with the members so far, itself included (subsemigroup).
+    The worklist keeps its own product loop rather than ``core._products``:
+    it multiplies by a set that grows one member at a time, so each new
+    member's products are taken with the members so far."""
 
     def build():
         table, cols, above = s.table, columns(s), above_masks(s)

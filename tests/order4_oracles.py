@@ -22,8 +22,10 @@ compares the other oracles on every ordered semigroup of order 4, and
 checks there that the congruence generated by the complete semilattice
 axioms equals N, the filter-equality relation, and that the principal
 left, right and two-sided ideals, which the package builds from the
-cached one-sided multiples, equal ``_principal_mask_in`` over the whole
-carrier, and that ``relation_properties`` equals its oracle, flags and
+cached one-sided multiples, equal ``principal_oracle``, sets of products
+taken from the table and down-closed through the order, and that
+``_simple``, which builds them one element at a time, gives
+``simple_oracle``'s verdict and counterexample on each side, and that ``relation_properties`` equals its oracle, flags and
 counterexamples, on Green's L, R, J and H and on N, and that CR-HCLASS's
 cover search, ``_union_of_group_like``, equals
 ``union_of_group_like_oracle``, the 2^n scan over every subset through
@@ -75,7 +77,7 @@ from ordsgp import (
     validate_semigroup,
     validate_structure,
 )
-from ordsgp.classification import CHECKS, PREDICATE_ORDER, _union_of_group_like
+from ordsgp.classification import CHECKS, PREDICATE_ORDER, _simple, _union_of_group_like
 from ordsgp.congruence import _generated_congruence_ids
 from ordsgp.core import _relabel, bits, full_mask, leq_pairs, mask_of, product_mask
 from ordsgp.enumeration import (
@@ -87,7 +89,7 @@ from ordsgp.enumeration import (
     all_posets,
 )
 from ordsgp.errors import NotApplicable, NotCompatible
-from ordsgp.ideals import _principal_mask_in, _principal_masks
+from ordsgp.ideals import _principal_masks
 
 
 # SHA-256 (``table_list_sha``) of ``list(tables_dfs(5))``, 183,732 tables
@@ -499,16 +501,47 @@ class DualPairs:
         return [f"{name} on the dual" for name, a, b in zip(names, own, expected) if a != b]
 
 
+def principal_oracle(s, side: Side) -> list[int]:
+    """The mask of the principal ideal of the side of every a, from sets
+    built on the table and the order: ({a} u Sa], ({a} u aS] or
+    ({a} u Sa u aS u SaS]."""
+    n, tb, leq = s.size, s.table, s.leq
+    carrier = range(n)
+    masks = []
+    for a in carrier:
+        seed = {a}
+        if side is not Side.RIGHT:
+            seed |= {tb[x][a] for x in carrier}
+        if side is not Side.LEFT:
+            seed |= {tb[a][x] for x in carrier}
+        if side is Side.TWO_SIDED:
+            seed |= {tb[tb[x][a]][y] for x in carrier for y in carrier}
+        masks.append(mask_of({t for t in carrier for h in seed if leq[t][h]}))
+    return masks
+
+
+def simple_oracle(s, side: Side):
+    """``_simple``'s answer from ``principal_oracle``: false at the least a
+    whose principal ideal of the side misses an element, with the least
+    element it misses."""
+    for a, ideal in enumerate(principal_oracle(s, side)):
+        missing = [x for x in range(s.size) if not (ideal >> x) & 1]
+        if missing:
+            return False, (a, missing[0]), {}
+    return True, None, {}
+
+
 def principal_mismatches(s) -> list[str]:
     """The sides whose principal ideals, built from the cached multiples,
-    differ from ``_principal_mask_in`` over the whole carrier."""
-    full = full_mask(s)
-    return [
-        f"{side.value} principal ideals"
-        for side in Side
-        if list(_principal_masks(s, side))
-        != [_principal_mask_in(s, full, a, side) for a in range(s.size)]
-    ]
+    differ from ``principal_oracle``, or on which ``_simple`` differs from
+    ``simple_oracle``."""
+    found = []
+    for side in Side:
+        if list(_principal_masks(s, side)) != principal_oracle(s, side):
+            found.append(f"{side.value} principal ideals")
+        if _simple(s, side) != simple_oracle(s, side):
+            found.append(f"{side.value} simple")
+    return found
 
 
 def mismatches(s):
@@ -578,7 +611,7 @@ def main(order: int = 4) -> int:
     )
     print(
         f"order {order}: {count} ordered semigroups, principal L, R and J ideals "
-        "from the multiples equal to _principal_mask_in"
+        "from the multiples and _simple on each side equal to the set oracles"
     )
     print(
         f"order {order}: {count} ordered semigroups, the cover search for group like "

@@ -1,7 +1,7 @@
 """Predicates, bundles, and the classification report."""
 
 from collections import Counter
-from itertools import chain
+from itertools import chain, combinations
 
 import pytest
 
@@ -10,9 +10,12 @@ from ordsgp import (
     PREDICATE_ORDER,
     BundleResult,
     classify,
+    enumerate_semigroups,
     equivalence_bundle,
     induced_substructure,
+    power_ordered_semigroup,
     predicate,
+    sample_ordered_semigroups,
 )
 from ordsgp.classification import (
     CHECK_IDS,
@@ -31,11 +34,11 @@ from ordsgp.classification import (
 from ordsgp import elements
 from ordsgp import sweep as sweep_module
 from ordsgp.elements import first_failure, forall_exists
-from ordsgp.core import OrderedSemigroup, bits
+from ordsgp.core import ElementSet, OrderedSemigroup, bits
 from ordsgp.errors import NotApplicable, NotClosed, UnknownBundle, UnknownPredicate
 from ordsgp.ideals import Side
 from ordsgp.report import ConditionResult, make_bundle
-from ordsgp.sweep import sweep_order
+from ordsgp.sweep import sweep, sweep_order
 
 from order4_oracles import union_of_group_like_oracle
 from conftest import (
@@ -266,6 +269,74 @@ def test_restricted_scans_match_induced_substructures():
                 expected = sub is not None and on_sub(sub)
                 assert test(s, mask) == expected, (test.__name__, s.table, s.leq, mask)
     assert closed_subsets == 14939
+
+
+def simple_by_definition(s, side):
+    """``_simple``'s answer from the definition of an ideal of the side: a
+    nonempty subset that absorbs products with S on that side and is
+    downward closed.  The principal ideal of a is the intersection of the
+    ideals that hold a; the answer is false at the least a whose principal
+    ideal is not S, with the least element outside it."""
+    carrier, tb, leq = range(s.size), s.table, s.leq
+
+    def is_ideal(members):
+        return all(
+            (side is Side.RIGHT or tb[x][i] in members)
+            and (side is Side.LEFT or tb[i][x] in members)
+            and (x in members or not leq[x][i])
+            for i in members
+            for x in carrier
+        )
+
+    subsets = (set(c) for k in range(1, s.size + 1) for c in combinations(carrier, k))
+    ideals = [members for members in subsets if is_ideal(members)]
+    for a in carrier:
+        principal = set.intersection(*(ideal for ideal in ideals if a in ideal))
+        if len(principal) < s.size:
+            return False, (a, min(set(carrier) - principal)), {}
+    return True, None, {}
+
+
+def test_simple_matches_the_definition():
+    """``_simple`` gives the definition's verdict and counterexample on
+    every side, on every differential structure and on P(F) for every F of
+    order <= 2.  The order-4 sample is needed: SaS first adds to
+    ({a} u Sa u aS] at order 4."""
+    structures = list(differential_structures())
+    structures += [power_ordered_semigroup(f) for n in (1, 2) for f in enumerate_semigroups(n)]
+    assert len(structures) == 1992 + 9
+    outcomes = Counter()
+    for s in structures:
+        for side in Side:
+            expected = simple_by_definition(s, side)
+            assert _simple(s, side) == expected, (s.table, s.leq, side)
+            outcomes[side.value, expected[0]] += 1
+    assert outcomes == {
+        ("left", True): 438,
+        ("left", False): 1563,
+        ("right", True): 441,
+        ("right", False): 1560,
+        ("two-sided", True): 584,
+        ("two-sided", False): 1417,
+    }
+
+
+def test_a_sweep_builds_no_element_set(monkeypatch):
+    """The checks read classes, ideals and filters as masks: a sweep of an
+    order-4 sample builds no ElementSet, while the counter does see one
+    that is built."""
+    built = Counter()
+    real = ElementSet.__post_init__
+
+    def counting(self):
+        built["ElementSet"] += 1
+        real(self)
+
+    monkeypatch.setattr(ElementSet, "__post_init__", counting)
+    report = sweep(sample_ordered_semigroups(4, 200, 20260810))
+    assert (report.total, report.disagreements, built) == (200, [], {})
+    make_sl2().carrier_set()
+    assert built == {"ElementSet": 1}
 
 
 def test_union_of_group_like_matches_the_subset_scan():

@@ -396,18 +396,16 @@ def _as_mask(members):
 def test_setwise_products_against_set_oracles():
     """Every product-based primitive against a set comprehension over the
     table and the order, on every structure of order <= 3 and every
-    nonempty sub-carrier mask."""
+    nonempty sub-carrier mask: among them ``_products``, the one builder of
+    (b, Tb, bT)."""
     from ordsgp.classification import _closed
-    from ordsgp.core import left_multiples, right_multiples, sandwich_mask
-    from ordsgp.ideals import Side, _principal_mask_in, principal_filter
+    from ordsgp.core import _products, left_multiples, right_multiples, sandwich_mask
+    from ordsgp.ideals import principal_filter
 
     count = 0
     for s in _structures_up_to_3():
         n, tb, leq = s.size, s.table, s.leq
         carrier = range(n)
-
-        def down(xs):
-            return {u for u in carrier for v in xs if leq[u][v]}
 
         for a in carrier:
             assert left_multiples(s)[a] == _as_mask(tb[x][a] for x in carrier)
@@ -419,18 +417,10 @@ def test_setwise_products_against_set_oracles():
             ts = [x for x in carrier if (t >> x) & 1]
             closed = all((t >> tb[x][y]) & 1 for x in ts for y in ts)
             assert bool(_closed(s, t)) == closed
-            for a in ts:
-                ta = {tb[x][a] for x in ts}
-                at = {tb[a][x] for x in ts}
-                tat = {tb[tb[x][a]][y] for x in ts for y in ts}
-                seeds = {
-                    Side.LEFT: {a} | ta,
-                    Side.RIGHT: {a} | at,
-                    Side.TWO_SIDED: {a} | ta | at | tat,
-                }
-                for side, seed in seeds.items():
-                    expected = _as_mask(down(seed) & set(ts))
-                    assert _principal_mask_in(s, t, a, side) == expected, (s, t, a, side)
+            expected = [
+                (b, _as_mask(tb[x][b] for x in ts), _as_mask(tb[b][x] for x in ts)) for b in ts
+            ]
+            assert list(_products(s, t)) == expected, (s.table, t)
 
         def is_filter(f):
             members = [x for x in carrier if (f >> x) & 1]

@@ -222,6 +222,18 @@ def test_orders_that_are_not_integers_are_refused(call, value):
         call()
 
 
+@pytest.mark.parametrize(
+    "count, message",
+    [(2.0, "^count entry 0 is not an integer: 2.0$"), (-1, "^count must be at least 0, got -1$")],
+)
+def test_sample_counts_that_are_not_counts_are_refused(count, message):
+    """A sample count that is not an integer, or is negative, is one
+    ValueError naming it, never a bare TypeError or an empty sample."""
+    with pytest.raises(ValueError, match=message):
+        list(sample_ordered_semigroups(2, count, 1))
+    assert list(sample_ordered_semigroups(2, 0, 1)) == []
+
+
 def test_stream_determinism():
     docs1 = [serialize_document(s) for s in enumerate_ordered_semigroups(2)]
     docs2 = [serialize_document(s) for s in enumerate_ordered_semigroups(2)]

@@ -7,6 +7,7 @@ import pytest
 
 from ordsgp import (
     Side,
+    complete_semilattice_congruences,
     down_closure,
     enumerate_ideals,
     enumerate_ordered_semigroups,
@@ -20,6 +21,7 @@ from ordsgp import (
     set_product,
     validate_structure,
 )
+from ordsgp.core import mask_of
 from ordsgp.errors import EmptySet, NotIdempotent, NotRegular, SizeLimit
 
 from conftest import (
@@ -201,6 +203,48 @@ def test_green_refinement_properties():
         for a in range(s.size):
             for b in range(s.size):
                 assert h.same(a, b) == (l.same(a, b) and r.same(a, b)), name
+
+
+def test_class_masks_and_refinement_match_the_loops():
+    """``masks``, ``classes`` and ``refines`` against loops over the
+    carrier and the classes, for Green's L, R, J and H, for N and for every
+    complete semilattice congruence of the 1,992 differential structures."""
+    count = 0
+    for s in differential_structures():
+        named = [green_relation(s, kind) for kind in "LRJH"] + [n_relation(s)]
+        relations = named + complete_semilattice_congruences(s)
+        for rel in relations:
+            ids = rel.class_ids
+            masks = [mask_of(x for x in range(s.size) if ids[x] == c) for c in range(max(ids) + 1)]
+            assert list(rel.masks) == masks, (s.table, s.leq, ids)
+            assert [(c.structure, c.mask) for c in rel.classes] == [(s, m) for m in masks]
+        for rel, other in itertools.product(relations, named):
+            inside = all(len({other.class_ids[m] for m in c}) == 1 for c in rel.classes)
+            assert rel.refines(other) == inside, (s.table, s.leq, rel.class_ids, other.class_ids)
+            assert other.refines(rel) == all(
+                len({rel.class_ids[m] for m in c}) == 1 for c in other.classes
+            )
+        count += 1
+    assert count == 1992
+
+
+_BAD_SIDES = {
+    "is_ideal": (lambda s: is_ideal(s, s.subset([0]), "bogus"), "'bogus'"),
+    "enumerate_ideals": (lambda s: enumerate_ideals(s, "nonsense"), "'nonsense'"),
+    "principal_ideal": (lambda s: principal_ideal(s, 0, "left"), "'left'"),
+}
+
+
+@pytest.mark.parametrize("call, value", _BAD_SIDES.values(), ids=_BAD_SIDES)
+def test_sides_that_are_not_side_members_are_refused(call, value):
+    """A side that is not a Side member, its value string included, is one
+    ValueError naming it, never an answer for some side, and nothing is
+    cached under it.  On Z2, {0} is no ideal of any side."""
+    z2 = validate_structure(2, [[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match=f"^side must be a Side, got {value}$"):
+        call(z2)
+    assert not [key for key in z2._cache if isinstance(key, tuple) and key[0] == "principal"]
+    assert not any(is_ideal(z2, z2.subset([0]), side) for side in Side)
 
 
 def test_principal_filter_examples():
