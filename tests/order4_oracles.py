@@ -25,8 +25,9 @@ left, right and two-sided ideals, which the package builds from the
 cached one-sided multiples, equal ``principal_oracle``, sets of products
 taken from the table and down-closed through the order, and that
 ``_simple``, which builds them one element at a time, gives
-``simple_oracle``'s verdict and counterexample on each side, and that ``relation_properties`` equals its oracle, flags and
-counterexamples, on Green's L, R, J and H and on N, and that CR-HCLASS's
+``simple_oracle``'s verdict and counterexample on each side, and that
+``relation_properties`` equals its oracle, flags and counterexamples, on
+Green's L, R, J and H and on N, and that CR-HCLASS's
 cover search, ``_union_of_group_like``, equals
 ``union_of_group_like_oracle``, the 2^n scan over every subset through
 the definition of a group-like subsemigroup.  It also runs
