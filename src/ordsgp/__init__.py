@@ -1,6 +1,12 @@
 """Finite ordered semigroups: structure, ideals, Green's relations,
 regularity classes, semilattice decompositions, power constructions, and
 exhaustive verification of their characterization theorems.
+
+The exports are what the commands, the checks and the benchmark call.
+Facts about single elements (ordered idempotents, ordered inverses,
+regularity, principal filters) are not exported one element at a time:
+the checks read them off carrier-wide masks and scans in
+``ordsgp.elements`` and ``ordsgp.ideals``.
 """
 
 from .core import (
@@ -8,20 +14,12 @@ from .core import (
     FiniteSemigroup,
     OrderedSemigroup,
     down_closure,
-    dual_structure,
     induced_substructure,
     set_product,
     validate_semigroup,
     validate_structure,
 )
-from .elements import (
-    ElementRegularity,
-    element_regularity,
-    group_component,
-    h_commute_witness,
-    inverses_of,
-    ordered_idempotents,
-)
+from .elements import group_component
 from .ideals import (
     EquivalenceRelation,
     IdealCheck,
@@ -31,7 +29,6 @@ from .ideals import (
     idempotent_ideal_identities,
     is_ideal,
     n_relation,
-    principal_filter,
     principal_ideal,
 )
 from .classification import (
@@ -89,7 +86,6 @@ __all__ = [
     "ClassificationReport",
     "ConditionResult",
     "Decomposition",
-    "ElementRegularity",
     "ElementSet",
     "EquivalenceRelation",
     "FiniteSemigroup",
@@ -105,8 +101,6 @@ __all__ = [
     "complete_semilattice_congruences",
     "decompose",
     "down_closure",
-    "dual_structure",
-    "element_regularity",
     "enumerate_compatible_orders",
     "enumerate_ideals",
     "enumerate_ordered_semigroups",
@@ -116,10 +110,8 @@ __all__ = [
     "errors",
     "green_relation",
     "group_component",
-    "h_commute_witness",
     "idempotent_ideal_identities",
     "induced_substructure",
-    "inverses_of",
     "is_completely_regular_semigroup",
     "is_group",
     "is_ideal",
@@ -127,12 +119,10 @@ __all__ = [
     "join",
     "least_csc",
     "n_relation",
-    "ordered_idempotents",
     "parse_document",
     "power_correspondence_check",
     "power_ordered_semigroup",
     "predicate",
-    "principal_filter",
     "principal_ideal",
     "relation_properties",
     "resume_position",

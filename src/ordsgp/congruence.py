@@ -26,7 +26,7 @@ from . import limits
 from .core import OrderedSemigroup, _cached, bits, columns, down_mask, integers
 from .elements import _then, first_failure
 from .errors import InvariantViolation, NotCompleteSemilattice, NotPartition
-from .ideals import EquivalenceRelation, _first_appearance, n_relation
+from .ideals import EquivalenceRelation, _first_appearance, _require_on, n_relation
 from .report import ConditionResult, _cond
 
 
@@ -56,12 +56,16 @@ def relation_properties(s: OrderedSemigroup, rho: EquivalenceRelation) -> Relati
     (a, b, c) with a < b in one class; a ~ a*a over (a, a) and, once that
     holds, a*b ~ b*a over a < b; completeness, a ~ a*b, over the pairs
     a <= b with a != b.  A scan that fails names its tuple under its flag
-    even where a flag it builds on has failed too.
+    even where a flag it builds on has failed too.  A relation on another
+    structure, or whose ids do not number the classes of the carrier by
+    first appearance (``EquivalenceRelation.from_class_ids`` renumbers),
+    is one NotPartition.
     """
-    if rho.structure is not s and rho.structure != s:
-        raise NotPartition("relation is bound to a different structure")
+    _require_on(s, rho)
     if len(rho.class_ids) != s.size:
         raise NotPartition("class ids do not cover the carrier")
+    if _first_appearance(rho.class_ids) != tuple(rho.class_ids):
+        raise NotPartition("class ids are not numbered by first appearance")
     ids, tb, n = rho.class_ids, s.table, s.size
     same = [(a, b, c) for a, b in combinations(range(n), 2) if ids[a] == ids[b] for c in range(n)]
     scans = {
@@ -96,17 +100,22 @@ def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
     if n < 0:
         raise ValueError(f"n must be at least 0, got {n}")
     limits.check("partitions", n)
+    if n:
+        yield from _extensions([0], 1, n)
 
-    def rec(prefix: list[int], used: int):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for v in range(used + 1):
-            prefix.append(v)
-            yield from rec(prefix, max(used, v + 1))
-            prefix.pop()
 
-    yield from rec([0], 1) if n else iter(())
+def _extensions(prefix: list[int], used: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The restricted-growth strings of length n that extend ``prefix``,
+    whose greatest value is ``used - 1``, in lexicographic order.  A
+    module-level generator: a call leaves no self-referencing closure
+    behind for the cyclic collector."""
+    if len(prefix) == n:
+        yield tuple(prefix)
+        return
+    for v in range(used + 1):
+        prefix.append(v)
+        yield from _extensions(prefix, max(used, v + 1), n)
+        prefix.pop()
 
 
 def _generated_congruence_ids(s: OrderedSemigroup) -> tuple[int, ...]:

@@ -7,10 +7,12 @@ order ``leq`` which multiplication preserves on both sides: a <= b implies
 c*a <= c*b and a*c <= b*c.  The two stay distinct types rather than one
 type with a discrete default order, because the type is what decides
 whether a structure is written as a semigroup or an ordered semigroup and
-whether the ordered checks accept it.  Both are built only here, by the
-validators, the dual construction and ``_relabel``, the one relabeling,
-which induced substructures and the tests' canonical-form oracle go
-through.  Subsets of the carrier are ElementSet values; downward closure
+whether the ordered checks accept it.  In the package both are built only
+here, by the validators and ``_relabel``, the one relabeling, which
+induced substructures and the tests' canonical-form oracle go through;
+the order dual that the duality contract reads is built beside that
+oracle, in ``tests/order4_oracles.py``.  Subsets of the carrier are
+ElementSet values; downward closure
 
     (H] = {t : t <= h for some h in H}
 
@@ -129,9 +131,6 @@ class OrderedSemigroup(FiniteSemigroup):
 
     def subset(self, members: Iterable[int]) -> "ElementSet":
         return ElementSet(self, mask_of(_elements(members, self.size, "element")))
-
-    def carrier_set(self) -> "ElementSet":
-        return ElementSet(self, (1 << self.size) - 1)
 
     def order_pairs(self) -> list[tuple[int, int]]:
         """All non-reflexive pairs (a, b) with a <= b, sorted."""
@@ -577,14 +576,3 @@ def _relabel(s: FiniteSemigroup, members) -> FiniteSemigroup:
         return FiniteSemigroup(len(members), table, names)
     leq = tuple(tuple(s.leq[a][b] for b in members) for a in members)
     return OrderedSemigroup(len(members), table, names, leq=leq)
-
-
-def dual_structure(s: OrderedSemigroup) -> OrderedSemigroup:
-    """Order dual under multiplication reversal: a*b becomes b*a.
-
-    Right-sided variants of every left-sided notion are the left-sided
-    notion evaluated on the dual.
-    """
-    n = s.size
-    table = tuple(tuple(s.table[b][a] for b in range(n)) for a in range(n))
-    return OrderedSemigroup(n, table, s.names, leq=s.leq)

@@ -1,6 +1,9 @@
-"""Per-element analysis: ordered idempotency, regularity variants, ordered
-inverses, commutation witnesses, and the group component around an ordered
-idempotent.
+"""Carrier-wide element kernels: the mask of the ordered idempotents
+(e <= e*e), each element's mask of ordered inverses, the group component
+around an ordered idempotent, and the quantified condition specs, among
+them REGULAR, the package's one definition of regularity.  Facts about
+single elements are read off these masks and scans; there is no
+per-element analysis.
 
 It also holds the two scans that conditions are built on.  Both return the
 triple (holds, least counterexample, witnesses):
@@ -30,32 +33,10 @@ the result of a different condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .core import ElementSet, OrderedSemigroup, _cached, _require_elements, columns, mask_of
-from .errors import InvariantViolation, NotIdempotent
-
-
-@dataclass(frozen=True)
-class ElementRegularity:
-    """Regularity flags for one element, with least witnesses.
-
-    regular             a in (aSa]
-    completely_regular  a in (a^2 S a^2]
-    left_regular        a in (S a^2]
-    right_regular       a in (a^2 S]
-
-    ``witnesses`` maps each true flag to the least x realising it, e.g.
-    a <= a*x*a for the "regular" entry.
-    """
-
-    element: int
-    regular: bool
-    completely_regular: bool
-    left_regular: bool
-    right_regular: bool
-    witnesses: dict
+from .errors import NotIdempotent
 
 
 def idempotent_mask(s: OrderedSemigroup) -> int:
@@ -64,27 +45,13 @@ def idempotent_mask(s: OrderedSemigroup) -> int:
     )
 
 
-def ordered_idempotents(s: OrderedSemigroup) -> ElementSet:
-    """All e with e <= e*e."""
-    return ElementSet(s, idempotent_mask(s))
-
-
 # Quantified conditions as (arity, terms): for every argument tuple,
 # terms(table, *args) lists inequalities (lhs, left, right), each asking for
-# a witness x with lhs <= left*x*right.  The element specs name the flags
-# above; REGULAR is the package's one definition of regularity.
+# a witness x with lhs <= left*x*right.  REGULAR is the package's one
+# definition of regularity.
 REGULAR = (1, lambda tb, a: ((a, a, a),))  # a in (aSa]
 COMPLETELY_REGULAR = (1, lambda tb, a: ((a, tb[a][a], tb[a][a]),))  # a in (a^2 S a^2]
-LEFT_REGULAR = (1, lambda tb, a: ((a, None, tb[a][a]),))  # a in (S a^2]
-RIGHT_REGULAR = (1, lambda tb, a: ((a, tb[a][a], None),))  # a in (a^2 S]
 H_COMMUTATIVE = (2, lambda tb, a, b: ((tb[a][b], b, a),))  # ab <= b*x*a
-
-_FLAG_SPECS = (
-    ("regular", REGULAR),
-    ("completely_regular", COMPLETELY_REGULAR),
-    ("left_regular", LEFT_REGULAR),
-    ("right_regular", RIGHT_REGULAR),
-)
 
 
 def witness_scan(s: OrderedSemigroup, args, terms, witnesses=False):
@@ -147,25 +114,6 @@ def is_regular_structure(s: OrderedSemigroup) -> bool:
     return carrier_scan(s, REGULAR)[0]
 
 
-def element_regularity(s: OrderedSemigroup, a: int) -> ElementRegularity:
-    _require_elements(s, a)
-    witnesses = {}
-    for flag, (_, terms) in _FLAG_SPECS:
-        holds, _, found = witness_scan(s, ((a,),), terms, True)
-        if holds:
-            witnesses[flag] = found[(a,)][0]
-    regular, completely_regular, left_regular, right_regular = (
-        flag in witnesses for flag, _ in _FLAG_SPECS
-    )
-    if completely_regular and not (regular and left_regular and right_regular):
-        raise InvariantViolation(
-            f"element {a}: completely regular without the implied flags"
-        )
-    return ElementRegularity(
-        a, regular, completely_regular, left_regular, right_regular, witnesses
-    )
-
-
 def inverse_mask(s: OrderedSemigroup, a: int) -> int:
     """Mask of the ordered inverses of a: b with a <= aba and b <= bab."""
 
@@ -181,18 +129,6 @@ def inverse_mask(s: OrderedSemigroup, a: int) -> int:
         )
 
     return _cached(s, "inverse_masks", build)[a]
-
-
-def inverses_of(s: OrderedSemigroup, a: int) -> ElementSet:
-    _require_elements(s, a)
-    return ElementSet(s, inverse_mask(s, a))
-
-
-def h_commute_witness(s: OrderedSemigroup, a: int, b: int) -> int | None:
-    """Least x with a*b <= b*x*a, or None."""
-    _require_elements(s, a, b)
-    holds, _, found = witness_scan(s, ((a, b),), H_COMMUTATIVE[1], True)
-    return found[(a, b)][0] if holds else None
 
 
 def group_component(s: OrderedSemigroup, e: int) -> ElementSet:

@@ -44,7 +44,7 @@ from .core import (
     sandwich_mask,
 )
 from .elements import REGULAR, carrier_scan, first_failure, idempotent_mask
-from .errors import EmptySet, NotIdempotent, NotRegular
+from .errors import EmptySet, NotIdempotent, NotPartition, NotRegular
 from .report import ConditionGroup, _cond, make_bundle
 
 
@@ -107,12 +107,21 @@ class EquivalenceRelation:
 
     def refines(self, other: "EquivalenceRelation") -> bool:
         """True when every class of self lies inside a class of other: each
-        class of self meets exactly one class of other."""
+        class of self meets exactly one class of other.  A relation on
+        another structure is refused (``_require_on``)."""
+        _require_on(self.structure, other)
         return len(set(zip(self.class_ids, other.class_ids))) == self.num_classes()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = " | ".join(",".join(map(str, bits(m))) for m in self.masks)
         return f"EquivalenceRelation({body})"
+
+
+def _require_on(s: OrderedSemigroup, rho: EquivalenceRelation) -> None:
+    """Raise NotPartition unless rho is a relation on s (or on a structure
+    equal to it)."""
+    if rho.structure is not s and rho.structure != s:
+        raise NotPartition("relation is bound to a different structure")
 
 
 @dataclass(frozen=True)
@@ -245,12 +254,6 @@ def _filter_masks(s: OrderedSemigroup) -> tuple[int, ...]:
         return tuple(out)
 
     return _cached(s, "filters", build)
-
-
-def principal_filter(s: OrderedSemigroup, a: int) -> ElementSet:
-    """N(a): the least filter containing a."""
-    _require_elements(s, a)
-    return ElementSet(s, _filter_masks(s)[a])
 
 
 def n_relation(s: OrderedSemigroup) -> EquivalenceRelation:

@@ -9,15 +9,22 @@ N2_CHAIN  null semigroup with 0 <= 1
 CH3       three-chain meet semilattice (min, 0 <= 1 <= 2)
 B2        five-element combinatorial inverse semigroup, discrete order
 Z2/Z3     cyclic groups (unordered)
+LZ2_SG    the left-zero band, unordered
+N2_SG     the null semigroup, unordered
 PZ2       power structure of Z2
 PLZ2      power structure of the left-zero band
 
 ``differential_structures`` streams the structures that differential tests
-compare fast paths and brute-force oracles on.
+compare fast paths and brute-force oracles on, and ``serial_pool`` runs a
+``--workers`` sweep's pool tasks in the calling process
+(``install_serial_pool``).
 """
+
+import concurrent.futures
 
 import pytest
 
+from ordsgp import sweep as sweep_module
 from ordsgp import (
     enumerate_ordered_semigroups,
     power_ordered_semigroup,
@@ -111,6 +118,13 @@ ORDERED_FIXTURES = {
     "PLZ2": make_plz2,
 }
 
+UNORDERED_FIXTURES = {
+    "Z2": make_z2,
+    "Z3": make_z3,
+    "LZ2_SG": make_lz2_sg,
+    "N2_SG": make_n2_sg,
+}
+
 # every pair in these has a least upper bound (and joins distribute)
 JOIN_CLOSED = ("T1", "SL2", "CH3", "PZ2", "PLZ2")
 
@@ -175,3 +189,45 @@ def pz2():
 @pytest.fixture
 def plz2():
     return make_plz2()
+
+
+def install_serial_pool(patch):
+    """Two CPUs and a stand-in for ProcessPoolExecutor that runs each task
+    when it is submitted and starts nothing, installed by ``patch(obj,
+    name, value)``: ``monkeypatch.setattr`` in a test, ``setattr`` in a
+    process of its own.  Returns a log of each pool's max_workers and the
+    most results submitted and not yet read."""
+    log = {"started": [], "in_flight": 0, "most_in_flight": 0}
+
+    class Done:
+        def __init__(self, value):
+            self.value = value
+
+        def result(self):
+            log["in_flight"] -= 1
+            return self.value
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            log["started"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            log["in_flight"] += 1
+            log["most_in_flight"] = max(log["most_in_flight"], log["in_flight"])
+            return Done(fn(*args))
+
+    patch(sweep_module.os, "cpu_count", lambda: 2)
+    patch(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return log
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """``install_serial_pool`` for one test."""
+    return install_serial_pool(monkeypatch.setattr)

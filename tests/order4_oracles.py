@@ -5,7 +5,8 @@ cover by group-like subsemigroups.
 ``tables_dfs`` is the labeled table search, which finds every associative
 table on n labeled elements, and ``canonical_form`` the least relabeling of
 a structure under all n! carrier permutations; the lex-leader search is
-held to both.  ``poset_scan`` tries all 2^(n*n - n) sets of
+held to both.  ``dual_structure`` reverses a structure's multiplication
+for the duality contract.  ``poset_scan`` tries all 2^(n*n - n) sets of
 non-reflexive pairs against the definition of a partial order,
 ``csc_oracle`` scans all Bell(n) partitions of the carrier through
 ``relation_properties_oracle``, the flag-and-break loops over the
@@ -63,7 +64,6 @@ from ordsgp import (
     RelationProperties,
     Side,
     complete_semilattice_congruences,
-    dual_structure,
     enumerate_ideals,
     enumerate_ordered_semigroups,
     enumerate_partitions,
@@ -176,6 +176,18 @@ def canonical_form(structure) -> tuple:
     # every permutation is the inverse of one, so this is every relabeling
     relabelings = (_relabel(structure, m) for m in permutations(range(structure.size)))
     return min((r.table, r.leq) if ordered else (r.table,) for r in relabelings)
+
+
+def dual_structure(s: OrderedSemigroup) -> OrderedSemigroup:
+    """Order dual under multiplication reversal: a*b becomes b*a.
+
+    Right-sided variants of every left-sided notion are the left-sided
+    notion evaluated on the dual; the duality contract (``DualPairs``)
+    reads it.
+    """
+    n = s.size
+    table = tuple(tuple(s.table[b][a] for b in range(n)) for a in range(n))
+    return OrderedSemigroup(n, table, s.names, leq=s.leq)
 
 
 def table_list_sha(tables) -> str:

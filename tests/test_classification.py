@@ -335,7 +335,7 @@ def test_a_sweep_builds_no_element_set(monkeypatch):
     monkeypatch.setattr(ElementSet, "__post_init__", counting)
     report = sweep(sample_ordered_semigroups(4, 200, 20260810))
     assert (report.total, report.disagreements, built) == (200, [], {})
-    make_sl2().carrier_set()
+    make_sl2().subset(range(2))
     assert built == {"ElementSet": 1}
 
 

@@ -1,5 +1,7 @@
 """Congruence flags, decomposition, and the structure theorems."""
 
+import gc
+
 import pytest
 
 from ordsgp import (
@@ -128,6 +130,21 @@ def test_enumerate_partitions_counts_and_order():
     assert list(enumerate_partitions(0)) == []
 
 
+def test_enumerate_partitions_leaves_no_cyclic_garbage():
+    """A call builds no self-referencing closure, so nothing it leaves
+    waits for the cyclic collector."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for n in (0, 1, 3, 5):
+            list(enumerate_partitions(n))
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 @pytest.mark.parametrize(
     "n, message",
     [(-1, "at least 0, got -1"), (2.0, "not an integer: 2.0"), ("3", "not an integer: '3'")],
@@ -169,6 +186,20 @@ def test_decompose_rejects_non_csc():
     lz2 = make_lz2()
     with pytest.raises(NotCompleteSemilattice):
         decompose(lz2, identity_rel(lz2))
+
+
+@pytest.mark.parametrize("ids", [(0, 2), (1, 0), ("a", "b")], ids=repr)
+def test_decompose_refuses_ids_out_of_first_appearance_form(ids):
+    """Class ids that do not number the classes 0, 1, ... by first
+    appearance are one NotPartition, never a bare ValueError from the
+    quotient table: (0, 2) would leave class 1 empty."""
+    sl2 = make_sl2()
+    rho = EquivalenceRelation(sl2, ids)
+    with pytest.raises(NotPartition, match="first appearance"):
+        decompose(sl2, rho)
+    with pytest.raises(NotPartition, match="first appearance"):
+        relation_properties(sl2, rho)
+    assert decompose(sl2, EquivalenceRelation.from_class_ids(sl2, ids)).quotient_size == 2
 
 
 def test_decompose_checks_class_products(monkeypatch):

@@ -9,15 +9,10 @@ from ordsgp import (
     OrderedSemigroup,
     Side,
     down_closure,
-    dual_structure,
-    element_regularity,
     group_component,
-    h_commute_witness,
     idempotent_ideal_identities,
     induced_substructure,
-    inverses_of,
     join,
-    principal_filter,
     principal_ideal,
     set_product,
     validate_semigroup,
@@ -36,7 +31,7 @@ from ordsgp.core import _check_associative
 from ordsgp.enumeration import all_posets
 
 from conftest import all_ordered_fixtures, make_lz2, make_sl2
-from order4_oracles import associativity_oracle, compatibility_oracle
+from order4_oracles import associativity_oracle, compatibility_oracle, dual_structure
 
 
 def brute_valid(size, table, pairs):
@@ -400,7 +395,7 @@ def test_setwise_products_against_set_oracles():
     (b, Tb, bT)."""
     from ordsgp.classification import _closed
     from ordsgp.core import _products, left_multiples, right_multiples, sandwich_mask
-    from ordsgp.ideals import principal_filter
+    from ordsgp.ideals import _filter_masks
 
     count = 0
     for s in _structures_up_to_3():
@@ -440,23 +435,18 @@ def test_setwise_products_against_set_oracles():
             containing = [f for f in filters if (f >> a) & 1]
             least = min(containing, key=int.bit_count)
             assert all(least & ~f == 0 for f in containing)
-            assert principal_filter(s, a).mask == least
+            assert _filter_masks(s)[a] == least
         count += 1
     assert count == 1 + 20 + 971
 
 
 _ELEMENT_ARGUMENTS = {
-    "element_regularity": element_regularity,
-    "inverses_of": inverses_of,
-    "h_commute_witness(x, 0)": lambda s, x: h_commute_witness(s, x, 0),
-    "h_commute_witness(0, x)": lambda s, x: h_commute_witness(s, 0, x),
     "group_component": group_component,
     "idempotent_ideal_identities(x, 0)": lambda s, x: idempotent_ideal_identities(s, x, 0),
     "idempotent_ideal_identities(0, x)": lambda s, x: idempotent_ideal_identities(s, 0, x),
     "join(x, 0)": lambda s, x: join(s, x, 0),
     "join(0, x)": lambda s, x: join(s, 0, x),
     "principal_ideal": lambda s, x: principal_ideal(s, x, Side.LEFT),
-    "principal_filter": principal_filter,
     "subset": lambda s, x: s.subset([x]),
 }
 

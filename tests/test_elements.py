@@ -1,75 +1,17 @@
-"""Per-element predicates and the group component."""
+"""The group component and the completely regular witness laws."""
 
 import pytest
 
 from ordsgp import (
     classify,
-    element_regularity,
     enumerate_ordered_semigroups,
     group_component,
-    h_commute_witness,
     induced_substructure,
-    inverses_of,
-    ordered_idempotents,
 )
-from ordsgp.elements import idempotent_mask
+from ordsgp.elements import COMPLETELY_REGULAR, idempotent_mask, witness_scan
 from ordsgp.errors import NotIdempotent
 
-from conftest import (
-    all_ordered_fixtures,
-    make_lz2,
-    make_n2,
-    make_pz2,
-    make_sl2,
-    make_t1,
-)
-
-
-def test_ordered_idempotents_examples():
-    assert ordered_idempotents(make_sl2()).members == {0, 1}
-    # in the power of the 2-group: {0} and {0,1} qualify, {1} squares to {0}
-    assert ordered_idempotents(make_pz2()).members == {0, 2}
-    assert ordered_idempotents(make_lz2()).members == {0, 1}
-
-
-def test_element_regularity_examples():
-    lz2 = make_lz2()
-    r = element_regularity(lz2, 0)
-    assert r.regular and r.completely_regular and r.left_regular and r.right_regular
-    sl2 = make_sl2()
-    r = element_regularity(sl2, 0)
-    assert r.regular and r.witnesses["regular"] == 0
-    n2 = make_n2()
-    r = element_regularity(n2, 1)
-    assert not r.regular and not r.completely_regular
-    assert "regular" not in r.witnesses
-
-
-def test_element_regularity_flag_implications():
-    for name, s in all_ordered_fixtures():
-        for a in range(s.size):
-            r = element_regularity(s, a)
-            if r.completely_regular:
-                assert r.regular and r.left_regular and r.right_regular, name
-
-
-def test_inverses_examples():
-    sl2 = make_sl2()
-    assert inverses_of(sl2, 0).members == {0}
-    assert inverses_of(sl2, 1).members == {1}
-    lz2 = make_lz2()
-    assert inverses_of(lz2, 0).members == {0, 1}
-    n2 = make_n2()
-    assert inverses_of(n2, 1).members == set()
-
-
-def test_h_commute_examples():
-    sl2 = make_sl2()
-    assert h_commute_witness(sl2, 0, 1) == 0
-    lz2 = make_lz2()
-    assert h_commute_witness(lz2, 0, 1) is None
-    t1 = make_t1()
-    assert h_commute_witness(t1, 0, 0) == 0
+from conftest import all_ordered_fixtures, make_pz2, make_sl2, make_t1
 
 
 def test_group_component_examples():
@@ -127,15 +69,15 @@ def test_completely_regular_witness_laws():
     # a <= a^2 x a, plus the constructive idempotent e with a <= ea, a <= ae
     for name, s in all_ordered_fixtures():
         for a in range(s.size):
-            r = element_regularity(s, a)
-            if not r.completely_regular:
+            holds, _, found = witness_scan(s, ((a,),), COMPLETELY_REGULAR[1], True)
+            if not holds:
                 continue
             aa = s.prod(a, a)
             assert any(
                 s.le(a, s.word(a, x, aa)) and s.le(a, s.word(aa, x, a))
                 for x in range(s.size)
             ), (name, a)
-            t = r.witnesses["completely_regular"]
+            t = found[(a,)][0]
             e = s.word(aa, t, aa, t, aa)
             assert s.le(e, s.prod(e, e)), (name, a)
             assert s.le(a, s.prod(e, a)) and s.le(a, s.prod(a, e)), (name, a)

@@ -1,7 +1,6 @@
 """Exhaustive generation: counts, determinism, resume, canonical forms."""
 
 import bisect
-import concurrent.futures
 import hashlib
 import itertools
 import math
@@ -404,41 +403,6 @@ def test_table_ranges_end_at_the_first_boundary_past_size():
     bounds = [4, 6, 9, 12, 13, 16, 17, 20]
     assert list(table_ranges(2, 1, start=4)) == list(zip(bounds, bounds[1:]))
     assert list(table_ranges(2, 1, start=20)) == []
-
-
-@pytest.fixture
-def serial_pool(monkeypatch):
-    """Two CPUs and a stand-in for ProcessPoolExecutor that runs each task
-    when it is submitted and starts nothing.  Records each pool's
-    max_workers and the most results submitted and not yet read."""
-    log = {"started": [], "in_flight": 0, "most_in_flight": 0}
-
-    class Done:
-        def __init__(self, value):
-            self.value = value
-
-        def result(self):
-            log["in_flight"] -= 1
-            return self.value
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            log["started"].append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            log["in_flight"] += 1
-            log["most_in_flight"] = max(log["most_in_flight"], log["in_flight"])
-            return Done(fn(*args))
-
-    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    return log
 
 
 def test_parallel_sweep_caps_processes_at_cpu_count(serial_pool):

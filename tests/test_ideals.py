@@ -15,14 +15,14 @@ from ordsgp import (
     idempotent_ideal_identities,
     is_ideal,
     n_relation,
-    principal_filter,
     principal_ideal,
     serialize_document,
     set_product,
     validate_structure,
 )
 from ordsgp.core import mask_of
-from ordsgp.errors import EmptySet, NotIdempotent, NotRegular, SizeLimit
+from ordsgp.errors import EmptySet, NotIdempotent, NotPartition, NotRegular, SizeLimit
+from ordsgp.ideals import _filter_masks
 
 from conftest import (
     all_ordered_fixtures,
@@ -64,7 +64,7 @@ def test_is_ideal_examples():
     check = is_ideal(sl2, sl2.subset([1]), Side.LEFT)
     assert not check.holds
     assert check.violation == (0, 1)  # 0*1 = 0 escapes {1}
-    assert is_ideal(sl2, sl2.carrier_set(), Side.TWO_SIDED).holds
+    assert is_ideal(sl2, sl2.subset(range(2)), Side.TWO_SIDED).holds
     with pytest.raises(EmptySet):
         is_ideal(sl2, sl2.subset([]), Side.LEFT)
 
@@ -174,7 +174,7 @@ def test_regular_case_left_ideal_formula():
         if not is_regular_structure(s):
             continue
         for a in range(s.size):
-            sa = set_product(s, s.carrier_set(), s.subset([a]))
+            sa = set_product(s, s.subset(range(s.size)), s.subset([a]))
             assert principal_ideal(s, a, Side.LEFT) == down_closure(s, sa), name
 
 
@@ -203,6 +203,16 @@ def test_green_refinement_properties():
         for a in range(s.size):
             for b in range(s.size):
                 assert h.same(a, b) == (l.same(a, b) and r.same(a, b)), name
+
+
+def test_refinement_refuses_a_relation_on_another_structure():
+    """SL2's L and LZ2's L partition carriers of one size, but not the same
+    carrier: ``refines`` is one NotPartition, never an answer."""
+    sl2, lz2 = make_sl2(), make_lz2()
+    with pytest.raises(NotPartition, match="bound to a different structure"):
+        green_relation(sl2, "L").refines(green_relation(lz2, "L"))
+    # an equal structure built apart is the same carrier
+    assert green_relation(sl2, "L").refines(green_relation(make_sl2(), "J"))
 
 
 def test_class_masks_and_refinement_match_the_loops():
@@ -248,18 +258,15 @@ def test_sides_that_are_not_side_members_are_refused(call, value):
 
 
 def test_principal_filter_examples():
-    sl2 = make_sl2()
-    assert principal_filter(sl2, 1).members == {1}
-    assert principal_filter(sl2, 0).members == {0, 1}
-    lz2 = make_lz2()
-    assert principal_filter(lz2, 0).members == {0, 1}
+    assert _filter_masks(make_sl2()) == (0b11, 0b10)  # N(0) = {0, 1}, N(1) = {1}
+    assert _filter_masks(make_lz2())[0] == 0b11
 
 
 def test_filter_axioms_hold():
     for name, s in all_ordered_fixtures():
         for a in range(s.size):
-            f = principal_filter(s, a)
-            members = set(f.members)
+            f = _filter_masks(s)[a]
+            members = {x for x in range(s.size) if (f >> x) & 1}
             assert a in members, name
             for x in members:
                 for y in members:
