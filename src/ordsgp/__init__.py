@@ -4,9 +4,11 @@ exhaustive verification of their characterization theorems.
 
 The exports are what the commands, the checks and the benchmark call.
 Facts about single elements (ordered idempotents, ordered inverses,
-regularity, principal filters) are not exported one element at a time:
-the checks read them off carrier-wide masks and scans in
-``ordsgp.elements`` and ``ordsgp.ideals``.
+regularity, principal ideals and filters) are not exported one element at
+a time: the checks read them off carrier-wide masks and scans in
+``ordsgp.elements`` and ``ordsgp.ideals``.  Nor are products, the order
+or setwise products wrapped: they are read from a structure's ``table``
+and ``leq`` and from ``core.product_mask``.
 """
 
 from .core import (
@@ -15,21 +17,17 @@ from .core import (
     OrderedSemigroup,
     down_closure,
     induced_substructure,
-    set_product,
     validate_semigroup,
     validate_structure,
 )
 from .elements import group_component
 from .ideals import (
     EquivalenceRelation,
-    IdealCheck,
     Side,
     enumerate_ideals,
     green_relation,
     idempotent_ideal_identities,
-    is_ideal,
     n_relation,
-    principal_ideal,
 )
 from .classification import (
     BUNDLE_ORDER,
@@ -89,7 +87,6 @@ __all__ = [
     "ElementSet",
     "EquivalenceRelation",
     "FiniteSemigroup",
-    "IdealCheck",
     "OrderedSemigroup",
     "PREDICATE_ORDER",
     "PredicateResult",
@@ -114,7 +111,6 @@ __all__ = [
     "induced_substructure",
     "is_completely_regular_semigroup",
     "is_group",
-    "is_ideal",
     "is_left_group",
     "join",
     "least_csc",
@@ -123,14 +119,12 @@ __all__ = [
     "power_correspondence_check",
     "power_ordered_semigroup",
     "predicate",
-    "principal_ideal",
     "relation_properties",
     "resume_position",
     "resume_token",
     "sample_ordered_semigroups",
     "semigroup_morphism",
     "serialize_document",
-    "set_product",
     "structure_theorem_check",
     "transcript_hash",
     "universal_extension",

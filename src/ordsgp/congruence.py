@@ -9,9 +9,12 @@ by containing it; it is a congruence of S exactly when the partition it
 makes of the G-classes is a congruence of the quotient S/G.  So the
 complete semilattice congruences are found on S/G alone, and
 ``relation_properties`` judges the relations that come from elsewhere,
-such as Green's J and L.  Decomposing by such a congruence produces a
-semilattice Y of classes ordered by beta <= alpha iff beta*alpha = beta in
-Y, and four conditions are verified verbatim:
+such as Green's J and L.  Every relation numbers its classes 0, 1, ... by
+first appearance, whatever ids it was built from, so class k holds an
+element and the first element with id k is its least.  Decomposing by
+such a congruence produces a semilattice Y of classes ordered by
+beta <= alpha iff beta*alpha = beta in Y, and four conditions are verified
+verbatim:
 disjointness, cover, S_alpha * S_beta inside S_{alpha beta}, and the
 linkage S_beta meets (S_alpha] only when beta <= alpha.
 """
@@ -25,7 +28,7 @@ from typing import Iterator
 from . import limits
 from .core import OrderedSemigroup, _cached, bits, columns, down_mask, integers
 from .elements import _then, first_failure
-from .errors import InvariantViolation, NotCompleteSemilattice, NotPartition
+from .errors import InvariantViolation, NotCompleteSemilattice
 from .ideals import EquivalenceRelation, _first_appearance, _require_on, n_relation
 from .report import ConditionResult, _cond
 
@@ -57,15 +60,11 @@ def relation_properties(s: OrderedSemigroup, rho: EquivalenceRelation) -> Relati
     holds, a*b ~ b*a over a < b; completeness, a ~ a*b, over the pairs
     a <= b with a != b.  A scan that fails names its tuple under its flag
     even where a flag it builds on has failed too.  A relation on another
-    structure, or whose ids do not number the classes of the carrier by
-    first appearance (``EquivalenceRelation.from_class_ids`` renumbers),
-    is one NotPartition.
+    structure is one NotPartition (``_require_on``); every relation on S
+    numbers the classes of its carrier by first appearance, since its
+    constructor renumbers them.
     """
     _require_on(s, rho)
-    if len(rho.class_ids) != s.size:
-        raise NotPartition("class ids do not cover the carrier")
-    if _first_appearance(rho.class_ids) != tuple(rho.class_ids):
-        raise NotPartition("class ids are not numbered by first appearance")
     ids, tb, n = rho.class_ids, s.table, s.size
     same = [(a, b, c) for a, b in combinations(range(n), 2) if ids[a] == ids[b] for c in range(n)]
     scans = {
@@ -183,7 +182,7 @@ def complete_semilattice_congruences(s: OrderedSemigroup) -> list[EquivalenceRel
         # alpha < beta with the cells (alpha*gamma, beta*gamma) of every gamma
         rows = [(a, b, tuple(zip(y[a], y[b]))) for a, b in combinations(range(len(y)), 2)]
         return [
-            EquivalenceRelation.from_class_ids(s, [rgs[c] for c in g])
+            EquivalenceRelation(s, [rgs[c] for c in g])
             for rgs in enumerate_partitions(len(y))
             if all(rgs[p] == rgs[q] for a, b, cells in rows if rgs[a] == rgs[b] for p, q in cells)
         ]

@@ -4,10 +4,11 @@ A FiniteSemigroup is a carrier {0, ..., n-1} with an associative
 multiplication table; it holds the table, the display names and the
 per-structure cache.  OrderedSemigroup is its subclass that adds a partial
 order ``leq`` which multiplication preserves on both sides: a <= b implies
-c*a <= c*b and a*c <= b*c.  The two stay distinct types rather than one
-type with a discrete default order, because the type is what decides
-whether a structure is written as a semigroup or an ordered semigroup and
-whether the ordered checks accept it.  In the package both are built only
+c*a <= c*b and a*c <= b*c.  Both are read as they are stored: a*b is
+``table[a][b]`` and a <= b is ``leq[a][b]``.  The two stay distinct types
+rather than one type with a discrete default order, because the type is
+what decides whether a structure is written as a semigroup or an ordered
+semigroup and whether the ordered checks accept it.  In the package both are built only
 here, by the validators and ``_relabel``, the one relabeling, which
 induced substructures and the tests' canonical-form oracle go through;
 the order dual that the duality contract reads is built beside that
@@ -31,11 +32,10 @@ product loop, since it multiplies by a set that grows a member at a time.
 The power structure's table, which holds A*B for every pair of subsets,
 takes each entry as the union of two earlier ones: {a}*B =
 {a}*(B - {b}) | {ab} and (R + {a})*B = R*B | {a}*B.
-Pair loops remain only where a pair is the answer: ``induced_substructure``,
-``ideals.is_ideal`` and the decomposition's product condition report the
-least failing pair, and the unordered deciders of ``power`` stay
-definition-level so that a power correspondence keeps two independent
-sides.
+Pair loops remain only where a pair is the answer: ``induced_substructure``
+and the decomposition's product condition report the least failing pair,
+and the unordered deciders of ``power`` stay definition-level so that a
+power correspondence keeps two independent sides.
 
 A table is checked for range and shape (``_check_table``, which keeps a
 row that is already a tuple of ints, so the tables of one enumerated order
@@ -102,20 +102,6 @@ class FiniteSemigroup:
     names: tuple[str, ...] | None = None
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def prod(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def word(self, *xs: int) -> int:
-        """Product of a nonempty sequence of elements, left to right."""
-        it = iter(xs)
-        acc = next(it)
-        for x in it:
-            acc = self.table[acc][x]
-        return acc
-
-    def name_of(self, i: int) -> str:
-        return self.names[i] if self.names else str(i)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(size={self.size})"
 
@@ -125,9 +111,6 @@ class OrderedSemigroup(FiniteSemigroup):
     """A finite ordered semigroup: table plus a compatible partial order."""
 
     leq: LeqMatrix = field(kw_only=True)
-
-    def le(self, a: int, b: int) -> bool:
-        return self.leq[a][b]
 
     def subset(self, members: Iterable[int]) -> "ElementSet":
         return ElementSet(self, mask_of(_elements(members, self.size, "element")))
@@ -148,15 +131,11 @@ class ElementSet:
         if self.mask < 0 or self.mask >> self.structure.size:
             raise ValueError("mask exceeds the carrier")
 
-    @property
-    def members(self) -> frozenset[int]:
-        return frozenset(bits(self.mask))
-
     def __iter__(self) -> Iterator[int]:
         return bits(self.mask)
 
     def __contains__(self, item: object) -> bool:
-        return item in self.members
+        return item in frozenset(self)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -536,13 +515,6 @@ def down_closure(s: OrderedSemigroup, x: ElementSet) -> ElementSet:
     """(X] = {t : t <= h for some h in X}.  Extensive, monotone, idempotent."""
     _require_bound(s, x)
     return ElementSet(s, down_mask(s, x.mask))
-
-
-def set_product(s: OrderedSemigroup, a: ElementSet, b: ElementSet) -> ElementSet:
-    """A*B = {a*b : a in A, b in B}."""
-    _require_bound(s, a)
-    _require_bound(s, b)
-    return ElementSet(s, product_mask(s, a.mask, b.mask))
 
 
 def induced_substructure(s: OrderedSemigroup, t: ElementSet) -> OrderedSemigroup:

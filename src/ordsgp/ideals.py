@@ -7,8 +7,9 @@ S); ``classification._simple``, which stops at the first proper one,
 builds them from the same products one element at a time.  Green's
 relations partition the carrier by equality of principal ideals; H is the
 common refinement of L and R.  An equivalence relation is its class ids,
-and its class masks are read from them.  A side argument must be a Side
-member; anything else is a ValueError naming it.
+numbered by first appearance whatever per-element ids it is given, and its
+class masks are read from them.  A side argument must be a Side member;
+anything else is a ValueError naming it.
 
 A filter is a subsemigroup F that is prime (a*b in F forces a in F and
 b in F) and upward closed (c in F and c <= x force x in F).  N(a) is the
@@ -29,7 +30,6 @@ from .core import (
     ElementSet,
     OrderedSemigroup,
     _cached,
-    _require_bound,
     _require_elements,
     _union,
     above_masks,
@@ -44,7 +44,7 @@ from .core import (
     sandwich_mask,
 )
 from .elements import REGULAR, carrier_scan, first_failure, idempotent_mask
-from .errors import EmptySet, NotIdempotent, NotPartition, NotRegular
+from .errors import NotIdempotent, NotPartition, NotRegular
 from .report import ConditionGroup, _cond, make_bundle
 
 
@@ -70,21 +70,21 @@ def _first_appearance(values) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class EquivalenceRelation:
-    """A partition of the carrier in restricted-growth (first-appearance)
-    form.  ``class_ids`` is the one record of it; ``masks``, the class
-    masks, is derived from it on first read, and ``classes`` from them."""
+    """The partition of the carrier by equality of per-element ids, which
+    may be any hashable values.  The constructor numbers them by first
+    appearance (restricted-growth form), so ``class_ids`` is the one record
+    of the partition; ``masks``, the class masks, is derived from it on
+    first read, and ``classes`` from them.  Ids of another length than the
+    carrier are a ValueError."""
 
     structure: OrderedSemigroup
     class_ids: tuple[int, ...]
 
-    @classmethod
-    def from_class_ids(cls, s: OrderedSemigroup, ids) -> "EquivalenceRelation":
-        """Partition by equality of per-element ids, which may be any
-        hashable values; classes are numbered by first appearance."""
-        ids = tuple(ids)
-        if len(ids) != s.size:
+    def __post_init__(self):
+        ids = _first_appearance(self.class_ids)
+        if len(ids) != self.structure.size:
             raise ValueError("one class id per element required")
-        return cls(s, _first_appearance(ids))
+        object.__setattr__(self, "class_ids", ids)
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
@@ -105,13 +105,6 @@ class EquivalenceRelation:
     def num_classes(self) -> int:
         return max(self.class_ids) + 1
 
-    def refines(self, other: "EquivalenceRelation") -> bool:
-        """True when every class of self lies inside a class of other: each
-        class of self meets exactly one class of other.  A relation on
-        another structure is refused (``_require_on``)."""
-        _require_on(self.structure, other)
-        return len(set(zip(self.class_ids, other.class_ids))) == self.num_classes()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = " | ".join(",".join(map(str, bits(m))) for m in self.masks)
         return f"EquivalenceRelation({body})"
@@ -122,16 +115,6 @@ def _require_on(s: OrderedSemigroup, rho: EquivalenceRelation) -> None:
     equal to it)."""
     if rho.structure is not s and rho.structure != s:
         raise NotPartition("relation is bound to a different structure")
-
-
-@dataclass(frozen=True)
-class IdealCheck:
-    holds: bool
-    reason: str = ""
-    violation: tuple | None = None
-
-    def __bool__(self) -> bool:
-        return self.holds
 
 
 def _principal_masks(s: OrderedSemigroup, side: Side) -> tuple[int, ...]:
@@ -150,44 +133,6 @@ def _principal_masks(s: OrderedSemigroup, side: Side) -> tuple[int, ...]:
         return tuple(b | l | r | down_mask(s, m) for b, l, r, m in zip(below, sa, as_, sas))
 
     return _cached(s, ("principal", side), build)
-
-
-def principal_ideal(s: OrderedSemigroup, a: int, side: Side) -> ElementSet:
-    """The smallest ideal of the given side containing a.
-
-    left: ({a} u Sa]   right: ({a} u aS]   two-sided: ({a} u Sa u aS u SaS]
-    """
-    _require_elements(s, a)
-    _require_side(side)
-    return ElementSet(s, _principal_masks(s, side)[a])
-
-
-def is_ideal(s: OrderedSemigroup, iset: ElementSet, side: Side) -> IdealCheck:
-    """Absorption on the given side plus downward closure, with counterexample."""
-    _require_bound(s, iset)
-    _require_side(side)
-    if not iset.mask:
-        raise EmptySet("ideal")
-    imask = iset.mask
-    table = s.table
-    if side in (Side.LEFT, Side.TWO_SIDED):
-        for x in range(s.size):
-            row = table[x]
-            for i in bits(imask):
-                if not (imask >> row[i]) & 1:
-                    return IdealCheck(False, "left absorption fails", (x, i))
-    if side in (Side.RIGHT, Side.TWO_SIDED):
-        for i in bits(imask):
-            row = table[i]
-            for x in range(s.size):
-                if not (imask >> row[x]) & 1:
-                    return IdealCheck(False, "right absorption fails", (i, x))
-    closed = down_mask(s, imask)
-    if closed != imask:
-        t = next(bits(closed & ~imask))
-        i = next(i for i in bits(imask) if s.leq[t][i])
-        return IdealCheck(False, "not downward closed", (t, i))
-    return IdealCheck(True)
 
 
 def enumerate_ideals(s: OrderedSemigroup, side: Side) -> list[ElementSet]:
@@ -216,10 +161,10 @@ def green_relation(s: OrderedSemigroup, kind: str) -> EquivalenceRelation:
 
 def _green(s: OrderedSemigroup, kind: str) -> EquivalenceRelation:
     if kind in _GREEN_SIDES:
-        return EquivalenceRelation.from_class_ids(s, _principal_masks(s, _GREEN_SIDES[kind]))
+        return EquivalenceRelation(s, _principal_masks(s, _GREEN_SIDES[kind]))
     if kind == "H":
         lrel, rrel = green_relation(s, "L"), green_relation(s, "R")
-        return EquivalenceRelation.from_class_ids(s, zip(lrel.class_ids, rrel.class_ids))
+        return EquivalenceRelation(s, zip(lrel.class_ids, rrel.class_ids))
     raise ValueError(f"unknown Green relation kind: {kind!r}")
 
 
@@ -260,7 +205,7 @@ def n_relation(s: OrderedSemigroup) -> EquivalenceRelation:
     """Partition by equality of principal filters."""
 
     def build():
-        return EquivalenceRelation.from_class_ids(s, _filter_masks(s))
+        return EquivalenceRelation(s, _filter_masks(s))
 
     return _cached(s, "n_relation", build)
 

@@ -238,9 +238,10 @@ def is_left_group(f: FiniteSemigroup) -> bool:
 
 def is_completely_regular_semigroup(f: FiniteSemigroup) -> bool:
     """Every a solves a = a*a*x*a*a."""
-    n = f.size
+    n, table = f.size, f.table
     return all(
-        any(f.word(a, a, x, a, a) == a for x in range(n)) for a in range(n)
+        any(table[table[row[a]][x]][row[a]] == a for x in range(n))
+        for a, row in enumerate(table)
     )
 
 

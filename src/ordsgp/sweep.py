@@ -6,7 +6,10 @@ that order, skipping a check whose premise a structure does not meet;
 any ``agree = False`` result is collected as a Disagreement: the check's
 own ``BundleResult``, which holds every condition with its counterexample
 detail, and the serialized structure, so a counterexample is reproducible
-from the report alone.
+from the report alone.  Once a structure's checks have run, ``sweep`` and
+``_table_blocks`` clear its cache: the relations cached there refer back
+to the structure, so a kept cache would leave every swept structure in a
+cycle for the cyclic collector.
 
 ``sweep_order`` sweeps the ordered-semigroup stream of one order from a
 start position to its end without keeping the stream's documents.  One
@@ -91,6 +94,7 @@ def sweep(structures, check_ids=CHECK_IDS) -> SweepReport:
         total += 1
         transcripts.append(serialize_document(s))
         disagreements.extend(check_structure(s, check_ids))
+        s._cache.clear()
     return SweepReport(total, disagreements, transcripts)
 
 
@@ -143,7 +147,9 @@ def _table_blocks(n: int, positions: tuple[int, int], check_ids):
         disagreements = []
         for k in orders:
             if check_ids:
-                disagreements += check_structure(_ordered(f, certified[k]), check_ids)
+                s = _ordered(f, certified[k])
+                disagreements += check_structure(s, check_ids)
+                s._cache.clear()
             else:
                 _compatible(f, certified[k])
         head = _head_text(True, n, None, f.table)

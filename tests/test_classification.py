@@ -151,9 +151,10 @@ def test_the_sweep_refutes_equality_complete_regularity(monkeypatch):
     real = sweep_module.CHECKS["CR-EQ5"]
 
     def mutant(s):
-        n = s.size
+        n, tb = s.size, s.table
         holds, least, _ = first_failure(
-            ((a,) for a in range(n)), lambda a: any(s.word(a, a, x, a, a) == a for x in range(n))
+            ((a,) for a in range(n)),
+            lambda a: any(tb[tb[tb[a][a]][x]][tb[a][a]] == a for x in range(n)),
         )
         first = ConditionResult(EQUALITY_CR, holds, least)
         return make_bundle("CR-EQ5", (first,) + real(s).conditions[1:])

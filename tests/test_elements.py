@@ -16,12 +16,12 @@ from conftest import all_ordered_fixtures, make_pz2, make_sl2, make_t1
 
 def test_group_component_examples():
     sl2 = make_sl2()
-    assert group_component(sl2, 1).members == {1}
-    assert group_component(sl2, 0).members == {0}
+    assert set(group_component(sl2, 1)) == {1}
+    assert set(group_component(sl2, 0)) == {0}
     pz2 = make_pz2()
-    assert group_component(pz2, 0).members == {0, 1, 2}
+    assert set(group_component(pz2, 0)) == {0, 1, 2}
     t1 = make_t1()
-    assert group_component(t1, 0).members == {0}
+    assert set(group_component(t1, 0)) == {0}
 
 
 def test_group_component_rejects_non_idempotent():
@@ -61,7 +61,7 @@ def test_group_component_against_definition():
                     and le[a][tb[a][e]]
                     and any(le[e][tb[z][a]] and le[e][tb[a][z]] for z in range(n))
                 }
-                assert group_component(s, e).members == want, (s.table, s.leq, e)
+                assert set(group_component(s, e)) == want, (s.table, s.leq, e)
 
 
 def test_completely_regular_witness_laws():
@@ -72,12 +72,12 @@ def test_completely_regular_witness_laws():
             holds, _, found = witness_scan(s, ((a,),), COMPLETELY_REGULAR[1], True)
             if not holds:
                 continue
-            aa = s.prod(a, a)
+            tb, le = s.table, s.leq
+            aa = tb[a][a]
             assert any(
-                s.le(a, s.word(a, x, aa)) and s.le(a, s.word(aa, x, a))
-                for x in range(s.size)
+                le[a][tb[tb[a][x]][aa]] and le[a][tb[tb[aa][x]][a]] for x in range(s.size)
             ), (name, a)
             t = found[(a,)][0]
-            e = s.word(aa, t, aa, t, aa)
-            assert s.le(e, s.prod(e, e)), (name, a)
-            assert s.le(a, s.prod(e, a)) and s.le(a, s.prod(a, e)), (name, a)
+            e = tb[tb[tb[tb[aa][t]][aa]][t]][aa]
+            assert le[e][tb[e][e]], (name, a)
+            assert le[a][tb[e][a]] and le[a][tb[a][e]], (name, a)

@@ -1,6 +1,7 @@
 """Exhaustive generation: counts, determinism, resume, canonical forms."""
 
 import bisect
+import gc
 import hashlib
 import itertools
 import math
@@ -538,6 +539,28 @@ def test_sweep_order_memory_does_not_grow_with_the_stream():
     finally:
         tracemalloc.stop()
     assert peak < stream_bytes / 4, (peak, stream_bytes)
+
+
+def test_a_swept_structure_leaves_no_cyclic_garbage():
+    """Once its checks have run, a swept structure's cache is cleared: the
+    relations cached there refer back to the structure, so a kept cache
+    would leave every swept structure for the cyclic collector."""
+    runs = (
+        lambda: sweep(sample_ordered_semigroups(4, 200, 20260810)),
+        lambda: sweep_order(2, 1, CHECK_IDS),
+    )
+    for run in runs:
+        run()  # fills the enumeration caches and loads hashlib
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for run in runs:
+            gc.collect()
+            run()
+            assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_sampling_is_deterministic():

@@ -101,7 +101,7 @@ def test_missing_transitivity_is_an_input_error():
     with pytest.raises(NotTransitive):
         parse_document(doc)
     s = parse_document(doc, close_order=True)
-    assert s.le(0, 2)
+    assert s.leq[0][2]
 
 
 def test_round_trip_every_fixture():

@@ -22,7 +22,7 @@ It prints the exit code of each command and the calls it saw, as JSON:
     PYTHONPATH=src:tests python tests/test_reachability.py
 
 The tests read that trace.  A function is named by its module and
-qualified name, e.g. ``core.FiniteSemigroup.word`` or
+qualified name, e.g. ``core.OrderedSemigroup.subset`` or
 ``ideals._principal_masks.build`` for a nested one.  Dunders are exempt;
 the constructors of ``errors.py`` are replaced by an ``ast`` check that
 every exception class there is raised somewhere in ``src/``.  The
@@ -46,7 +46,7 @@ SRC = ROOT / "src" / "ordsgp"
 
 # qualified name -> why it stays in src/ though no command reaches it
 ALLOWLIST = {
-    # names perfbench/rep.py imports: the benchmark's own entry points
+    # names perfbench/rep.py imports or calls: the benchmark's own entry points
     "classification.structure_theorem_check": "perfbench's traced sweep-n4 unit runs each theorem",
     "core.down_closure": "perfbench times it as core.down_closure_us",
     "enumeration.enumerate_compatible_orders": "perfbench's traced enumerate-n4 unit",
@@ -56,18 +56,8 @@ ALLOWLIST = {
     "ideals.enumerate_ideals": "perfbench times it; idempotent_ideal_identities reads it",
     "power.power_correspondence_check": "perfbench's power-n4 workload; no command checks it yet",
     "sweep.sweep": "perfbench's sweep-n4 unit",
-    # accessors the tests' definition-level oracles read
-    "core.ElementSet.members": "the tests compare sets by their members",
-    "core.FiniteSemigroup.name_of": "the power oracle names subsets by their members' names",
-    "core.FiniteSemigroup.prod": "the tests' oracles state products one pair at a time",
-    "core.FiniteSemigroup.word": "the tests' oracles state products of several factors",
-    "core.OrderedSemigroup.le": "the tests' oracles state the order one pair at a time",
-    # acceptance helpers, and the ideal oracle's ideal check
-    "core.OrderedSemigroup.subset": "builds an ElementSet from members: group_component, tests",
-    "core.set_product": "the acceptance test of setwise associativity",
-    "ideals.EquivalenceRelation.refines": "the acceptance test that the least CSC is least",
-    "ideals.is_ideal": "the ideal oracle's check of each subset",
-    "ideals.principal_ideal": "the acceptance test of principal ideals as meets of ideals",
+    "core.OrderedSemigroup.subset": "perfbench builds down_closure's argument; group_component",
+    # the universal property of P(F) (ROADMAP item 10), which the acceptance test decides
     "power.join": "universal_extension's joins",
     "power.join_all": "universal_extension's joins of images",
     "power.semigroup_morphism": "the acceptance test of the universal extension",
@@ -85,8 +75,8 @@ ALLOWLIST = {
     "enumeration.enumerate_ordered_semigroups": "the tests' stream of whole orders and ranges",
     # argument checks that only allowlisted functions call
     "core._elements": "subset's and semigroup_morphism's element check",
-    "core._require_elements": "the element check of group_component, join, principal_ideal",
-    "ideals._require_side": "the side check of is_ideal, enumerate_ideals, principal_ideal",
+    "core._require_elements": "the element check of group_component, join, the ideal identities",
+    "ideals._require_side": "enumerate_ideals's side check",
 }
 
 
