@@ -141,6 +141,13 @@ def differential_structures():
     yield from sample_ordered_semigroups(4, 1000, 20260810)
 
 
+def refines(rho, sigma) -> bool:
+    """Each class of the relation rho lies inside a class of sigma: it
+    meets exactly one, so the pairs of their class ids are as many as
+    rho's classes."""
+    return len(set(zip(rho.class_ids, sigma.class_ids))) == rho.num_classes()
+
+
 @pytest.fixture
 def t1():
     return make_t1()

@@ -13,9 +13,9 @@ non-reflexive pairs against the definition of a partial order,
 congruence definitions, and ``ideal_oracle`` all 2^n subsets through
 ``is_ideal``, the ideal check by absorption and down-closure.
 ``associativity_oracle`` scans every triple of a table in lexicographic
-order.  The tier-1 tests compare the package with them on
-small orders.  Run as a script, this file first compares ``all_posets(5)``
-with ``poset_scan(5)``, element by element and in order, and checks that
+order.  The tier-1 tests compare the package with them on small orders.
+Run as a script, this file first compares ``all_posets(5)`` with
+``poset_scan(5)``, element by element and in order, and checks that
 the lex-leader search finds the 1,915 table classes of order 5 and that
 their orbits are the 183,732 tables of ``tables_dfs(5)`` (pinned as
 ``TABLES_5_SHA``; the labeled search takes minutes at order 5), and
