@@ -9,10 +9,14 @@ a time: the checks read them off carrier-wide masks and scans in
 ``ordsgp.elements`` and ``ordsgp.ideals``.  Nor are products, the order
 or setwise products wrapped: they are read from a structure's ``table``
 and ``leq`` and from ``core.product_mask``.
+
+A subset of the carrier is a bitmask over it, taken and returned as an
+int, and an equivalence relation is its class ids.  Nothing that a
+structure caches refers back to it, so a dropped structure is freed at
+once, wherever its checks ran.
 """
 
 from .core import (
-    ElementSet,
     FiniteSemigroup,
     OrderedSemigroup,
     down_closure,
@@ -44,7 +48,6 @@ from .congruence import (
     complete_semilattice_congruences,
     decompose,
     enumerate_partitions,
-    least_csc,
     relation_properties,
 )
 from .power import (
@@ -84,7 +87,6 @@ __all__ = [
     "ClassificationReport",
     "ConditionResult",
     "Decomposition",
-    "ElementSet",
     "EquivalenceRelation",
     "FiniteSemigroup",
     "OrderedSemigroup",
@@ -113,7 +115,6 @@ __all__ = [
     "is_group",
     "is_left_group",
     "join",
-    "least_csc",
     "n_relation",
     "parse_document",
     "power_correspondence_check",

@@ -64,7 +64,7 @@ from itertools import combinations, product
 from typing import Callable
 
 from . import limits
-from .congruence import complete_semilattice_congruences, least_csc, relation_properties
+from .congruence import complete_semilattice_congruences, relation_properties
 from .core import (
     OrderedSemigroup,
     _cached,
@@ -100,7 +100,7 @@ from .errors import (
     UnknownPredicate,
     UnknownTheorem,
 )
-from .ideals import Side, green_relation
+from .ideals import Side, green_relation, n_relation
 from .report import (
     BundleResult,
     ClassificationReport,
@@ -643,7 +643,7 @@ def _cr_leastcsc(s):
         _cond("completely regular", carrier_scan(s, COMPLETELY_REGULAR)),
         ConditionResult(
             "J equals the least complete semilattice congruence",
-            j.class_ids == least_csc(s).class_ids,
+            j.class_ids == n_relation(s).class_ids,
         ),
         ConditionResult(
             "J is a complete semilattice congruence",
@@ -702,7 +702,7 @@ def _cl_decomp(s):
         _cond("regular with the clifford condition", _regular_then(s, _clifford)),
         _cond(
             "every least-congruence class is group like",
-            _classes_all(s, least_csc(s), _group_like_subsemigroup),
+            _classes_all(s, n_relation(s), _group_like_subsemigroup),
         ),
         _cond(
             "some complete semilattice congruence has group like classes",
@@ -724,7 +724,7 @@ def _lcl_leastcsc(s):
     def l_is_least():
         lrel = green_relation(s, "L")
         props = relation_properties(s, lrel)
-        holds = props.complete_semilattice and lrel.class_ids == least_csc(s).class_ids
+        holds = props.complete_semilattice and lrel.class_ids == n_relation(s).class_ids
         return holds, None if holds else props.counterexamples.get("complete_semilattice"), {}
 
     return (
@@ -755,7 +755,7 @@ def _lcl_decomp(s):
         ),
         _cond(
             "every least-congruence class is left group like",
-            _classes_all(s, least_csc(s), _left_group_like_class),
+            _classes_all(s, n_relation(s), _left_group_like_class),
         ),
     )
 

@@ -26,12 +26,12 @@ import sys
 from pathlib import Path
 
 from .classification import BUNDLE_ORDER, CHECK_IDS, CHECKS, THEOREM_ORDER, classify
-from .congruence import decompose, least_csc
-from .core import OrderedSemigroup, induced_substructure, leq_pairs
+from .congruence import decompose
+from .core import OrderedSemigroup, bits, induced_substructure, leq_pairs
 from .enumeration import all_semigroup_tables, resume_position, resume_token
 from .errors import NotApplicable, OrdsgpError
 from .fileformat import parse_document, serialize_document
-from .ideals import green_relation
+from .ideals import green_relation, n_relation
 from .power import power_ordered_semigroup
 from .report import BundleResult, ClassificationReport
 from .sweep import sweep_order
@@ -167,7 +167,7 @@ def cmd_green(args) -> int:
             {
                 "structure": _structure_json(structure),
                 "kind": args.kind,
-                "classes": [sorted(c) for c in relation.classes],
+                "classes": [list(bits(m)) for m in relation.masks],
             }
         )
         return 0
@@ -175,21 +175,20 @@ def cmd_green(args) -> int:
 
     if not is_regular_structure(structure):
         print("note: structure is not regular; relations computed from principal ideals")
-    body = " | ".join("{" + ",".join(map(str, sorted(c))) + "}" for c in relation.classes)
+    body = " | ".join("{" + ",".join(map(str, bits(m))) + "}" for m in relation.masks)
     print(f"{args.kind}-classes: {body}")
     return 0
 
 
 def cmd_decompose(args) -> int:
     structure = _require_ordered(_read_structure(args.file), "decompose")
-    rho = least_csc(structure)
-    result = decompose(structure, rho)
+    result = decompose(structure, n_relation(structure))
     if args.json:
         _print_json(
             {
                 "structure": _structure_json(structure),
                 "rho": "least-csc",
-                "classes": [sorted(c) for c in result.rho.classes],
+                "classes": [list(bits(m)) for m in result.rho.masks],
                 "quotient_table": [list(r) for r in result.quotient_table],
                 "quotient_order": [list(p) for p in leq_pairs(result.quotient_order)],
                 "conditions": [
@@ -197,14 +196,14 @@ def cmd_decompose(args) -> int:
                 ],
                 "class_predicates": [
                     {name: res.holds for name, res in classify(part).verdicts.items()}
-                    for part in (induced_substructure(structure, c) for c in result.rho.classes)
+                    for part in (induced_substructure(structure, m) for m in result.rho.masks)
                 ],
             }
         )
         return 0
     print(f"quotient semilattice: {result.quotient_size} classes")
-    for i, c in enumerate(result.rho.classes):
-        print(f"  class {i}: {{{','.join(map(str, sorted(c)))}}}")
+    for i, m in enumerate(result.rho.masks):
+        print(f"  class {i}: {{{','.join(map(str, bits(m)))}}}")
     for c in result.condition_verdicts:
         mark = "ok" if c.holds else "FAIL"
         print(f"  [{mark}] {c.label}")

@@ -1,5 +1,6 @@
-"""Congruence predicates, the least complete semilattice congruence, and
-complete-semilattice decompositions.
+"""Congruence predicates, the complete semilattice congruences, and
+complete-semilattice decompositions.  The least complete semilattice
+congruence is ``ideals.n_relation``, the filter-equality relation.
 
 A semilattice congruence is a congruence with a ~ a*a and a*b ~ b*a; it is
 complete when a <= b forces a ~ a*b.  Every complete semilattice
@@ -28,8 +29,8 @@ from typing import Iterator
 from . import limits
 from .core import OrderedSemigroup, _cached, bits, columns, down_mask, integers
 from .elements import _then, first_failure
-from .errors import InvariantViolation, NotCompleteSemilattice
-from .ideals import EquivalenceRelation, _first_appearance, _require_on, n_relation
+from .errors import InvariantViolation, NotCompleteSemilattice, NotPartition
+from .ideals import EquivalenceRelation, _first_appearance
 from .report import ConditionResult, _cond
 
 
@@ -59,13 +60,14 @@ def relation_properties(s: OrderedSemigroup, rho: EquivalenceRelation) -> Relati
     (a, b, c) with a < b in one class; a ~ a*a over (a, a) and, once that
     holds, a*b ~ b*a over a < b; completeness, a ~ a*b, over the pairs
     a <= b with a != b.  A scan that fails names its tuple under its flag
-    even where a flag it builds on has failed too.  A relation on another
-    structure is one NotPartition (``_require_on``); every relation on S
-    numbers the classes of its carrier by first appearance, since its
-    constructor renumbers them.
+    even where a flag it builds on has failed too.  A relation of another
+    length than S is one NotPartition; one of S's length partitions S's
+    indices, numbered by first appearance since its constructor renumbers
+    them, and is judged on S wherever it was built.
     """
-    _require_on(s, rho)
     ids, tb, n = rho.class_ids, s.table, s.size
+    if len(ids) != n:
+        raise NotPartition(f"relation on {len(ids)} elements, structure has {n}")
     same = [(a, b, c) for a, b in combinations(range(n), 2) if ids[a] == ids[b] for c in range(n)]
     scans = {
         "left_congruence": first_failure(same, lambda a, b, c: ids[tb[c][a]] == ids[tb[c][b]]),
@@ -84,11 +86,6 @@ def relation_properties(s: OrderedSemigroup, rho: EquivalenceRelation) -> Relati
     flags = (left, right, left and right, left and right and band)
     found = {flag: least for flag, (holds, least, _) in scans.items() if not holds}
     return RelationProperties(*flags, flags[3] and complete, found)
-
-
-def least_csc(s: OrderedSemigroup) -> EquivalenceRelation:
-    """The least complete semilattice congruence (filter-equality relation)."""
-    return n_relation(s)
 
 
 def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -182,7 +179,7 @@ def complete_semilattice_congruences(s: OrderedSemigroup) -> list[EquivalenceRel
         # alpha < beta with the cells (alpha*gamma, beta*gamma) of every gamma
         rows = [(a, b, tuple(zip(y[a], y[b]))) for a, b in combinations(range(len(y)), 2)]
         return [
-            EquivalenceRelation(s, [rgs[c] for c in g])
+            EquivalenceRelation([rgs[c] for c in g])
             for rgs in enumerate_partitions(len(y))
             if all(rgs[p] == rgs[q] for a, b, cells in rows if rgs[a] == rgs[b] for p, q in cells)
         ]

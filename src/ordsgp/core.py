@@ -12,8 +12,9 @@ semigroup and whether the ordered checks accept it.  In the package both are bui
 here, by the validators and ``_relabel``, the one relabeling, which
 induced substructures and the tests' canonical-form oracle go through;
 the order dual that the duality contract reads is built beside that
-oracle, in ``tests/order4_oracles.py``.  Subsets of the carrier are
-ElementSet values; downward closure
+oracle, in ``tests/order4_oracles.py``.  A subset of the carrier is a
+bitmask, bit i standing for element i, and a mask passed in from outside
+is checked once against the carrier (``_require_mask``); downward closure
 
     (H] = {t : t <= h for some h in H}
 
@@ -65,9 +66,11 @@ kept once (by the poset search, or per |F| for P(F)'s inclusion) and call
 and builds no structure.
 
 Element indices are the canonical identity; display names are cosmetic.
-All values are immutable after validation and safe to share.  Subsets are
-stored as bitmasks over the carrier, which keeps the exhaustive scans in
-the rest of the package cheap.
+All values are immutable after validation and safe to share.  The
+per-structure cache holds masks, tuples and scan results, and relations
+as their class ids: nothing in it refers back to its structure, so a
+dropped structure is freed by reference counting, not by the cyclic
+collector.
 """
 
 from __future__ import annotations
@@ -112,39 +115,13 @@ class OrderedSemigroup(FiniteSemigroup):
 
     leq: LeqMatrix = field(kw_only=True)
 
-    def subset(self, members: Iterable[int]) -> "ElementSet":
-        return ElementSet(self, mask_of(_elements(members, self.size, "element")))
+    def subset(self, members: Iterable[int]) -> int:
+        """The mask of the given elements, each checked against the carrier."""
+        return mask_of(_elements(members, self.size, "element"))
 
     def order_pairs(self) -> list[tuple[int, int]]:
         """All non-reflexive pairs (a, b) with a <= b, sorted."""
         return leq_pairs(self.leq)
-
-
-@dataclass(frozen=True)
-class ElementSet:
-    """A subset of one structure's carrier, stored as a bitmask."""
-
-    structure: OrderedSemigroup
-    mask: int
-
-    def __post_init__(self):
-        if self.mask < 0 or self.mask >> self.structure.size:
-            raise ValueError("mask exceeds the carrier")
-
-    def __iter__(self) -> Iterator[int]:
-        return bits(self.mask)
-
-    def __contains__(self, item: object) -> bool:
-        return item in frozenset(self)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "{" + ",".join(str(i) for i in self) + "}"
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -502,37 +479,41 @@ def _require_elements(s: FiniteSemigroup, *elements: int) -> None:
     _elements(elements, s.size, "element")
 
 
-def _require_bound(s: OrderedSemigroup, x: ElementSet) -> None:
-    if x.structure is not s and x.structure != s:
-        raise ValueError("set is bound to a different structure")
+def _require_mask(s: FiniteSemigroup, mask: int) -> int:
+    """The mask as an int (``integers``) that holds only elements of the
+    carrier: the one check of every subset passed in from outside.  A mask
+    that is negative or past the carrier is a ValueError naming it."""
+    (mask,) = integers([mask], "mask")
+    if not 0 <= mask < 1 << s.size:
+        raise ValueError(f"mask {mask} is not a subset of the carrier 0..{s.size - 1}")
+    return mask
 
 
 # ---------------------------------------------------------------------------
 # public set operators
 
 
-def down_closure(s: OrderedSemigroup, x: ElementSet) -> ElementSet:
-    """(X] = {t : t <= h for some h in X}.  Extensive, monotone, idempotent."""
-    _require_bound(s, x)
-    return ElementSet(s, down_mask(s, x.mask))
+def down_closure(s: OrderedSemigroup, x: int) -> int:
+    """The mask of (X] = {t : t <= h for some h in X}.  Extensive, monotone,
+    idempotent."""
+    return down_mask(s, _require_mask(s, x))
 
 
-def induced_substructure(s: OrderedSemigroup, t: ElementSet) -> OrderedSemigroup:
-    """The ordered semigroup on a product-closed subset T.
+def induced_substructure(s: OrderedSemigroup, t: int) -> OrderedSemigroup:
+    """The ordered semigroup on a product-closed subset T, given by its mask.
 
     The result carries the restricted table and order; closures computed in
     the returned structure range over T only.  Element i of the result is
     the i-th smallest member of T.
     """
-    _require_bound(s, t)
-    if not t.mask:
+    t = _require_mask(s, t)
+    if not t:
         raise EmptySet("substructure carrier")
-    members = sorted(t)
-    inside = t.mask
+    members = list(bits(t))
     for a in members:
         row = s.table[a]
         for b in members:
-            if not (inside >> row[b]) & 1:
+            if not (t >> row[b]) & 1:
                 raise NotClosed(a, b)
     return _relabel(s, members)
 

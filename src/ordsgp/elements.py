@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .core import ElementSet, OrderedSemigroup, _cached, _require_elements, columns, mask_of
+from .core import OrderedSemigroup, _cached, _require_elements, columns, mask_of
 from .errors import NotIdempotent
 
 
@@ -131,14 +131,15 @@ def inverse_mask(s: OrderedSemigroup, a: int) -> int:
     return _cached(s, "inverse_masks", build)[a]
 
 
-def group_component(s: OrderedSemigroup, e: int) -> ElementSet:
-    """G_e = {a : a <= ea, a <= ae, and e <= za, e <= az for one z}."""
+def group_component(s: OrderedSemigroup, e: int) -> int:
+    """The mask of G_e = {a : a <= ea, a <= ae, and e <= za, e <= az for
+    one z}."""
     _require_elements(s, e)
     if not (idempotent_mask(s) >> e) & 1:
         raise NotIdempotent(e)
     table, leq = s.table, s.leq
     le = leq[e]
-    return s.subset(
+    return mask_of(
         a
         for a in range(s.size)
         if leq[a][table[e][a]]

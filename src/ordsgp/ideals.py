@@ -6,10 +6,12 @@ built at once from the cached multiples Sa and aS (``core._products`` over
 S); ``classification._simple``, which stops at the first proper one,
 builds them from the same products one element at a time.  Green's
 relations partition the carrier by equality of principal ideals; H is the
-common refinement of L and R.  An equivalence relation is its class ids,
-numbered by first appearance whatever per-element ids it is given, and its
-class masks are read from them.  A side argument must be a Side member;
-anything else is a ValueError naming it.
+common refinement of L and R.  An ideal is returned as its mask.  An
+equivalence relation is its class ids, numbered by first appearance
+whatever per-element ids it is given, and its class masks are read from
+them; it holds no structure, so the relations cached on a structure keep
+no reference back to it.  A side argument must be a Side member; anything
+else is a ValueError naming it.
 
 A filter is a subsemigroup F that is prime (a*b in F forces a in F and
 b in F) and upward closed (c in F and c <= x force x in F).  N(a) is the
@@ -27,7 +29,6 @@ from operator import or_
 
 from . import limits
 from .core import (
-    ElementSet,
     OrderedSemigroup,
     _cached,
     _require_elements,
@@ -44,7 +45,7 @@ from .core import (
     sandwich_mask,
 )
 from .elements import REGULAR, carrier_scan, first_failure, idempotent_mask
-from .errors import NotIdempotent, NotPartition, NotRegular
+from .errors import NotIdempotent, NotRegular
 from .report import ConditionGroup, _cond, make_bundle
 
 
@@ -70,21 +71,18 @@ def _first_appearance(values) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class EquivalenceRelation:
-    """The partition of the carrier by equality of per-element ids, which
-    may be any hashable values.  The constructor numbers them by first
+    """The partition of a carrier by equality of per-element ids, which may
+    be any hashable values.  The constructor numbers them by first
     appearance (restricted-growth form), so ``class_ids`` is the one record
     of the partition; ``masks``, the class masks, is derived from it on
-    first read, and ``classes`` from them.  Ids of another length than the
-    carrier are a ValueError."""
+    first read.  A relation holds no structure: its carrier is the indices
+    0..len(class_ids)-1, and a relation cached on a structure keeps no
+    reference back to it."""
 
-    structure: OrderedSemigroup
     class_ids: tuple[int, ...]
 
     def __post_init__(self):
-        ids = _first_appearance(self.class_ids)
-        if len(ids) != self.structure.size:
-            raise ValueError("one class id per element required")
-        object.__setattr__(self, "class_ids", ids)
+        object.__setattr__(self, "class_ids", _first_appearance(self.class_ids))
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
@@ -93,11 +91,6 @@ class EquivalenceRelation:
         for elem, cid in enumerate(self.class_ids):
             masks[cid] |= 1 << elem
         return tuple(masks)
-
-    @property
-    def classes(self) -> tuple[ElementSet, ...]:
-        """The classes as ElementSets, in the order of their ids."""
-        return tuple(ElementSet(self.structure, m) for m in self.masks)
 
     def same(self, a: int, b: int) -> bool:
         return self.class_ids[a] == self.class_ids[b]
@@ -108,13 +101,6 @@ class EquivalenceRelation:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = " | ".join(",".join(map(str, bits(m))) for m in self.masks)
         return f"EquivalenceRelation({body})"
-
-
-def _require_on(s: OrderedSemigroup, rho: EquivalenceRelation) -> None:
-    """Raise NotPartition unless rho is a relation on s (or on a structure
-    equal to it)."""
-    if rho.structure is not s and rho.structure != s:
-        raise NotPartition("relation is bound to a different structure")
 
 
 def _principal_masks(s: OrderedSemigroup, side: Side) -> tuple[int, ...]:
@@ -135,8 +121,9 @@ def _principal_masks(s: OrderedSemigroup, side: Side) -> tuple[int, ...]:
     return _cached(s, ("principal", side), build)
 
 
-def enumerate_ideals(s: OrderedSemigroup, side: Side) -> list[ElementSet]:
-    """All nonempty ideals of the given side, ascending by size then members.
+def enumerate_ideals(s: OrderedSemigroup, side: Side) -> list[int]:
+    """The masks of all nonempty ideals of the given side, ascending by
+    size then members.
 
     Every nonempty ideal is the union of the principal ideals of its
     members, and every union of ideals is an ideal, so the ideals are the
@@ -147,8 +134,7 @@ def enumerate_ideals(s: OrderedSemigroup, side: Side) -> list[ElementSet]:
     found: set[int] = set()
     for p in _principal_masks(s, side):
         found |= {p} | {m | p for m in found}
-    ordered = sorted(found, key=lambda m: (m.bit_count(), tuple(bits(m))))
-    return [ElementSet(s, m) for m in ordered]
+    return sorted(found, key=lambda m: (m.bit_count(), tuple(bits(m))))
 
 
 _GREEN_SIDES = {"L": Side.LEFT, "R": Side.RIGHT, "J": Side.TWO_SIDED}
@@ -161,10 +147,10 @@ def green_relation(s: OrderedSemigroup, kind: str) -> EquivalenceRelation:
 
 def _green(s: OrderedSemigroup, kind: str) -> EquivalenceRelation:
     if kind in _GREEN_SIDES:
-        return EquivalenceRelation(s, _principal_masks(s, _GREEN_SIDES[kind]))
+        return EquivalenceRelation(_principal_masks(s, _GREEN_SIDES[kind]))
     if kind == "H":
         lrel, rrel = green_relation(s, "L"), green_relation(s, "R")
-        return EquivalenceRelation(s, zip(lrel.class_ids, rrel.class_ids))
+        return EquivalenceRelation(zip(lrel.class_ids, rrel.class_ids))
     raise ValueError(f"unknown Green relation kind: {kind!r}")
 
 
@@ -205,7 +191,7 @@ def n_relation(s: OrderedSemigroup) -> EquivalenceRelation:
     """Partition by equality of principal filters."""
 
     def build():
-        return EquivalenceRelation(s, _filter_masks(s))
+        return EquivalenceRelation(_filter_masks(s))
 
     return _cached(s, "n_relation", build)
 
@@ -239,7 +225,7 @@ def idempotent_ideal_identities(s: OrderedSemigroup, e: int, f: int):
         # (image of I] = I n other for every ideal I of the side; a failure
         # is I and the least element of the difference
         diff = {
-            tuple(ideal): down_mask(s, image(ideal.mask)) ^ (ideal.mask & other)
+            tuple(bits(ideal)): down_mask(s, image(ideal)) ^ (ideal & other)
             for ideal in enumerate_ideals(s, side)
         }
         return first_failure(product(diff, range(n)), lambda i, x: not (diff[i] >> x) & 1)

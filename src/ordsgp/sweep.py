@@ -6,10 +6,10 @@ that order, skipping a check whose premise a structure does not meet;
 any ``agree = False`` result is collected as a Disagreement: the check's
 own ``BundleResult``, which holds every condition with its counterexample
 detail, and the serialized structure, so a counterexample is reproducible
-from the report alone.  Once a structure's checks have run, ``sweep`` and
-``_table_blocks`` clear its cache: the relations cached there refer back
-to the structure, so a kept cache would leave every swept structure in a
-cycle for the cyclic collector.
+from the report alone.  Nothing a check caches on a structure refers back
+to it (relations are their class ids, subsets their masks), so a swept
+structure is freed by reference counting as soon as it is dropped, here
+or wherever else its checks ran.
 
 ``sweep_order`` sweeps the ordered-semigroup stream of one order from a
 start position to its end without keeping the stream's documents.  One
@@ -94,7 +94,6 @@ def sweep(structures, check_ids=CHECK_IDS) -> SweepReport:
         total += 1
         transcripts.append(serialize_document(s))
         disagreements.extend(check_structure(s, check_ids))
-        s._cache.clear()
     return SweepReport(total, disagreements, transcripts)
 
 
@@ -147,9 +146,7 @@ def _table_blocks(n: int, positions: tuple[int, int], check_ids):
         disagreements = []
         for k in orders:
             if check_ids:
-                s = _ordered(f, certified[k])
-                disagreements += check_structure(s, check_ids)
-                s._cache.clear()
+                disagreements += check_structure(_ordered(f, certified[k]), check_ids)
             else:
                 _compatible(f, certified[k])
         head = _head_text(True, n, None, f.table)

@@ -32,7 +32,10 @@ taken from the table and down-closed through the order, and that
 Green's L, R, J and H and on N, and that CR-HCLASS's
 cover search, ``_union_of_group_like``, equals
 ``union_of_group_like_oracle``, the 2^n scan over every subset through
-the definition of a group-like subsemigroup.  It also runs
+the definition of a group-like subsemigroup, and that the masks of
+``down_closure`` of every singleton and of ``group_component`` of every
+ordered idempotent hold the sets that the definitions give
+(``subset_mismatches``).  It also runs
 every (table, poset) pair of order 4 through ``validate_structure`` and
 compares the verdict and the ``NotCompatible`` witness with
 ``compatibility_oracle``, a scan of the definition, and the accepted pairs
@@ -65,11 +68,13 @@ from ordsgp import (
     RelationProperties,
     Side,
     complete_semilattice_congruences,
+    down_closure,
     enumerate_ideals,
     enumerate_ordered_semigroups,
     enumerate_partitions,
     enumerate_semigroups,
     green_relation,
+    group_component,
     n_relation,
     power_ordered_semigroup,
     predicate,
@@ -595,6 +600,32 @@ def principal_mismatches(s) -> list[str]:
     return found
 
 
+def subset_mismatches(s) -> list[str]:
+    """The singletons {a} whose ``down_closure`` is not the set {t : t <= a},
+    and the ordered idempotents e whose ``group_component`` is not the set
+    {a : a <= ea, a <= ae, and e <= za, e <= az for one z}, both read off
+    the table and the order."""
+    carrier, tb, leq = range(s.size), s.table, s.leq
+    found = [
+        f"down-closure of {{{a}}}"
+        for a in carrier
+        if set(bits(down_closure(s, 1 << a))) != {t for t in carrier if leq[t][a]}
+    ]
+    for e in carrier:
+        if not leq[e][tb[e][e]]:
+            continue
+        component = {
+            a
+            for a in carrier
+            if leq[a][tb[e][a]]
+            and leq[a][tb[a][e]]
+            and any(leq[e][tb[z][a]] and leq[e][tb[a][z]] for z in carrier)
+        }
+        if set(bits(group_component(s, e))) != component:
+            found.append(f"group component of {e}")
+    return found
+
+
 def mismatches(s):
     """The names of the oracles the package disagrees with on s."""
     found = principal_mismatches(s)
@@ -608,9 +639,9 @@ def mismatches(s):
         if relation_properties(s, rel) != relation_properties_oracle(s, rel.class_ids):
             found.append(f"relation_properties of {name}")
     for side in Side:
-        if [ideal.mask for ideal in enumerate_ideals(s, side)] != ideal_oracle(s, side):
+        if enumerate_ideals(s, side) != ideal_oracle(s, side):
             found.append(f"{side.value} ideals")
-    return found
+    return found + subset_mismatches(s)
 
 
 def main(order: int = 4) -> int:
@@ -671,6 +702,10 @@ def main(order: int = 4) -> int:
     print(
         f"order {order}: {5 * count} relations L, R, J, H and N, relation_properties "
         "equal to the oracle in every flag and counterexample"
+    )
+    print(
+        f"order {order}: {count} ordered semigroups, the down-closure of every singleton "
+        "and the group component of every ordered idempotent equal to the set oracles"
     )
     return 0
 

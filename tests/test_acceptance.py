@@ -23,7 +23,7 @@ from ordsgp import (
     enumerate_ordered_semigroups,
     enumerate_semigroups,
     idempotent_ideal_identities,
-    least_csc,
+    n_relation,
     parse_document,
     power_correspondence_check,
     predicate,
@@ -77,7 +77,7 @@ class Tally:
         self.bundle_disagreements.extend(check_structure(s, BUNDLE_ORDER))
         self.theorem_disagreements.extend(check_structure(s, THEOREM_ORDER))
 
-        least = least_csc(s)
+        least = n_relation(s)
         if forall_exists(s, *COMPLETELY_REGULAR)[0]:
             self.cr_structures += 1
             result = decompose(s, least)
@@ -106,8 +106,8 @@ class Tally:
             for a in range(s.size):
                 meet = None
                 for ideal in ideals:
-                    if a in ideal:
-                        meet = ideal.mask if meet is None else meet & ideal.mask
+                    if (ideal >> a) & 1:
+                        meet = ideal if meet is None else meet & ideal
                 if meet != _principal_masks(s, side)[a]:
                     self.minimality_failures.append((serialize_document(s), a, side.value))
 
@@ -228,11 +228,10 @@ def test_criterion_5_kernel_properties(small_tally, n4_tally):
             for _ in range(4):
                 x = s.subset([i for i in range(s.size) if rng.random() < 0.5])
                 cx = down_closure(s, x)
-                if x.mask & ~cx.mask or down_closure(s, cx) != cx:
+                if x & ~cx or down_closure(s, cx) != cx:
                     closure_bad += 1
                 y = s.subset([i for i in range(s.size) if rng.random() < 0.5])
-                union = s.subset(set(x) | set(y))
-                if cx.mask & ~down_closure(s, union).mask:
+                if cx & ~down_closure(s, x | y):
                     closure_bad += 1
                 a, b, c = (
                     mask_of(i for i in range(s.size) if rng.random() < 0.6) for _ in range(3)

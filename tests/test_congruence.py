@@ -13,7 +13,6 @@ from ordsgp import (
     decompose,
     induced_substructure,
     enumerate_partitions,
-    least_csc,
     n_relation,
     relation_properties,
     serialize_document,
@@ -40,11 +39,11 @@ from order4_oracles import csc_oracle, relation_properties_oracle
 
 
 def identity_rel(s):
-    return EquivalenceRelation(s, range(s.size))
+    return EquivalenceRelation(range(s.size))
 
 
 def universal_rel(s):
-    return EquivalenceRelation(s, [0] * s.size)
+    return EquivalenceRelation([0] * s.size)
 
 
 def test_relation_properties_examples():
@@ -63,24 +62,38 @@ def test_relation_properties_examples():
         assert props.complete_semilattice, name
 
 
-def test_relation_properties_wrong_structure():
+@pytest.mark.parametrize("ids", [(0,), (0, 1, 2)], ids=repr)
+def test_a_relation_of_another_length_is_not_a_partition(ids):
+    """A relation on fewer or more elements than the carrier is one
+    NotPartition from ``relation_properties`` and from ``decompose``."""
+    sl2 = make_sl2()
+    message = f"relation on {len(ids)} elements, structure has 2"
+    for call in (relation_properties, decompose):
+        with pytest.raises(NotPartition, match=message):
+            call(sl2, EquivalenceRelation(ids))
+
+
+def test_a_relation_of_the_same_length_is_judged_on_the_structure():
+    """A relation holds no structure: N of SL2 is the identity relation on
+    two elements, a complete semilattice congruence of SL2 and not of LZ2."""
     sl2, lz2 = make_sl2(), make_lz2()
-    with pytest.raises(NotPartition, match="bound to a different structure"):
-        relation_properties(sl2, identity_rel(lz2))
+    rho = n_relation(sl2)
+    assert relation_properties(sl2, rho).complete_semilattice
+    assert relation_properties(lz2, rho) == relation_properties(lz2, identity_rel(lz2))
+    assert relation_properties(lz2, rho).counterexamples == {"semilattice": (0, 1)}
 
 
 def test_least_csc_examples():
-    assert least_csc(make_sl2()).num_classes() == 2
-    assert least_csc(make_lz2()).num_classes() == 1
-    assert least_csc(make_t1()).num_classes() == 1
+    assert n_relation(make_sl2()).num_classes() == 2
+    assert n_relation(make_lz2()).num_classes() == 1
+    assert n_relation(make_t1()).num_classes() == 1
 
 
 def test_least_csc_is_least_on_fixtures():
     for name, s in all_ordered_fixtures():
         if s.size > 5:
             continue
-        least = least_csc(s)
-        assert least == n_relation(s), name
+        least = n_relation(s)
         props = relation_properties(s, least)
         assert props.complete_semilattice, name
         found = complete_semilattice_congruences(s)
@@ -107,7 +120,7 @@ def test_relation_properties_match_the_loops():
     count = 0
     for s in differential_structures():
         for rgs in enumerate_partitions(s.size):
-            rho = EquivalenceRelation(s, rgs)
+            rho = EquivalenceRelation(rgs)
             assert relation_properties(s, rho) == relation_properties_oracle(s, rgs), (
                 serialize_document(s),
                 rgs,
@@ -165,28 +178,28 @@ def test_enumerate_partitions_refuses_a_bad_n(n, message):
 
 def test_decompose_sl2():
     sl2 = make_sl2()
-    result = decompose(sl2, least_csc(sl2))
+    result = decompose(sl2, n_relation(sl2))
     assert result.quotient_size == 2
-    assert [sorted(c) for c in result.rho.classes] == [[0], [1]]
+    assert result.rho.masks == (0b01, 0b10)
     assert all(c.holds for c in result.condition_verdicts)
     # class of 0 sits below class of 1 in the quotient
     assert result.quotient_order[0][1] and not result.quotient_order[1][0]
-    for c in result.rho.classes:
-        assert classify(induced_substructure(sl2, c)).verdicts["group_like"].holds
+    for m in result.rho.masks:
+        assert classify(induced_substructure(sl2, m)).verdicts["group_like"].holds
 
 
 def test_decompose_lz2():
     lz2 = make_lz2()
-    result = decompose(lz2, least_csc(lz2))
+    result = decompose(lz2, n_relation(lz2))
     assert result.quotient_size == 1
-    (c,) = result.rho.classes
-    assert classify(induced_substructure(lz2, c)).verdicts["completely_simple"].holds
+    (m,) = result.rho.masks
+    assert classify(induced_substructure(lz2, m)).verdicts["completely_simple"].holds
     assert all(c.holds for c in result.condition_verdicts)
 
 
 def test_decompose_t1():
     t1 = make_t1()
-    assert decompose(t1, least_csc(t1)).quotient_size == 1
+    assert decompose(t1, n_relation(t1)).quotient_size == 1
 
 
 def test_decompose_rejects_non_csc():
@@ -198,15 +211,11 @@ def test_decompose_rejects_non_csc():
 @pytest.mark.parametrize("ids", [(0, 2), (1, 0), ("a", "b")], ids=repr)
 def test_relation_ids_are_numbered_by_first_appearance(ids):
     """Any per-element ids are numbered 0, 1, ... by first appearance, so
-    (0, 2) leaves no class empty and decomposes as (0, 1) does; ids of
-    another length than the carrier are a ValueError."""
+    (0, 2) leaves no class empty and decomposes as (0, 1) does."""
     sl2 = make_sl2()
-    rho = EquivalenceRelation(sl2, ids)
+    rho = EquivalenceRelation(ids)
     assert (rho.class_ids, rho.num_classes(), rho.masks) == ((0, 1), 2, (0b01, 0b10))
-    assert decompose(sl2, rho) == decompose(sl2, EquivalenceRelation(sl2, (0, 1)))
-    for wrong in (ids[:1], ids + ids[:1]):
-        with pytest.raises(ValueError, match="one class id per element"):
-            EquivalenceRelation(sl2, wrong)
+    assert decompose(sl2, rho) == decompose(sl2, EquivalenceRelation((0, 1)))
 
 
 def test_decompose_checks_class_products(monkeypatch):
@@ -214,7 +223,7 @@ def test_decompose_checks_class_products(monkeypatch):
     # leaves S_b; with the congruence flags forced true, the third
     # condition must report the least failing tuple
     s = validate_structure(3, [[0, 0, 0], [0, 1, 0], [0, 0, 0]])
-    rho = EquivalenceRelation(s, (0, 1, 1))
+    rho = EquivalenceRelation((0, 1, 1))
     assert not relation_properties(s, rho).congruence
     monkeypatch.setattr(
         congruence,
@@ -251,7 +260,7 @@ def test_cr_hclass_gl_checks_shared_h(monkeypatch, size, table, pairs, ids, verd
     # with H forced to a partition of product-closed classes, the last two
     # conditions are decided by the classes alone
     s = validate_structure(size, table, pairs)
-    h = EquivalenceRelation(s, ids)
+    h = EquivalenceRelation(ids)
     monkeypatch.setattr(classification, "green_relation", lambda s, kind: h)
     result = structure_theorem_check(s, "CR-HCLASS-GL")
     assert [c.holds for c in result.conditions] == verdicts
@@ -293,7 +302,7 @@ def test_quotient_is_a_semilattice():
     for name, s in all_ordered_fixtures():
         if s.size > 5:
             continue
-        result = decompose(s, least_csc(s))
+        result = decompose(s, n_relation(s))
         table = result.quotient_table
         k = result.quotient_size
         for a in range(k):

@@ -542,9 +542,9 @@ def test_sweep_order_memory_does_not_grow_with_the_stream():
 
 
 def test_a_swept_structure_leaves_no_cyclic_garbage():
-    """Once its checks have run, a swept structure's cache is cleared: the
-    relations cached there refer back to the structure, so a kept cache
-    would leave every swept structure for the cyclic collector."""
+    """Nothing cached on a swept structure refers back to it, so once its
+    checks have run and it is dropped, nothing is left for the cyclic
+    collector."""
     runs = (
         lambda: sweep(sample_ordered_semigroups(4, 200, 20260810)),
         lambda: sweep_order(2, 1, CHECK_IDS),

@@ -48,7 +48,7 @@ SRC = ROOT / "src" / "ordsgp"
 ALLOWLIST = {
     # names perfbench/rep.py imports or calls: the benchmark's own entry points
     "classification.structure_theorem_check": "perfbench's traced sweep-n4 unit runs each theorem",
-    "core.down_closure": "perfbench times it as core.down_closure_us",
+    "core.down_closure": "perfbench times it on singleton masks as core.down_closure_us",
     "enumeration.enumerate_compatible_orders": "perfbench's traced enumerate-n4 unit",
     "enumeration.enumerate_semigroups": "perfbench's power-n4 and traced enumerate-n4 units",
     "enumeration.sample_ordered_semigroups": "perfbench's sweep-n4 sample",
@@ -56,14 +56,14 @@ ALLOWLIST = {
     "ideals.enumerate_ideals": "perfbench times it; idempotent_ideal_identities reads it",
     "power.power_correspondence_check": "perfbench's power-n4 workload; no command checks it yet",
     "sweep.sweep": "perfbench's sweep-n4 unit",
-    "core.OrderedSemigroup.subset": "perfbench builds down_closure's argument; group_component",
+    "core.OrderedSemigroup.subset": "perfbench builds down_closure's argument mask with it",
     # the universal property of P(F) (ROADMAP item 10), which the acceptance test decides
     "power.join": "universal_extension's joins",
     "power.join_all": "universal_extension's joins of images",
     "power.semigroup_morphism": "the acceptance test of the universal extension",
     "power.universal_extension": "the acceptance test of the universal extension",
     # paper statements that no command checks yet (ROADMAP item 10)
-    "elements.group_component": "the group component G_e; no check states it yet",
+    "elements.group_component": "the mask of the group component G_e; no check states it yet",
     "ideals.idempotent_ideal_identities": "three ideal identities; no check states them yet",
     "ideals.idempotent_ideal_identities.identity": "nested in idempotent_ideal_identities",
     "power._sg_left_simple": "is_left_group's second half",
